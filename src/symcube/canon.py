@@ -2,11 +2,15 @@
 
 The engine performs individualization-refinement over vertex colorings of the
 bipartite point-block incidence graph.  Cells are refined by the multiset of
-neighbor colors; the search tree branches on the smallest non-singleton cell
-(lowest color index on ties) and is pruned three ways:
+neighbor colors.  At each node a lookahead individualizes members of the few
+smallest non-singleton cells and branches on the cell whose best member
+splits the coloring the most (``_Search._choose_cell``).  The tree is pruned
+three ways:
 
 * partial-invariant comparison against the best path found so far,
-* orbits of already-discovered automorphisms among the children of a node,
+* orbits of the known automorphisms that fix the node's individualized
+  vertices, among the children of a node (the lookahead scores one member
+  per orbit, too),
 * backjumping: a leaf whose certificate equals a reference leaf yields an
   automorphism mapping its individualized vertices onto the reference's, so
   the search unwinds to the deepest node the two paths share.
@@ -58,6 +62,24 @@ def _void_rows(arr: np.ndarray) -> np.ndarray:
     if be.shape[1] == 0:
         return np.zeros(be.shape[0], dtype="V1")
     return be.view(f"V{be.shape[1] * 4}").ravel()
+
+
+def _orbit_ids(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Orbits of the group generated by ``gens`` (permutations of range(n)):
+    each point is labelled by the least point of its orbit."""
+    ids = np.arange(n)
+    if not gens:
+        return ids
+    stacked = np.stack(gens)
+    while True:
+        # pull the least label over one generator step, then shortcut labels
+        # through their own labels; every label stays inside its orbit, and
+        # at the fixed point ids[x] <= ids[g[x]] for all g makes the labels
+        # constant on orbits
+        pulled = np.minimum(ids, ids[stacked].min(axis=0))
+        if np.array_equal(pulled, ids):
+            return ids
+        ids = pulled[pulled]
 
 
 class _Structure:
@@ -259,17 +281,27 @@ class _Search:
         child[v] -= 1
         return self.refine(child, n_cells + 1)
 
-    def _choose_cell(self, colors: np.ndarray, n_cells: int, cache: dict):
+    def _choose_cell(self, colors: np.ndarray, n_cells: int, cache: dict, orbits: np.ndarray):
         """Pick the branching cell: among the few smallest cells, the one
         whose best member splits the partition the most when individualized.
 
         On refinement-stable structures (cubes over elementary abelian
         groups, say) the smallest cell can be near-useless to branch on,
-        making the tree exponentially deep, so a lookahead scores candidate
-        cells by the cell count their members reach.  Every member of a
-        candidate is evaluated and the score is the maximum, which depends
-        only on the isomorphism type of the node, keeping the canonical form
-        label-invariant.  Child refinements of the winner are cached.
+        making the tree exponentially deep, so a lookahead scores up to
+        LOOKAHEAD_CELLS of the smallest cells (at most LOOKAHEAD_MEMBERS
+        members in all, the first cell always) by the cell count their
+        members reach.  A cell's score is the maximum over its members,
+        which depends only on the isomorphism type of the node, keeping the
+        canonical form label-invariant.
+
+        ``orbits`` labels each vertex by its orbit under the known
+        automorphisms fixing the individualized vertices; these preserve the
+        node's coloring, so all members of an orbit reach the same count and
+        one member per orbit is scored.  A cell stops being scored once it
+        has won (its running score beats every earlier cell and reaches the
+        cascade level that ends the lookahead).  The child states computed
+        for the winner go to ``cache``; the search builds the others when it
+        visits them.
         """
         sizes = np.bincount(colors, minlength=n_cells)
         eligible = np.flatnonzero(sizes > 1)
@@ -291,14 +323,25 @@ class _Search:
             if rank > 0 and budget - len(cell) < 0:
                 break
             budget -= len(cell)
-            states = {v: self._child_state(colors, v, n_cells) for v in cell.tolist()}
-            score = max(st[1] for st in states.values())
+            _, first = np.unique(orbits[cell], return_index=True)
+            states: dict = {}
+            score = -1
+            for v in cell[np.sort(first)].tolist():
+                states[v] = self._child_state(colors, v, n_cells)
+                score = max(score, states[v][1])
+                if score > best_score and score >= cascade:
+                    break
             if score > best_score:
                 best_score = score
                 best_color = color
                 best_cache = states
         cache.update(best_cache)
         return np.flatnonzero(colors == best_color)
+
+    def _fixing_gens(self, start: int, fixed: np.ndarray) -> list[np.ndarray]:
+        """The known automorphisms from index ``start`` on that fix every
+        vertex in ``fixed``."""
+        return [g for g in self.aut_gens[start:] if bool((g[fixed] == fixed).all())]
 
     def search(self, state, path: list[bytes], fixed: list[int]) -> None:
         self.node_count += 1
@@ -326,68 +369,60 @@ class _Search:
         if n_cells == self.s.n_vertices:
             self.unwind_to = self.handle_leaf(colors, path, fixed)
             return
-        cache: dict = {}
-        cell = self._choose_cell(colors, n_cells, cache)
-        explored: list[int] = []
-        gen_count = -1
-        usable_gens: list[np.ndarray] = []
+        # orbits of the known automorphisms fixing the individualized
+        # vertices, shared by the lookahead and the sibling pruning below
         fixed_arr = np.asarray(fixed, dtype=np.int64)
+        gen_count = len(self.aut_gens)
+        usable = self._fixing_gens(0, fixed_arr)
+        orbits = _orbit_ids(usable, self.s.n_vertices)
+        cache: dict = {}
+        cell = self._choose_cell(colors, n_cells, cache, orbits)
+        explored: list[int] = []
+        explored_orbits: set[int] = set()
         for v in cell.tolist():
-            if explored:
-                if gen_count != len(self.aut_gens):
-                    gen_count = len(self.aut_gens)
-                    usable_gens = [
-                        g
-                        for g in self.aut_gens
-                        if len(fixed) == 0 or bool((g[fixed_arr] == fixed_arr).all())
-                    ]
-                if usable_gens and self._in_orbit(v, explored, usable_gens):
-                    continue
+            if gen_count != len(self.aut_gens):
+                new_gens = self._fixing_gens(gen_count, fixed_arr)
+                gen_count = len(self.aut_gens)
+                if new_gens:
+                    usable += new_gens
+                    orbits = _orbit_ids(usable, self.s.n_vertices)
+                    explored_orbits = {int(orbits[x]) for x in explored}
+            if int(orbits[v]) in explored_orbits:
+                continue
             child_state = cache.pop(v, None)
             if child_state is None:
                 child_state = self._child_state(colors, v, n_cells)
             self.search(child_state, path, fixed + [v])
             explored.append(v)
+            explored_orbits.add(int(orbits[v]))
             if self.unwind_to is not None:
                 if self.unwind_to < depth:
                     return  # propagate the backjump
                 self.unwind_to = None  # this node is the backjump target
         return
 
-    @staticmethod
-    def _in_orbit(v: int, explored: list[int], gens: list[np.ndarray]) -> bool:
-        seen = set(explored)
-        queue = list(explored)
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = int(g[x])
-                if y == v:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return False
-
     # -- public ---------------------------------------------------------------
 
     def seed_automorphisms(self, point_gens) -> None:
-        """Install known automorphisms, given as point permutations; the
-        induced block permutation is looked up (and thereby verified)."""
+        """Install known automorphisms, given as point permutations that
+        preserve the initial point colors; the induced block permutation is
+        found by a sorted search over the block rows (and thereby verified)."""
         s = self.s
-        index = {row.tobytes(): i for i, row in enumerate(np.ascontiguousarray(s.B))}
+        rows = _void_rows(s.B)
+        order = np.argsort(rows, kind="stable")
+        sorted_rows = rows[order]
+        point_colors = s.init_colors[: s.n_points]
         for pg in point_gens:
             p = np.asarray(pg, dtype=np.int64)
-            if p.shape != (s.n_points,):
+            if p.shape != (s.n_points,) or not np.array_equal(np.sort(p), np.arange(s.n_points)):
                 raise InvalidInputError("seed must permute the points")
-            mapped = np.sort(p[s.B], axis=1)
-            full = np.empty(s.n_vertices, dtype=np.int64)
-            full[: s.n_points] = p
-            for j, row in enumerate(np.ascontiguousarray(mapped)):
-                target = index.get(row.tobytes())
-                if target is None:
-                    raise ConstructionBugError("seed permutation is not an automorphism")
-                full[s.n_points + j] = s.n_points + target
+            if not np.array_equal(point_colors[p], point_colors):
+                raise ConstructionBugError("seed permutation does not preserve the point colors")
+            mapped = _void_rows(np.sort(p[s.B], axis=1))
+            pos = np.minimum(np.searchsorted(sorted_rows, mapped), s.m - 1)
+            if not (sorted_rows[pos] == mapped).all():
+                raise ConstructionBugError("seed permutation is not an automorphism")
+            full = np.concatenate([p, s.n_points + order[pos]])
             if not (full == np.arange(s.n_vertices)).all():
                 self.aut_gens.append(full)
 

@@ -315,8 +315,6 @@ def cmd_reproduce(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="symcube", description=__doc__)
-    top.add_argument("--seed", type=int, default=0, help="seed for randomized test order")
-    top.add_argument("--jobs", type=int, default=1, help="worker count hint")
     sub = top.add_subparsers(dest="command", required=True)
 
     group = sub.add_parser("group", help="finite groups").add_subparsers(

@@ -39,15 +39,25 @@ __all__ = [
 ]
 
 
-def _lines(path: str | Path) -> list[str]:
-    text = Path(path).read_text()
-    return [ln.rstrip("\n") for ln in text.splitlines()]
+def _lines(path: str | Path, kind: str) -> list[str]:
+    """The file's lines; a file with no content is an input error."""
+    lines = Path(path).read_text().splitlines()
+    if not any(ln.strip() for ln in lines):
+        raise InvalidInputError(f"{path}: empty {kind} file")
+    return lines
+
+
+def _header_ints(path: str | Path, header: str, names: Sequence[str]) -> list[int]:
+    """The integer ``name=value`` fields of a header line, in ``names`` order."""
+    fields = dict(part.partition("=")[::2] for part in header.split()[1:])
+    try:
+        return [int(fields[name]) for name in names]
+    except (KeyError, ValueError):
+        raise InvalidInputError(f"{path}: bad header {header!r}") from None
 
 
 def load_group(path: str | Path) -> FiniteGroup:
-    lines = _lines(path)
-    if not lines:
-        raise InvalidInputError(f"{path}: empty group file")
+    lines = _lines(path, "group")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "group" or head[2] != "order":
         raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
@@ -101,9 +111,9 @@ def save_group(g: FiniteGroup, path: str | Path, as_table: bool = True) -> None:
 
 
 def load_difference_set(path: str | Path, group: FiniteGroup) -> DifferenceSet:
-    lines = [ln for ln in _lines(path) if ln.strip()]
+    lines = [ln for ln in _lines(path, "difference set") if ln.strip()]
     head = lines[0].split()
-    if head[0] != "ds" or len(head) != 4:
+    if head[0] != "ds" or len(head) != 4 or len(lines) < 2:
         raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
     v, k, lam = (int(x) for x in head[1:])
     elements = tuple(int(x) for x in lines[1].split())
@@ -118,7 +128,7 @@ def save_difference_set(d: DifferenceSet, path: str | Path) -> None:
 
 
 def load_design(path: str | Path) -> IncidenceMatrix:
-    lines = [ln for ln in _lines(path) if ln.strip()]
+    lines = [ln for ln in _lines(path, "design") if ln.strip()]
     head = lines[0].split()
     if head[0] != "design" or len(head) != 4:
         raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
@@ -148,13 +158,10 @@ def save_cube(c: Cube, path: str | Path) -> None:
 
 
 def load_cube(path: str | Path) -> Cube:
-    lines = _lines(path)
-    head = lines[0].split()
+    lines = _lines(path, "cube")
     if not lines[0].startswith("cube "):
         raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
-    fields = dict(part.split("=") for part in head[1:])
-    n, v = int(fields["n"]), int(fields["v"])
-    k, lam = int(fields["k"]), int(fields["lambda"])
+    n, v, k, lam = _header_ints(path, lines[0], ("n", "v", "k", "lambda"))
     rows = [ln for ln in lines[1:] if ln.strip()]
     expected = v ** (n - 2) * v
     if len(rows) != expected:
@@ -175,12 +182,10 @@ def save_transversal(t: TransversalRep, path_or_io: str | Path | TextIO) -> None
 
 
 def load_transversal(path: str | Path) -> TransversalRep:
-    lines = [ln for ln in _lines(path) if ln.strip()]
-    head = lines[0].split()
+    lines = [ln for ln in _lines(path, "transversal") if ln.strip()]
     if not lines[0].startswith("td "):
         raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
-    fields = dict(part.split("=") for part in head[1:])
-    n, v, m = int(fields["n"]), int(fields["v"]), int(fields["blocks"])
+    n, v, m = _header_ints(path, lines[0], ("n", "v", "blocks"))
     blocks = tuple(
         tuple(int(x) - 1 for x in ln.split()) for ln in lines[1 : 1 + m]
     )
@@ -195,16 +200,18 @@ def save_certificate(cert: CanonicalCertificate, path: str | Path) -> None:
 
 
 def load_certificate(path: str | Path) -> CanonicalCertificate:
-    lines = [ln for ln in _lines(path) if ln.strip()]
+    lines = [ln for ln in _lines(path, "certificate") if ln.strip()]
     if not lines[0].startswith("mode="):
         raise InvalidInputError(f"{path}: missing mode header")
+    if len(lines) < 2:
+        raise InvalidInputError(f"{path}: missing certificate bytes")
     return CanonicalCertificate(bytes.fromhex(lines[1]), lines[0][len("mode=") :])
 
 
 def load_orbit_input(path: str | Path) -> OrbitCubeInput:
-    lines = [ln for ln in _lines(path) if ln.strip()]
+    lines = [ln for ln in _lines(path, "orbit input") if ln.strip()]
     head = lines[0].split()
-    if head[0] != "orbitcube" or not head[1].startswith("v="):
+    if len(head) != 2 or head[0] != "orbitcube" or not head[1].startswith("v="):
         raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
     v = int(head[1][2:])
     gens = []

@@ -9,8 +9,8 @@ three ways:
 
 * partial-invariant comparison against the best path found so far,
 * orbits of the known automorphisms that fix the node's individualized
-  vertices, among the children of a node (the lookahead scores one member
-  per orbit, too),
+  vertices (the partition ``perms.orbit_ids``), among the children of a
+  node (the lookahead scores one member per orbit, too),
 * backjumping: a leaf whose certificate equals a reference leaf yields an
   automorphism mapping its individualized vertices onto the reference's, so
   the search unwinds to the deepest node the two paths share.
@@ -21,8 +21,10 @@ components are pure functions of the isomorphism type, so two structures are
 isomorphic (respecting initial colors) iff their certificates are equal.
 
 Automorphisms discovered as equal-certificate leaves generate the full
-automorphism group; the exact order comes from a stabilizer chain on the
-point action, which is faithful because blocks are pairwise distinct.
+automorphism group; each one, and each seeded one, is verified through the
+block permutation it induces (``perms.induced_permutations``).  The exact
+order comes from a stabilizer chain on the point action, which is faithful
+because blocks are pairwise distinct.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError
-from .perms import PermGroup
+from .perms import PermGroup, induced_permutations, orbit_ids, void_rows
 
 __all__ = ["CanonResult", "canonicalize", "design_canonical"]
 
@@ -54,32 +56,6 @@ class CanonResult:
 
 class _Deadline(Exception):
     pass
-
-
-def _void_rows(arr: np.ndarray) -> np.ndarray:
-    """View rows as fixed-size byte strings that compare lexicographically."""
-    be = np.ascontiguousarray(arr.astype(">i4"))
-    if be.shape[1] == 0:
-        return np.zeros(be.shape[0], dtype="V1")
-    return be.view(f"V{be.shape[1] * 4}").ravel()
-
-
-def _orbit_ids(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Orbits of the group generated by ``gens`` (permutations of range(n)):
-    each point is labelled by the least point of its orbit."""
-    ids = np.arange(n)
-    if not gens:
-        return ids
-    stacked = np.stack(gens)
-    while True:
-        # pull the least label over one generator step, then shortcut labels
-        # through their own labels; every label stays inside its orbit, and
-        # at the fixed point ids[x] <= ids[g[x]] for all g makes the labels
-        # constant on orbits
-        pulled = np.minimum(ids, ids[stacked].min(axis=0))
-        if np.array_equal(pulled, ids):
-            return ids
-        ids = pulled[pulled]
 
 
 class _Structure:
@@ -160,7 +136,7 @@ class _Search:
             combined = np.empty((npts, pk.shape[1] + 1), dtype=np.int32)
             combined[:, 0] = pcol
             combined[:, 1:] = pk
-            prows = _void_rows(combined)
+            prows = void_rows(combined)
             porder = np.argsort(prows, kind="stable")
             prank, p_oc = self._ranks_sorted(pcol, porder, prows[porder])
 
@@ -177,7 +153,7 @@ class _Search:
                 bcombined = np.empty((s.m, bk.shape[1] + 1), dtype=np.int32)
                 bcombined[:, 0] = bcol
                 bcombined[:, 1:] = bk
-                brows = _void_rows(bcombined)
+                brows = void_rows(bcombined)
                 border = np.argsort(brows, kind="stable")
                 brank, b_oc = self._ranks_sorted(bcol, border, brows[border])
 
@@ -193,8 +169,8 @@ class _Search:
                 sizes = np.bincount(colors, minlength=new_n_cells)
                 h = hashlib.blake2b(digest_size=16)
                 h.update(sizes.astype(np.int64).tobytes())
-                h.update(np.sort(_void_rows(pk)).tobytes())
-                h.update(np.sort(_void_rows(bk)).tobytes())
+                h.update(np.sort(void_rows(pk)).tobytes())
+                h.update(np.sort(void_rows(bk)).tobytes())
                 return colors, new_n_cells, h.digest()
             n_cells = new_n_cells
 
@@ -203,7 +179,7 @@ class _Search:
     def leaf_certificate(self, colors: np.ndarray) -> bytes:
         s = self.s
         relabeled = np.sort(colors[s.B], axis=1)
-        order = np.argsort(_void_rows(relabeled), kind="stable")
+        order = np.argsort(void_rows(relabeled), kind="stable")
         rows = relabeled[order]
         enc = np.empty_like(rows)
         enc[:, 1:] = rows[:, 1:] - rows[:, :-1]
@@ -374,7 +350,7 @@ class _Search:
         fixed_arr = np.asarray(fixed, dtype=np.int64)
         gen_count = len(self.aut_gens)
         usable = self._fixing_gens(0, fixed_arr)
-        orbits = _orbit_ids(usable, self.s.n_vertices)
+        orbits = orbit_ids(usable, self.s.n_vertices)
         cache: dict = {}
         cell = self._choose_cell(colors, n_cells, cache, orbits)
         explored: list[int] = []
@@ -385,7 +361,7 @@ class _Search:
                 gen_count = len(self.aut_gens)
                 if new_gens:
                     usable += new_gens
-                    orbits = _orbit_ids(usable, self.s.n_vertices)
+                    orbits = orbit_ids(usable, self.s.n_vertices)
                     explored_orbits = {int(orbits[x]) for x in explored}
             if int(orbits[v]) in explored_orbits:
                 continue
@@ -405,24 +381,23 @@ class _Search:
 
     def seed_automorphisms(self, point_gens) -> None:
         """Install known automorphisms, given as point permutations that
-        preserve the initial point colors; the induced block permutation is
-        found by a sorted search over the block rows (and thereby verified)."""
+        preserve the initial point colors; the induced block permutations
+        come from ``induced_permutations`` (which thereby verifies them)."""
         s = self.s
-        rows = _void_rows(s.B)
-        order = np.argsort(rows, kind="stable")
-        sorted_rows = rows[order]
         point_colors = s.init_colors[: s.n_points]
+        maps = []
         for pg in point_gens:
             p = np.asarray(pg, dtype=np.int64)
             if p.shape != (s.n_points,) or not np.array_equal(np.sort(p), np.arange(s.n_points)):
                 raise InvalidInputError("seed must permute the points")
             if not np.array_equal(point_colors[p], point_colors):
                 raise ConstructionBugError("seed permutation does not preserve the point colors")
-            mapped = _void_rows(np.sort(p[s.B], axis=1))
-            pos = np.minimum(np.searchsorted(sorted_rows, mapped), s.m - 1)
-            if not (sorted_rows[pos] == mapped).all():
-                raise ConstructionBugError("seed permutation is not an automorphism")
-            full = np.concatenate([p, s.n_points + order[pos]])
+            maps.append(p)
+        block_perms = induced_permutations(s.B, maps)
+        if block_perms is None:
+            raise ConstructionBugError("seed permutation is not an automorphism")
+        for p, bp in zip(maps, block_perms):
+            full = np.concatenate([p, s.n_points + bp])
             if not (full == np.arange(s.n_vertices)).all():
                 self.aut_gens.append(full)
 
@@ -460,9 +435,7 @@ class _Search:
         )
 
     def _check_automorphism(self, g: np.ndarray) -> None:
-        s = self.s
-        mapped = np.sort(g[s.B], axis=1)
-        if set(map(bytes, _void_rows(mapped))) != set(map(bytes, _void_rows(s.B))):
+        if induced_permutations(self.s.B, [g[: self.s.n_points]]) is None:
             raise ConstructionBugError("discovered generator is not an automorphism")
 
 

@@ -44,12 +44,6 @@ class Catalog:
             if params is None or e.params == params
         }
 
-    def entry(self, name: str, params: DesignParams) -> CatalogEntry:
-        for e in self.entries:
-            if e.name == name and e.params == params:
-                return e
-        raise KeyError((name, params))
-
 
 def klein_group():
     from .groups import make_cyclic, make_direct_product

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -288,33 +288,25 @@ def cached_design_class(m: IncidenceMatrix):
 
 
 def _parallel_classes(c: Cube):
-    """Yield lists of v slice matrices, one list per parallel class."""
+    """Yield arrays of v slice matrices, one array per parallel class: the
+    (x, y)-slices along which one other axis varies."""
     n, v = c.n, c.v
     for x, y in combinations(range(n), 2):
-        rest = [t for t in range(n) if t not in (x, y)]
-        for vary_pos in range(len(rest)):
-            others = rest[:vary_pos] + rest[vary_pos + 1 :]
-            for fixed_vals in product(range(v), repeat=len(others)):
-                group = []
-                for z in range(v):
-                    fixed = [0] * (n - 2)
-                    fixed[vary_pos] = z
-                    for pos, val in zip(
-                        [i for i in range(len(rest)) if i != vary_pos], fixed_vals
-                    ):
-                        fixed[pos] = val
-                    group.append(slice_matrix(c, SliceSpec(x, y, tuple(fixed))))
-                yield group
+        stack = _slice_stack(c.bits, x, y).reshape((v,) * (n - 2) + (v, v))
+        for axis in range(n - 2):
+            yield from np.moveaxis(stack, axis, n - 3).reshape(-1, v, v, v)
 
 
-def slice_invariant(c: Cube, catalog=None) -> SliceInvariant:
+def slice_invariant(c: Cube) -> SliceInvariant:
     """The paratopy invariant built from design certificates of parallel
     slices; deterministic: inner multisets sorted, outer multiset sorted."""
     if c.n < 3:
         raise InvalidInputError("slice invariant requires dimension >= 3")
     inner_sets = []
     for group in _parallel_classes(c):
-        certs = tuple(sorted(cached_design_class(m).certificate for m in group))
+        certs = tuple(
+            sorted(cached_design_class(IncidenceMatrix(m, c.params)).certificate for m in group)
+        )
         inner_sets.append(certs)
     expected = math.comb(c.n, 2) * (c.n - 2) * c.v ** (c.n - 3)
     if len(inner_sets) != expected:
@@ -328,7 +320,9 @@ def weak_slice_invariant(c: Cube) -> SliceInvariant:
         raise InvalidInputError("slice invariant requires dimension >= 3")
     inner_sets = []
     for group in _parallel_classes(c):
-        orders = tuple(sorted(cached_design_class(m).aut_order for m in group))
+        orders = tuple(
+            sorted(cached_design_class(IncidenceMatrix(m, c.params)).aut_order for m in group)
+        )
         inner_sets.append(orders)
     return SliceInvariant(tuple(sorted(inner_sets)))
 
@@ -394,7 +388,7 @@ def hadamard_slice_checks(h: np.ndarray) -> bool:
     n = h.ndim
     target = v * np.eye(v, dtype=np.int64)
     for x, y in combinations(range(n), 2):
-        stack = np.moveaxis(h, (x, y), (n - 2, n - 1)).reshape(-1, v, v).astype(np.int64)
+        stack = _slice_stack(h, x, y).astype(np.int64)
         if not (stack @ stack.transpose(0, 2, 1) == target).all():
             return False
         rs = stack.sum(axis=2)

@@ -26,7 +26,6 @@ __all__ = [
     "mann_product",
     "block_quadruple",
     "menon_params",
-    "has_symmetric_difference_property",
 ]
 
 
@@ -96,9 +95,6 @@ class DesignClass:
     certificate: bytes
     aut_order: int
     name: str | None = None
-
-    def display(self) -> str:
-        return self.name if self.name is not None else self.certificate.hex()[:12]
 
 
 def verify_design(a: IncidenceMatrix, p: DesignParams) -> bool:
@@ -213,20 +209,3 @@ def _menon_exponent(p: DesignParams) -> int | None:
             return m
         m += 1
     return None
-
-
-def has_symmetric_difference_property(a: IncidenceMatrix) -> bool:
-    """Whether the symmetric difference of any three blocks is a block or a
-    block complement.  Optional predicate; nothing downstream depends on it."""
-    cols = a.bits.T.astype(bool)
-    v = a.v
-    col_set = {c.tobytes() for c in cols}
-    comp_set = {(~c).tobytes() for c in cols}
-    from itertools import combinations
-
-    for i, j, k in combinations(range(v), 3):
-        sd = cols[i] ^ cols[j] ^ cols[k]
-        b = sd.tobytes()
-        if b not in col_set and b not in comp_set:
-            return False
-    return True

@@ -20,7 +20,7 @@ from .canon import CanonResult, canonicalize
 from .cubes import Cube, ParatopyElement, apply_paratopy
 from .designs import DesignParams
 from .errors import ConstructionBugError, InvalidInputError, NotACubeError
-from .groups import DifferenceSet, FiniteGroup, multipliers as _multipliers
+from .groups import DifferenceSet, FiniteGroup, automorphism_generators, multipliers as _multipliers
 from .perms import PermGroup, identity as id_perm, inverse as perm_inverse
 
 __all__ = [
@@ -303,7 +303,11 @@ def theoretical_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[Par
             perms[pos + 1] = left_mult(a)  # i -> index of a g_i
             out.append(ParatopyElement(tuple(perms), id_perm(n)))
 
-    for mult in _multipliers(d):
+    # phi -> w(phi) below respects products (phi psi maps D onto phi(b) a D
+    # when phi(D) = aD and psi(D) = bD), so generators of Mult(D) suffice
+    mults = {m.map.images: m for m in _multipliers(d)}
+    for phi_map in automorphism_generators(g, [m.map for m in mults.values()]):
+        mult = mults[phi_map.images]
         phi = mult.map.images
         ia = g.inv(mult.translate)
         first = tuple(g.table[ia][phi[i]] for i in range(v))  # i -> a^{-1} phi(g_i)

@@ -11,8 +11,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError
-from .perms import Perm, PermGroup, identity as id_perm
+from .perms import Perm, PermGroup, identity as id_perm, induced_permutations, orbit_ids
 
 __all__ = [
     "FiniteGroup",
@@ -94,9 +96,6 @@ class FiniteGroup:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
         if self._inv is None:
             # inverse of i is the j with i*j = identity
@@ -157,9 +156,6 @@ class FiniteGroup:
             closed = self.closure(gens)
         return gens
 
-    def element_label(self, a: int) -> str:
-        return self.labels[a] if self.labels is not None else str(a)
-
     def __repr__(self) -> str:
         name = self.name or "group"
         return f"FiniteGroup({name}, order={self.order})"
@@ -181,9 +177,6 @@ class GroupMap:
 
     def __call__(self, a: int) -> int:
         return self.images[a]
-
-    def apply_set(self, subset: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.images[x] for x in subset)
 
     def is_valid(self) -> bool:
         s, t, img = self.source, self.target, self.images
@@ -561,31 +554,14 @@ def difference_sets_up_to_equivalence(
         all_sets = enumerate_difference_sets(g, k, lam)
     if not all_sets:
         return []
-    index = {ds.elements: ds for ds in all_sets}
-    aut_gens = automorphism_generators(g)
-    translations = [g.left_translation(a) for a in g.generating_sequence()]
-    moves: list[Perm] = [a.images for a in aut_gens] + list(translations)
-    reps: list[DifferenceSet] = []
-    visited: set[tuple[int, ...]] = set()
-    for key in sorted(index):
-        if key in visited:
-            continue
-        orbit = {key}
-        queue = [key]
-        while queue:
-            cur = queue.pop()
-            for mv in moves:
-                img = tuple(sorted(mv[x] for x in cur))
-                if img not in orbit:
-                    if img not in index:
-                        raise ConstructionBugError(
-                            "difference-set orbit left the enumerated set"
-                        )
-                    orbit.add(img)
-                    queue.append(img)
-        visited |= orbit
-        reps.append(index[min(orbit)])
-    return reps
+    sets = sorted(all_sets, key=lambda ds: ds.elements)
+    moves = [a.images for a in automorphism_generators(g)]
+    moves += [g.left_translation(a) for a in g.generating_sequence()]
+    perms = induced_permutations([ds.elements for ds in sets], moves)
+    if perms is None:
+        raise ConstructionBugError("difference-set orbit left the enumerated set")
+    ids = orbit_ids(perms, len(sets))
+    return [sets[i] for i in np.flatnonzero(ids == np.arange(len(sets)))]
 
 
 def multipliers(d: DifferenceSet) -> list[Multiplier]:
@@ -607,8 +583,6 @@ def multipliers(d: DifferenceSet) -> list[Multiplier]:
 
 def development(d: DifferenceSet):
     """Incidence matrix of dev D: entry (i, j) = [g_i in g_j D]."""
-    import numpy as np
-
     from .designs import DesignParams, IncidenceMatrix
 
     g = d.group

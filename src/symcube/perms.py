@@ -1,7 +1,12 @@
-"""Permutations in one-line notation (0-based tuples) and exact group orders.
+"""Permutations in one-line notation (0-based tuples), exact group orders,
+orbit partitions and the actions that point maps induce on set families.
 
 Permutations on ``{0, ..., n-1}`` are stored as tuples ``p`` with ``p[i]`` the
 image of ``i``.  Composition is ``compose(p, q)[i] = p[q[i]]`` (apply q first).
+The orbit partition (``orbit_ids``) and the induced action on a family of
+sets (``induced_permutations``) work on numpy arrays; together they are the
+orbit-based isomorph rejection shared by the difference-set classes, the
+design dedup and the canonical labeller.
 """
 
 from __future__ import annotations
@@ -9,17 +14,13 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Perm = tuple[int, ...]
 
 
 def identity(n: int) -> Perm:
     return tuple(range(n))
-
-
-def is_permutation(p: Sequence[int], n: int | None = None) -> bool:
-    if n is not None and len(p) != n:
-        return False
-    return sorted(p) == list(range(len(p)))
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
@@ -213,19 +214,56 @@ class PermGroup:
         return seen
 
 
-def group_order(generators: Iterable[Sequence[int]], degree: int) -> int:
-    return PermGroup(generators, degree).order()
+def void_rows(arr: np.ndarray) -> np.ndarray:
+    """View rows as fixed-size byte strings that compare lexicographically."""
+    be = np.ascontiguousarray(arr.astype(">i4"))
+    if be.shape[1] == 0:
+        return np.zeros(be.shape[0], dtype="V1")
+    return be.view(f"V{be.shape[1] * 4}").ravel()
 
 
-def orbit_of_tuple(start: tuple, generators: Sequence[Perm], act) -> set:
-    """Generic orbit closure: ``act(g, x)`` applies a generator to a point."""
-    seen = {start}
-    queue = [start]
-    while queue:
-        x = queue.pop()
-        for g in generators:
-            y = act(g, x)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
+def orbit_ids(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Orbits of the group generated by ``gens`` (permutations of range(n)):
+    each point is labelled by the least point of its orbit."""
+    ids = np.arange(n, dtype=np.int32)
+    if not gens:
+        return ids
+    stacked = np.stack(gens)
+    while True:
+        # pull the least label over one generator step, then shortcut labels
+        # through their own labels; every label stays inside its orbit, and
+        # at the fixed point ids[x] <= ids[g[x]] for all g makes the labels
+        # constant on orbits
+        pulled = np.minimum(ids, ids[stacked].min(axis=0))
+        if np.array_equal(pulled, ids):
+            return ids
+        ids = pulled[pulled]
+
+
+def induced_permutations(
+    rows: Sequence[Sequence[int]] | np.ndarray, point_maps: Iterable[Sequence[int]]
+) -> list[np.ndarray] | None:
+    """The permutations that point maps induce on a family of sets.
+
+    ``rows`` holds distinct sets of equal size, each as a sorted row, and is
+    not empty.  Entry i of the j-th result is the index of the row equal to
+    the image of row i under ``point_maps[j]``.  Returns None if some image
+    is not a row.
+    """
+    # int32 rows and in-place sorts keep the peak memory near a few copies of
+    # the family, which matters for the tens of thousands of designs of a
+    # (16,6,2) classification
+    rows = np.asarray(rows, dtype=np.int32)
+    keys = void_rows(rows)
+    order = np.argsort(keys).astype(np.int32)
+    keys.sort()
+    out = []
+    for pm in point_maps:
+        images = np.asarray(pm, dtype=np.int32)[rows]
+        images.sort(axis=1)
+        images = void_rows(images)
+        pos = np.minimum(np.searchsorted(keys, images), len(rows) - 1)
+        if not (keys[pos] == images).all():
+            return None
+        out.append(order[pos])
+    return out

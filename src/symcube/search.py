@@ -35,7 +35,7 @@ from .groups import (
     difference_sets_up_to_equivalence,
     enumerate_difference_sets,
 )
-from .perms import PermGroup, Perm, identity as id_perm
+from .perms import PermGroup, Perm, identity as id_perm, induced_permutations, orbit_ids
 
 __all__ = [
     "find_ds_block_designs",
@@ -177,51 +177,27 @@ def _design_moves(g: FiniteGroup, candidates: Sequence[tuple[int, ...]]) -> list
     Designs in one orbit of these moves yield paratopic cubes, so orbit
     representatives suffice for classification by certificate.
     """
-    index = {frozenset(b): i for i, b in enumerate(candidates)}
-    moves = []
-
-    def add(point_map):
-        arr = np.empty(len(candidates), dtype=np.int64)
-        for i, b in enumerate(candidates):
-            img = frozenset(point_map[x] for x in b)
-            j = index.get(img)
-            if j is None:
-                raise ConstructionBugError("candidate set is not closed under the action")
-            arr[i] = j
-        moves.append(arr)
-
-    for phi in automorphism_generators(g):
-        add(phi.images)
+    maps = [phi.images for phi in automorphism_generators(g)]
     for a in g.generating_sequence():
-        add(g.table[a])  # left translation
-        add([g.table[x][a] for x in range(g.order)])  # right translation
+        maps.append(g.table[a])  # left translation
+        maps.append([g.table[x][a] for x in range(g.order)])  # right translation
+    moves = induced_permutations(candidates, maps)
+    if moves is None:
+        raise ConstructionBugError("candidate set is not closed under the action")
     return moves
 
 
 def _orbit_representatives(
     solutions: Sequence[tuple[int, ...]], moves: Sequence[np.ndarray]
 ) -> list[tuple[int, ...]]:
-    """One representative per orbit of solutions (as sorted index tuples)."""
-    index = set(solutions)
-    seen: set[tuple[int, ...]] = set()
-    reps = []
-    for sol in sorted(index):
-        if sol in seen:
-            continue
-        reps.append(sol)
-        orbit = {sol}
-        queue = [sol]
-        while queue:
-            cur = queue.pop()
-            for mv in moves:
-                img = tuple(sorted(int(mv[i]) for i in cur))
-                if img not in orbit:
-                    if img not in index:
-                        raise ConstructionBugError("design orbit left the solution set")
-                    orbit.add(img)
-                    queue.append(img)
-        seen |= orbit
-    return reps
+    """One representative per orbit of solutions (as sorted index tuples):
+    the least member of each orbit, in increasing order."""
+    sols = sorted(solutions)
+    perms = induced_permutations(sols, moves)
+    if perms is None:
+        raise ConstructionBugError("design orbit left the solution set")
+    ids = orbit_ids(perms, len(sols))
+    return [sols[i] for i in np.flatnonzero(ids == np.arange(len(sols)))]
 
 
 # -- seeded certificates -----------------------------------------------------------

@@ -1,10 +1,8 @@
 import hashlib
-import random
 
-import numpy as np
 import pytest
 
-from symcube.canon import _orbit_ids, canonicalize, design_canonical
+from symcube.canon import canonicalize, design_canonical
 from symcube.catalog import elementary_16, switched_16_designs
 from symcube.cubes import ParatopyElement, difference_cube, group_cube
 from symcube.datafiles import data_dir, frobenius_21
@@ -12,7 +10,6 @@ from symcube.equivalence import paratopy_to_point_perm, to_transversal
 from symcube.errors import ConstructionBugError, InvalidInputError
 from symcube.fileio import load_design
 from symcube.groups import DifferenceSet, development, make_cyclic
-from symcube.perms import PermGroup
 from symcube.search import _group_cube_seeds
 
 
@@ -71,26 +68,6 @@ def test_pinned_certificates(name):
     assert res.complete
     got = (hashlib.sha256(res.certificate).hexdigest(), res.node_count, res.leaf_count, res.aut_order)
     assert got == PINNED[name]
-
-
-def test_orbit_ids_match_permgroup_orbits():
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 12)
-        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
-        ids = _orbit_ids([np.asarray(g) for g in gens], n)
-        group = PermGroup(gens, n)
-        for x in range(n):
-            orbit = group.orbit(x)
-            assert int(ids[x]) == min(orbit)
-            assert set(np.flatnonzero(ids == ids[x]).tolist()) == orbit
-
-
-def test_orbit_ids_trivial_cases():
-    assert _orbit_ids([], 5).tolist() == [0, 1, 2, 3, 4]
-    assert _orbit_ids([np.array([0])], 1).tolist() == [0]
-    # a point fixed by every generator is a singleton orbit
-    assert _orbit_ids([np.array([1, 0, 2]), np.array([1, 0, 2])], 3).tolist() == [0, 0, 2]
 
 
 class TestSeeds:

@@ -14,7 +14,6 @@ from symcube.designs import (
     complement,
     design_class,
     dual,
-    has_symmetric_difference_property,
     mann_product,
     menon_params,
     switch_blocks,
@@ -166,9 +165,3 @@ def test_quadruple_images_distinct():
     d1, d2, d3 = switched_16_designs()
     certs = {design_class(block_quadruple(m)).certificate for m in (d1, d2, d3)}
     assert len(certs) == 3
-
-
-def test_sdp_predicate():
-    d1, d2, _ = switched_16_designs()
-    assert has_symmetric_difference_property(d1)
-    assert not has_symmetric_difference_property(d2)

@@ -205,6 +205,30 @@ class TestDifferenceSets:
     def test_classes_z2_4(self):
         assert len(difference_sets_up_to_equivalence(z2_4(), 6, 2)) == 1
 
+    def test_classes_z4_z4_against_full_orbits(self):
+        # oracle: the orbit of every set under all maps D -> a*phi(D),
+        # phi in Aut(G), a in G, with the lexicographic minimum as its label
+        z4 = make_cyclic(4)
+        g = make_direct_product(z4, z4)
+        all_sets = enumerate_difference_sets(g, 6, 2)
+        auts = automorphism_group(g)
+        reps = set()
+        for d in all_sets:
+            orbit = {
+                tuple(sorted(g.table[a][phi.images[x]] for x in d.elements))
+                for phi in auts
+                for a in range(g.order)
+            }
+            reps.add(min(orbit))
+        classes = difference_sets_up_to_equivalence(g, 6, 2, all_sets)
+        assert len(classes) == 3
+        assert [d.elements for d in classes] == sorted(reps)
+
+    def test_classes_need_a_closed_family(self):
+        all_sets = enumerate_difference_sets(z2_4(), 6, 2)
+        with pytest.raises(ConstructionBugError, match="left the enumerated set"):
+            difference_sets_up_to_equivalence(z2_4(), 6, 2, all_sets[:-1])
+
     def test_orbit_property(self):
         z13 = make_cyclic(13)
         d = difference_sets_up_to_equivalence(z13, 4, 1)[0]

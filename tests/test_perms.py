@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from symcube.perms import (
@@ -8,7 +9,9 @@ from symcube.perms import (
     compose,
     format_cycles,
     identity,
+    induced_permutations,
     inverse,
+    orbit_ids,
     parse_cycles,
     perm_order,
 )
@@ -84,3 +87,65 @@ def test_permgroup_membership_negative():
     g = PermGroup([rot], 4)
     assert g.order() == 4
     assert (1, 0, 2, 3) not in g
+
+
+def test_orbit_ids_match_permgroup_orbits():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+        ids = orbit_ids([np.asarray(g) for g in gens], n)
+        group = PermGroup(gens, n)
+        for x in range(n):
+            orbit = group.orbit(x)
+            assert int(ids[x]) == min(orbit)
+            assert set(np.flatnonzero(ids == ids[x]).tolist()) == orbit
+
+
+def test_orbit_ids_trivial_cases():
+    assert orbit_ids([], 5).tolist() == [0, 1, 2, 3, 4]
+    assert orbit_ids([np.array([0])], 1).tolist() == [0]
+    # a point fixed by every generator is a singleton orbit
+    assert orbit_ids([np.array([1, 0, 2]), np.array([1, 0, 2])], 3).tolist() == [0, 0, 2]
+
+
+def _closed_family(rng, gens, n, k):
+    """Sorted k-sets closed under gens, in random order."""
+    family = set()
+    for _ in range(rng.randint(1, 4)):
+        queue = [tuple(sorted(rng.sample(range(n), k)))]
+        while queue:
+            row = queue.pop()
+            if row not in family:
+                family.add(row)
+                queue.extend(tuple(sorted(g[x] for x in row)) for g in gens)
+    rows = sorted(family)
+    rng.shuffle(rows)
+    return rows
+
+
+def test_induced_permutations_match_dict_lookup():
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(2, 10)
+        k = rng.randint(1, n)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        rows = _closed_family(rng, gens, n, k)
+        index = {row: i for i, row in enumerate(rows)}
+        maps = gens + [compose(gens[0], gens[-1])]
+        perms = induced_permutations(rows, maps)
+        assert perms is not None and len(perms) == len(maps)
+        for pm, induced in zip(maps, perms):
+            expected = [index[tuple(sorted(pm[x] for x in row))] for row in rows]
+            assert induced.tolist() == expected
+
+
+def test_induced_permutations_leaving_the_family():
+    rows = [(0, 1), (2, 3)]
+    assert induced_permutations(rows, [(1, 0, 3, 2)]) is not None
+    # the first map keeps the family, the second maps (0, 1) to (1, 2)
+    assert induced_permutations(rows, [(1, 0, 3, 2), (1, 2, 0, 3)]) is None
+
+
+def test_induced_permutations_without_maps():
+    assert induced_permutations([(0, 1), (1, 2)], []) == []

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError
+from .errors import ConstructionBugError, InvalidInputError
 from .perms import PermGroup, induced_permutations, orbit_ids, void_rows
 
 __all__ = ["CanonResult", "canonicalize", "design_canonical"]
@@ -101,10 +101,8 @@ class _Search:
         self.deadline = deadline
         self.best_key: tuple | None = None  # (invariant path tuple, cert bytes)
         self.best_labeling: np.ndarray | None = None
-        self.best_fixed: list[int] = []
         self.first_key: tuple | None = None
         self.first_labeling: np.ndarray | None = None
-        self.first_fixed: list[int] = []
         self.aut_gens: list[np.ndarray] = []  # full-vertex permutations
         self.node_count = 0
         self.leaf_count = 0
@@ -122,12 +120,11 @@ class _Search:
         rank[order] = rank_sorted
         return rank, primary[order[boundary]]
 
-    def refine(self, colors: np.ndarray, n_cells: int | None = None) -> tuple[np.ndarray, int, bytes]:
-        """Refine to the stable coloring: (colors, n_cells, invariant)."""
+    def refine(self, colors: np.ndarray, n_cells: int) -> tuple[np.ndarray, int, bytes]:
+        """Refine ``colors`` (with ``n_cells`` cells) to the stable coloring:
+        (colors, n_cells, invariant)."""
         s = self.s
         npts = s.n_points
-        if n_cells is None:
-            n_cells = len(np.unique(colors))
         while True:
             pk = np.sort(colors[npts + s.P], axis=1)
             bk = np.sort(colors[s.B], axis=1)
@@ -223,11 +220,9 @@ class _Search:
         if self.first_key is None:
             self.first_key = key
             self.first_labeling = colors.copy()
-            self.first_fixed = list(fixed)
         if self.best_key is None or key < self.best_key:
             self.best_key = key
             self.best_labeling = colors.copy()
-            self.best_fixed = list(fixed)
         return unwind
 
     def record_automorphism(self, lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray | None:
@@ -339,7 +334,6 @@ class _Search:
                 # strictly better subtree: stored best cannot be canonical
                 self.best_key = None
                 self.best_labeling = None
-                self.best_fixed = []
             elif prefix > ref_prefix and not same_as_first:
                 return
         if n_cells == self.s.n_vertices:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .designs import DesignClass, DesignParams, IncidenceMatrix, switch_blocks, verify_design
+from .designs import DesignParams, IncidenceMatrix, switch_blocks, verify_design
 from .errors import ConstructionBugError
 
 __all__ = ["Catalog", "CatalogEntry", "reference_catalog", "klein_group", "elementary_16"]

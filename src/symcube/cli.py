@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fileio
 from .catalog import reference_catalog
 from .cubes import (
@@ -43,7 +41,6 @@ from .equivalence import (
 )
 from .errors import SymcubeError
 from .groups import (
-    development,
     difference_sets_up_to_equivalence,
     enumerate_difference_sets,
     make_cyclic,

@@ -154,20 +154,27 @@ def _slice_stack(bits: np.ndarray, x: int, y: int) -> np.ndarray:
     return moved.reshape(-1, v, v)
 
 
+def _slices_satisfy(arr: np.ndarray, gram: np.ndarray, line_sum: int | None) -> bool:
+    """True iff every 2-dimensional slice S of arr (one orientation per
+    unordered axis pair) has S S^t = gram and all row and column sums equal
+    to ``line_sum``, or, if it is None, constant within the slice."""
+    for x, y in combinations(range(arr.ndim), 2):
+        stack = _slice_stack(arr, x, y).astype(np.int64)
+        if not (stack @ stack.transpose(0, 2, 1) == gram).all():
+            return False
+        for sums in (stack.sum(axis=1), stack.sum(axis=2)):
+            if not (sums == (sums[:, :1] if line_sum is None else line_sum)).all():
+                return False
+    return True
+
+
 def verify_cube(c: Cube) -> bool:
     """Check every slice (one orientation per unordered axis pair)."""
     p = c.params
     if c.v != p.v:
         return False
-    target = (p.k - p.lam) * np.eye(c.v, dtype=np.int64) + p.lam
-    for x, y in combinations(range(c.n), 2):
-        stack = _slice_stack(c.bits, x, y).astype(np.int64)
-        prod = stack @ stack.transpose(0, 2, 1)
-        if not (prod == target).all():
-            return False
-        if not (stack.sum(axis=1) == p.k).all() or not (stack.sum(axis=2) == p.k).all():
-            return False
-    return True
+    gram = (p.k - p.lam) * np.eye(c.v, dtype=np.int64) + p.lam
+    return _slices_satisfy(c.bits, gram, p.k)
 
 
 def difference_cube(g: FiniteGroup, d: DifferenceSet, n: int) -> Cube:
@@ -385,14 +392,4 @@ def hadamard_slice_checks(h: np.ndarray) -> bool:
     """True iff every 2-dimensional slice H satisfies H H^t = vI (proper) and
     has constant row and column sums (totally regular)."""
     v = h.shape[0]
-    n = h.ndim
-    target = v * np.eye(v, dtype=np.int64)
-    for x, y in combinations(range(n), 2):
-        stack = _slice_stack(h, x, y).astype(np.int64)
-        if not (stack @ stack.transpose(0, 2, 1) == target).all():
-            return False
-        rs = stack.sum(axis=2)
-        cs = stack.sum(axis=1)
-        if not ((rs == rs[:, :1]).all() and (cs == cs[:, :1]).all()):
-            return False
-    return True
+    return _slices_satisfy(h, v * np.eye(v, dtype=np.int64), None)

@@ -6,19 +6,26 @@ supports of the 1-cells.  Structure isomorphisms with all point classes
 colored alike decide paratopy; coloring each class separately decides
 isotopy.  Automorphism groups of the structure translate back to autotopy
 and autoparatopy groups of the cube.
+
+Every cube goes through one path: ``_canonicalize`` labels its structure
+(optionally seeded with known automorphisms), and ``_certificate`` prefixes
+the canonical form with the header (n, v, k, lambda, colored flag).
+``cube_certificate``, ``canonical_certificate`` (and the seeded
+``search.build_seeded_cube_certificate``) return those bytes; the witness and
+automorphism reports read the labelling and generators of the same result.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .canon import CanonResult, canonicalize
-from .cubes import Cube, ParatopyElement, apply_paratopy
-from .designs import DesignParams
+from .cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, verify_cube
+from .designs import DesignParams, IncidenceMatrix, design_class
 from .errors import ConstructionBugError, InvalidInputError, NotACubeError
 from .groups import DifferenceSet, FiniteGroup, automorphism_generators, multipliers as _multipliers
 from .perms import PermGroup, identity as id_perm, inverse as perm_inverse
@@ -96,6 +103,8 @@ def from_transversal(t: TransversalRep, params: DesignParams | None = None) -> C
         if (coords < 0).any() or (coords >= v).any():
             raise NotACubeError("block is not a transversal of the classes", "transversal")
         bits[tuple(int(x) for x in coords)] = 1
+    if int(bits.sum()) != len(t.blocks):
+        raise NotACubeError("repeated block", "block-count")
     if params is None:
         k = t.k
         lam = k * (k - 1) // (v - 1) if v > 1 else k
@@ -126,8 +135,6 @@ def validate_transversal(t: TransversalRep) -> None:
             raise NotACubeError(
                 f"orthogonal-array strength fails on axes without {axis}", "oa-strength"
             )
-    from .cubes import verify_cube
-
     if not verify_cube(cube):
         raise NotACubeError("a slice violates the design equation", "lambda-condition")
 
@@ -140,25 +147,41 @@ def _point_colors(n: int, v: int, mode: str) -> list[int]:
     raise InvalidInputError(f"unknown mode {mode!r}")
 
 
-def _canonicalize_cube(c: Cube, mode: str) -> CanonResult:
+def _canonicalize(
+    c: Cube, mode: str, seeds: Sequence[Sequence[int]] = (), time_budget: float | None = None
+) -> CanonResult:
+    """Canonical labelling of the transversal design of c under the point
+    colors of ``mode``, seeded with known automorphisms (transversal point
+    permutations that preserve those colors)."""
     t = to_transversal(c)
-    return canonicalize(t.n_points, t.blocks, _point_colors(c.n, c.v, mode))
+    return canonicalize(
+        t.n_points,
+        t.blocks,
+        _point_colors(c.n, c.v, mode),
+        time_budget=time_budget,
+        known_automorphisms=seeds,
+    )
 
 
-def cube_certificate(c: Cube, mode: str = "uncolored") -> CanonicalCertificate:
-    res = _canonicalize_cube(c, mode)
+def _certificate(c: Cube, mode: str, seeds: Sequence[Sequence[int]] = ()) -> bytes:
+    """Header (n, v, k, lambda, colored flag) plus the canonical form."""
     head = struct.pack(
         "<5I", c.n, c.v, c.params.k, c.params.lam, 0 if mode == "uncolored" else 1
     )
-    return CanonicalCertificate(head + res.certificate, mode)
+    return head + _canonicalize(c, mode, seeds).certificate
+
+
+def cube_certificate(
+    c: Cube, mode: str = "uncolored", seeds: Sequence[Sequence[int]] = ()
+) -> CanonicalCertificate:
+    """Certificate of c; equal for two cubes iff they are paratopic
+    ("uncolored") or isotopic ("colored").  ``seeds`` only speed it up."""
+    return CanonicalCertificate(_certificate(c, mode, seeds), mode)
 
 
 def canonical_certificate(t: TransversalRep, mode: str = "uncolored") -> CanonicalCertificate:
-    """Certificate of a transversal representation directly."""
-    res = canonicalize(t.n_points, t.blocks, _point_colors(t.n, t.v, mode))
-    lam = t.k * (t.k - 1) // (t.v - 1) if t.v > 1 else t.k
-    head = struct.pack("<5I", t.n, t.v, t.k, lam, 0 if mode == "uncolored" else 1)
-    return CanonicalCertificate(head + res.certificate, mode)
+    """Certificate of the cube a transversal representation encodes."""
+    return CanonicalCertificate(_certificate(from_transversal(t), mode), mode)
 
 
 def _check_shapes(c1: Cube, c2: Cube) -> None:
@@ -169,8 +192,6 @@ def _check_shapes(c1: Cube, c2: Cube) -> None:
 def are_paratopic(c1: Cube, c2: Cube) -> bool:
     _check_shapes(c1, c2)
     if c1.n == 2:
-        from .designs import IncidenceMatrix, design_class
-
         a1 = design_class(IncidenceMatrix(c1.bits, c1.params))
         a2 = design_class(IncidenceMatrix(c2.bits, c2.params))
         return a1.certificate == a2.certificate
@@ -193,17 +214,6 @@ def paratopy_to_point_perm(w: ParatopyElement, n: int, v: int) -> tuple[int, ...
         for x in range(v):
             out[t * v + x] = t2 * v + alpha[x]
     return tuple(out)
-
-
-def _cube_certificate_seeded(c: Cube, mode: str, seeds) -> bytes:
-    t = to_transversal(c)
-    res = canonicalize(
-        t.n_points, t.blocks, _point_colors(c.n, c.v, mode), known_automorphisms=seeds
-    )
-    head = struct.pack(
-        "<5I", c.n, c.v, c.params.k, c.params.lam, 0 if mode == "uncolored" else 1
-    )
-    return head + res.certificate
 
 
 def _witness_from_point_map(n: int, v: int, point_map: np.ndarray) -> ParatopyElement:
@@ -233,8 +243,8 @@ def paratopy_witness(c1: Cube, c2: Cube, mode: str = "uncolored") -> ParatopyEle
     _check_shapes(c1, c2)
     if c1.n < 3:
         raise InvalidInputError("witness recovery requires dimension >= 3")
-    res1 = _canonicalize_cube(c1, mode)
-    res2 = _canonicalize_cube(c2, mode)
+    res1 = _canonicalize(c1, mode)
+    res2 = _canonicalize(c2, mode)
     if res1.certificate != res2.certificate:
         return None
     lab1 = np.asarray(res1.point_labeling)
@@ -249,10 +259,7 @@ def paratopy_witness(c1: Cube, c2: Cube, mode: str = "uncolored") -> ParatopyEle
 
 
 def _report(c: Cube, mode: str, time_budget: float | None) -> AutomorphismReport:
-    t = to_transversal(c)
-    res = canonicalize(
-        t.n_points, t.blocks, _point_colors(c.n, c.v, mode), time_budget=time_budget
-    )
+    res = _canonicalize(c, mode, time_budget=time_budget)
     gens = []
     for g in res.aut_point_gens:
         w = _witness_from_point_map(c.n, c.v, np.asarray(g))
@@ -282,8 +289,6 @@ def autoparatopy_report(c: Cube, time_budget: float | None = None) -> Automorphi
 def theoretical_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[ParatopyElement]:
     """Generators of the autotopy subgroup G^(n-1) x| Mult(D) of the
     difference cube, as explicit paratopies (verified before returning)."""
-    from .cubes import difference_cube
-
     cube = difference_cube(g, d, n)
     v = g.order
     ident = id_perm(v)

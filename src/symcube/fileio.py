@@ -7,7 +7,6 @@ everything is 0-based in memory.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from typing import Sequence, TextIO
 

@@ -7,7 +7,6 @@ immutable tuples; ``table[i][j]`` is the index of the product of elements
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -89,7 +88,7 @@ class FiniteGroup:
                         raise InvalidInputError(
                             f"associativity fails at ({i},{j},{k})"
                         )
-        if any(self.inverse(i) is None for i in range(v)):  # pragma: no cover
+        if any(t[self.inv(i)][i] != 0 for i in range(v)):  # pragma: no cover
             raise InvalidInputError("missing inverse")
         if self.labels is not None and len(self.labels) != v:
             raise InvalidInputError("label count must equal group order")
@@ -101,14 +100,6 @@ class FiniteGroup:
             # inverse of i is the j with i*j = identity
             self._inv = tuple(self.table[i].index(0) for i in range(self.order))
         return self._inv[a]
-
-    def inverse(self, a: int) -> int | None:
-        row = self.table[a]
-        try:
-            j = row.index(0)
-        except ValueError:
-            return None
-        return j if self.table[j][a] == 0 else None
 
     def element_order(self, a: int) -> int:
         if self._elt_orders is None:

@@ -29,14 +29,12 @@ from .errors import InvalidInputError
 from .fileio import load_design, load_orbit_input
 from .groups import (
     DifferenceSet,
-    development,
     difference_sets_up_to_equivalence,
     make_cyclic,
 )
 from .search import (
     classify_group_cubes,
     difference_cube_reference,
-    find_ds_block_designs,
     is_group_cube,
     orbit_cube,
 )
@@ -56,7 +54,7 @@ TARGETS = [
 TABLE1_PINNED_IDS = [1, 5, 6, 7, 14]
 
 
-def run_target(name: str, extended: bool = False, time_budget: float | None = None) -> str:
+def run_target(name: str, extended: bool = False) -> str:
     if name not in TARGETS:
         raise InvalidInputError(f"unknown target {name!r}; choose from {', '.join(TARGETS)}")
     func = {

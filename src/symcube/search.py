@@ -11,18 +11,21 @@ multiset exactly once.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .catalog import reference_catalog
-from .cubes import Cube, ParatopyElement, group_cube, slice_invariant
-from .designs import DesignParams
+from .cubes import Cube, ParatopyElement, difference_cube, group_cube, slice_invariant
+from .designs import DesignParams, design_class
 from .equivalence import (
+    _certificate,
     cube_certificate,
     from_transversal,
     paratopy_to_point_perm,
+    theoretical_autotopies,
     TransversalRep,
     validate_transversal,
 )
@@ -222,9 +225,14 @@ def _group_cube_seeds(g: FiniteGroup, n: int) -> list[tuple[int, ...]]:
 def build_seeded_cube_certificate(c: Cube, seeds: Sequence[tuple[int, ...]] = ()) -> bytes:
     """Uncolored cube certificate, seeding the canonicalizer with known
     automorphisms (given as transversal point permutations)."""
-    from .equivalence import _cube_certificate_seeded
+    return _certificate(c, "uncolored", seeds)
 
-    return _cube_certificate_seeded(c, "uncolored", seeds)
+
+def _difference_cube_certificate(g: FiniteGroup, rep: DifferenceSet, n: int) -> bytes:
+    """Certificate of the difference n-cube of rep, seeded with its
+    theoretical autotopies."""
+    seeds = [paratopy_to_point_perm(w, n, g.order) for w in theoretical_autotopies(g, rep, n)]
+    return build_seeded_cube_certificate(difference_cube(g, rep, n), seeds)
 
 
 def difference_cube_reference(
@@ -232,19 +240,10 @@ def difference_cube_reference(
 ) -> dict[bytes, tuple[str, tuple[int, ...]]]:
     """Certificates of the difference n-cubes from every difference-set
     class of the given groups: cert -> (group name, class representative)."""
-    from .cubes import difference_cube
-    from .equivalence import theoretical_autotopies
-
     out: dict[bytes, tuple[str, tuple[int, ...]]] = {}
     for g in groups:
-        classes = difference_sets_up_to_equivalence(g, params.k, params.lam)
-        for rep in classes:
-            cube = difference_cube(g, rep, n)
-            seeds = [
-                paratopy_to_point_perm(w, n, g.order)
-                for w in theoretical_autotopies(g, rep, n)
-            ]
-            cert = build_seeded_cube_certificate(cube, seeds)
+        for rep in difference_sets_up_to_equivalence(g, params.k, params.lam):
+            cert = _difference_cube_certificate(g, rep, n)
             out.setdefault(cert, (g.name or f"order{g.order}", rep.elements))
     return out
 
@@ -292,20 +291,11 @@ def classify_group_cubes(
     tds = len(all_sets)
     classes = difference_sets_up_to_equivalence(g, params.k, params.lam, all_sets)
     nds = len(classes)
+    own_dc_certs = {_difference_cube_certificate(g, rep, 3) for rep in classes}
     if reference is None:
-        reference = difference_cube_reference([g], params)
-    own_dc_certs = set()
+        reference = own_dc_certs
     dev_names = set()
     for rep in classes:
-        from .cubes import difference_cube
-        from .designs import design_class
-        from .equivalence import theoretical_autotopies
-
-        seeds = [
-            paratopy_to_point_perm(w, 3, g.order)
-            for w in theoretical_autotopies(g, rep, 3)
-        ]
-        own_dc_certs.add(build_seeded_cube_certificate(difference_cube(g, rep, 3), seeds))
         name = design_class(development(rep), catalog).name
         dev_names.add(name if name is not None else "?")
     ndc = len(own_dc_certs)
@@ -443,8 +433,6 @@ def is_group_cube(
     cert = cube_certificate(c, "uncolored").bytes_
     member = cert in set(reference_certs)
     if not member and not reference_complete:
-        import warnings
-
         warnings.warn(
             "cube certificate not found, but the reference list is not "
             "certified complete; the negative answer may be unsound",

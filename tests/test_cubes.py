@@ -202,6 +202,13 @@ class TestHadamard:
         # every slice row sum is 2k - v = -4
         assert int(h[0].sum(axis=1)[0]) == -4
 
+    def test_one_flipped_sign_fails(self):
+        g16 = elementary_16()
+        d = DifferenceSet(g16, (1, 2, 3, 4, 8, 12), (16, 6, 2))
+        h = to_hadamard(difference_cube(g16, d, 3))
+        h[3, 5, 7] *= -1
+        assert not hadamard_slice_checks(h)
+
     def test_klein_conversion(self):
         z2 = make_cyclic(2)
         from symcube.groups import make_direct_product

@@ -13,6 +13,7 @@ from symcube.cubes import (
 )
 from symcube.designs import DesignParams
 from symcube.equivalence import (
+    TransversalRep,
     are_isotopic,
     are_paratopic,
     autoparatopy_report,
@@ -26,8 +27,10 @@ from symcube.equivalence import (
     to_transversal,
     validate_transversal,
 )
+from symcube.errors import NotACubeError
 from symcube.groups import DifferenceSet, difference_sets_up_to_equivalence, make_cyclic
 from symcube.datafiles import frobenius_21
+from symcube.search import _group_cube_seeds, build_seeded_cube_certificate
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +96,33 @@ class TestCertificates:
         a = cube_certificate(fano_cube, "uncolored").bytes_
         b = canonical_certificate(to_transversal(fano_cube), "uncolored").bytes_
         assert a == b
+
+    @pytest.mark.parametrize(
+        "g,elements,params",
+        [
+            (make_cyclic(7), (1, 2, 4), (7, 3, 1)),
+            (elementary_16(), (1, 2, 3, 4, 8, 12), (16, 6, 2)),
+        ],
+        ids=["fano", "z2^4"],
+    )
+    def test_one_certificate_path(self, g, elements, params):
+        # seeded or not, from the cube or from its transversal: the same bytes
+        c = difference_cube(g, DifferenceSet(g, elements, params), 3)
+        seeds = _group_cube_seeds(g, 3)
+        base = cube_certificate(c).bytes_
+        assert cube_certificate(c, seeds=seeds).bytes_ == base
+        assert build_seeded_cube_certificate(c, seeds) == base
+        assert canonical_certificate(to_transversal(c)).bytes_ == base
+
+    def test_non_transversal_has_no_certificate(self, fano_cube):
+        t = to_transversal(fano_cube)
+        repeated = TransversalRep(t.n, t.v, t.k, t.blocks[:-1] + t.blocks[:1])
+        with pytest.raises(NotACubeError):
+            canonical_certificate(repeated)
+        # points 0 and 1 are both values of axis 0
+        within_class = TransversalRep(t.n, t.v, t.k, ((0, 1, 9),) + t.blocks[1:])
+        with pytest.raises(NotACubeError):
+            canonical_certificate(within_class)
 
     def test_mode_separation(self, fano_cube):
         a = cube_certificate(fano_cube, "uncolored").bytes_

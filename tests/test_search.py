@@ -117,6 +117,16 @@ class TestClassification:
         assert (cls.nds, cls.ndc, cls.tds, cls.ngc) == (1, 1, 14, 0)
         assert cls.dev_classes == ["D0"]
 
+    def test_own_reference_equals_explicit_reference(self):
+        z7 = make_cyclic(7)
+        params = DesignParams(7, 3, 1)
+        own = classify_group_cubes(z7, params)
+        explicit = classify_group_cubes(
+            z7, params, reference=difference_cube_reference([z7], params)
+        )
+        assert own.difference_certs  # the fields compared below include the certificates
+        assert own == explicit
+
     def test_counts_invariant_under_relabeling(self):
         z7 = make_cyclic(7)
         rng = random.Random(17)

@@ -103,8 +103,6 @@ def from_transversal(t: TransversalRep, params: DesignParams | None = None) -> C
         if (coords < 0).any() or (coords >= v).any():
             raise NotACubeError("block is not a transversal of the classes", "transversal")
         bits[tuple(int(x) for x in coords)] = 1
-    if int(bits.sum()) != len(t.blocks):
-        raise NotACubeError("repeated block", "block-count")
     if params is None:
         k = t.k
         lam = k * (k - 1) // (v - 1) if v > 1 else k
@@ -171,16 +169,17 @@ def _certificate(c: Cube, mode: str, seeds: Sequence[Sequence[int]] = ()) -> byt
     return head + _canonicalize(c, mode, seeds).certificate
 
 
-def cube_certificate(
-    c: Cube, mode: str = "uncolored", seeds: Sequence[Sequence[int]] = ()
-) -> CanonicalCertificate:
+def cube_certificate(c: Cube, mode: str = "uncolored") -> CanonicalCertificate:
     """Certificate of c; equal for two cubes iff they are paratopic
-    ("uncolored") or isotopic ("colored").  ``seeds`` only speed it up."""
-    return CanonicalCertificate(_certificate(c, mode, seeds), mode)
+    ("uncolored") or isotopic ("colored")."""
+    return CanonicalCertificate(_certificate(c, mode), mode)
 
 
 def canonical_certificate(t: TransversalRep, mode: str = "uncolored") -> CanonicalCertificate:
-    """Certificate of the cube a transversal representation encodes."""
+    """Certificate of the cube a transversal representation encodes; raises
+    NotACubeError (via ``validate_transversal``) if t is not a transversal
+    design."""
+    validate_transversal(t)
     return CanonicalCertificate(_certificate(from_transversal(t), mode), mode)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -273,7 +273,7 @@ class GroupCubeClassification:
 def classify_group_cubes(
     g: FiniteGroup,
     params: DesignParams,
-    reference: dict[bytes, tuple] | None = None,
+    reference: Collection[bytes] | None = None,
     time_budget: float | None = None,
 ) -> GroupCubeClassification:
     """Classify the 3-cubes of designs over g with all blocks difference
@@ -281,10 +281,11 @@ def classify_group_cubes(
     developments' catalog names, and inequivalent cubes split into
     difference cubes and the rest.
 
-    ``reference`` maps difference-cube certificates to provenance and should
-    cover all groups of the relevant order (certificates of cubes equivalent
-    to a difference cube over *any* group count as difference cubes); when
-    omitted, this group's own difference cubes are used.
+    ``reference`` holds difference-cube certificates (only membership is
+    tested, so a set or the dict of ``difference_cube_reference`` will do)
+    and should cover all groups of the relevant order (certificates of cubes
+    equivalent to a difference cube over *any* group count as difference
+    cubes); when omitted, this group's own difference cubes are used.
     """
     catalog = reference_catalog()
     all_sets = enumerate_difference_sets(g, params.k, params.lam)

@@ -13,8 +13,16 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .designs import DesignParams, IncidenceMatrix, switch_blocks, verify_design
+from .designs import DesignParams, IncidenceMatrix, design_class, switch_blocks, verify_design
 from .errors import ConstructionBugError
+from .groups import (
+    DifferenceSet,
+    development,
+    difference_sets_up_to_equivalence,
+    make_cyclic,
+    make_direct_product,
+    make_metacyclic,
+)
 
 __all__ = ["Catalog", "CatalogEntry", "reference_catalog", "klein_group", "elementary_16"]
 
@@ -46,16 +54,12 @@ class Catalog:
 
 
 def klein_group():
-    from .groups import make_cyclic, make_direct_product
-
     return make_direct_product(make_cyclic(2), make_cyclic(2))
 
 
 def elementary_16():
     """Z_2^4 with elements numbered lexicographically on 4-bit strings,
     so that multiplication is XOR of indices."""
-    from .groups import make_direct_product
-
     k4 = klein_group()
     return make_direct_product(k4, k4)
 
@@ -63,8 +67,6 @@ def elementary_16():
 def switched_16_designs():
     """The three (16,6,2) designs: the development of {1,2,3,4,8,12} in
     Z_2^4, and the two block-switched variants."""
-    from .groups import DifferenceSet, development
-
     g = elementary_16()
     base_set = DifferenceSet(g, (1, 2, 3, 4, 8, 12), (16, 6, 2))
     d1 = development(base_set)
@@ -82,15 +84,6 @@ _LOCK = threading.Lock()
 
 
 def _build() -> Catalog:
-    from .designs import design_class
-    from .groups import (
-        DifferenceSet,
-        development,
-        difference_sets_up_to_equivalence,
-        make_cyclic,
-        make_metacyclic,
-    )
-
     entries: list[CatalogEntry] = []
 
     def add(name: str, matrix: IncidenceMatrix):

@@ -8,6 +8,7 @@ standard output; ``--out`` writes files in the documented formats.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -269,8 +270,6 @@ def cmd_search_classify(args) -> int:
         "ngc": cls.ngc,
         "designs": cls.design_count,
     }
-    import json
-
     print(json.dumps(record, sort_keys=True))
     if args.out:
         with open(args.out, "w") as fh:

@@ -4,6 +4,13 @@ A cube of order v and dimension n is a {0,1}-valued array on {0..v-1}^n all
 of whose 2-dimensional slices are incidence matrices of one (v,k,lambda)
 design parameter set.  Axes and values are 0-based throughout the API; file
 formats convert at the boundary.
+
+A group cube over G with blocks B_0, ..., B_{v-1} (all difference sets) is
+C(i_1, ..., i_n) = [g_{i_2} ... g_{i_n} in B_{i_1}].  A difference cube
+C(i_1, ..., i_n) = [g_{i_1} ... g_{i_n} in D] is the group cube of the
+translates B_i = g_i^{-1} D, and both are built by one routine from the
+block membership matrix and the product table of G.  Every slice is read
+through one view, the cube with the two slice axes moved last.
 """
 
 from __future__ import annotations
@@ -12,10 +19,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .canon import canonicalize
 from .designs import DesignParams, IncidenceMatrix, design_class, verify_design
 from .errors import ConstructionBugError, InvalidInputError
 from .groups import DifferenceSet, FiniteGroup, is_difference_set
@@ -134,32 +143,24 @@ class ParatopyElement:
 def slice_matrix(c: Cube, spec: SliceSpec) -> IncidenceMatrix:
     """The (x, y)-slice: M[i][j] = C(..., i at x, ..., j at y, ...)."""
     spec.validate(c.n, c.v)
-    rest = [t for t in range(c.n) if t not in (spec.x, spec.y)]
-    idx: list = [0] * c.n
-    for axis, val in zip(rest, spec.fixed):
-        idx[axis] = val
-    idx[spec.x] = slice(None)
-    idx[spec.y] = slice(None)
-    plane = c.bits[tuple(idx)]
-    if spec.x > spec.y:
-        plane = plane.T
-    return IncidenceMatrix(plane.copy(), c.params)
+    return IncidenceMatrix(_slice_view(c.bits, spec.x, spec.y)[spec.fixed].copy(), c.params)
 
 
-def _slice_stack(bits: np.ndarray, x: int, y: int) -> np.ndarray:
-    """All (x, y)-slices as an array of shape (v^(n-2), v, v)."""
+def _slice_view(bits: np.ndarray, x: int, y: int) -> np.ndarray:
+    """The array with axes x and y moved last, the others in increasing
+    order: entry (f, i, j) is the (i, j) entry of the (x, y)-slice at the
+    fixed coordinates f."""
     n = bits.ndim
-    v = bits.shape[0]
-    moved = np.moveaxis(bits, (x, y), (n - 2, n - 1))
-    return moved.reshape(-1, v, v)
+    return np.moveaxis(bits, (x, y), (n - 2, n - 1))
 
 
 def _slices_satisfy(arr: np.ndarray, gram: np.ndarray, line_sum: int | None) -> bool:
     """True iff every 2-dimensional slice S of arr (one orientation per
     unordered axis pair) has S S^t = gram and all row and column sums equal
     to ``line_sum``, or, if it is None, constant within the slice."""
+    v = arr.shape[0]
     for x, y in combinations(range(arr.ndim), 2):
-        stack = _slice_stack(arr, x, y).astype(np.int64)
+        stack = _slice_view(arr, x, y).reshape(-1, v, v).astype(np.int64)
         if not (stack @ stack.transpose(0, 2, 1) == gram).all():
             return False
         for sums in (stack.sum(axis=1), stack.sum(axis=2)):
@@ -177,21 +178,30 @@ def verify_cube(c: Cube) -> bool:
     return _slices_satisfy(c.bits, gram, p.k)
 
 
-def difference_cube(g: FiniteGroup, d: DifferenceSet, n: int) -> Cube:
-    """C(i_1,...,i_n) = [g_{i_1} ... g_{i_n} in D]."""
-    if n < 2:
-        raise InvalidInputError("cube dimension must be at least 2")
-    v = g.order
+def _group_cube_bits(table: np.ndarray, member: np.ndarray, n: int) -> np.ndarray:
+    """C(i_1,...,i_n) = member[i_1, index of g_{i_2} ... g_{i_n}] for the
+    block membership matrix member[i, x] = [g_x in B_i] and the group's
+    product table."""
+    v = len(table)
     if v**n > MAX_CELLS:
         raise InvalidInputError("cube exceeds the in-memory cell budget")
-    table = np.array(g.table, dtype=np.int64)
     prod = np.arange(v, dtype=np.int64)
-    for _ in range(n - 1):
+    for _ in range(n - 2):
         # prod[idx, j] = product-so-far * g_j
         prod = table[prod]
-    member = np.zeros(v, dtype=np.uint8)
-    member[list(d.elements)] = 1
-    return Cube(member[prod], DesignParams(*d.params))
+    return member[:, prod]
+
+
+def difference_cube(g: FiniteGroup, d: DifferenceSet, n: int) -> Cube:
+    """C(i_1,...,i_n) = [g_{i_1} ... g_{i_n} in D], the group cube of the
+    translates g_i^{-1} D."""
+    if n < 2:
+        raise InvalidInputError("cube dimension must be at least 2")
+    table = np.array(g.table, dtype=np.int64)
+    indicator = np.zeros(g.order, dtype=np.uint8)
+    indicator[list(d.elements)] = 1
+    # row i of indicator[table] is [g_i g_x in D], the indicator of g_i^{-1} D
+    return Cube(_group_cube_bits(table, indicator[table], n), DesignParams(*d.params))
 
 
 def group_cube(g: FiniteGroup, blocks: Sequence[Iterable[int]], n: int) -> Cube:
@@ -214,16 +224,8 @@ def group_cube(g: FiniteGroup, blocks: Sequence[Iterable[int]], n: int) -> Cube:
     params = DesignParams(v, k, lam)
     if not verify_design(IncidenceMatrix(mat), params):
         raise InvalidInputError("invalid-input: blocks do not form a symmetric design")
-    if v ** n > MAX_CELLS:
-        raise InvalidInputError("cube exceeds the in-memory cell budget")
     table = np.array(g.table, dtype=np.int64)
-    prod = np.arange(v, dtype=np.int64)
-    for _ in range(n - 2):
-        prod = table[prod]
-    # prod has shape (v,)*(n-1): the product g_{i_2} ... g_{i_n}
-    member = np.ascontiguousarray(mat.T)  # member[i, x] = [g_x in B_i]
-    bits = member[:, prod]
-    return Cube(bits, params)
+    return Cube(_group_cube_bits(table, np.ascontiguousarray(mat.T), n), params)
 
 
 def apply_paratopy(c: Cube, p: ParatopyElement) -> Cube:
@@ -299,39 +301,36 @@ def _parallel_classes(c: Cube):
     (x, y)-slices along which one other axis varies."""
     n, v = c.n, c.v
     for x, y in combinations(range(n), 2):
-        stack = _slice_stack(c.bits, x, y).reshape((v,) * (n - 2) + (v, v))
+        view = _slice_view(c.bits, x, y)
         for axis in range(n - 2):
-            yield from np.moveaxis(stack, axis, n - 3).reshape(-1, v, v, v)
+            yield from np.moveaxis(view, axis, n - 3).reshape(-1, v, v, v)
 
 
-def slice_invariant(c: Cube) -> SliceInvariant:
-    """The paratopy invariant built from design certificates of parallel
-    slices; deterministic: inner multisets sorted, outer multiset sorted."""
+def _class_invariant(c: Cube, entry) -> SliceInvariant:
+    """The multiset over parallel classes of the multisets of ``entry`` of
+    each slice's design class; deterministic: inner multisets sorted, outer
+    multiset sorted."""
     if c.n < 3:
         raise InvalidInputError("slice invariant requires dimension >= 3")
-    inner_sets = []
-    for group in _parallel_classes(c):
-        certs = tuple(
-            sorted(cached_design_class(IncidenceMatrix(m, c.params)).certificate for m in group)
-        )
-        inner_sets.append(certs)
+    inner_sets = [
+        tuple(sorted(entry(cached_design_class(IncidenceMatrix(m, c.params))) for m in group))
+        for group in _parallel_classes(c)
+    ]
     expected = math.comb(c.n, 2) * (c.n - 2) * c.v ** (c.n - 3)
     if len(inner_sets) != expected:
         raise ConstructionBugError("parallel class count mismatch")
     return SliceInvariant(tuple(sorted(inner_sets)))
 
 
+def slice_invariant(c: Cube) -> SliceInvariant:
+    """The paratopy invariant built from design certificates of parallel
+    slices."""
+    return _class_invariant(c, attrgetter("certificate"))
+
+
 def weak_slice_invariant(c: Cube) -> SliceInvariant:
     """Same shape as slice_invariant with automorphism orders as entries."""
-    if c.n < 3:
-        raise InvalidInputError("slice invariant requires dimension >= 3")
-    inner_sets = []
-    for group in _parallel_classes(c):
-        orders = tuple(
-            sorted(cached_design_class(IncidenceMatrix(m, c.params)).aut_order for m in group)
-        )
-        inner_sets.append(orders)
-    return SliceInvariant(tuple(sorted(inner_sets)))
+    return _class_invariant(c, attrgetter("aut_order"))
 
 
 def latin_square_to_cube(square: Sequence[Sequence[int]]) -> Cube:
@@ -374,8 +373,6 @@ def hadamard_certificate(h: np.ndarray) -> bytes:
     because +/- copies of one row never share a block while any other two
     row copies do.
     """
-    from .canon import canonicalize
-
     arr = np.asarray(h, dtype=np.int64)
     v = arr.shape[0]
     if arr.ndim != 2 or arr.shape != (v, v) or not np.isin(arr, (-1, 1)).all():

@@ -5,7 +5,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .groups import FiniteGroup
+from .fileio import load_group
+from .groups import FiniteGroup, make_metacyclic
 
 __all__ = ["data_dir", "load_group_16", "all_groups_16", "frobenius_21", "nonabelian_27"]
 
@@ -18,8 +19,6 @@ def data_dir() -> Path:
 
 
 def load_group_16(gid: int) -> FiniteGroup:
-    from .fileio import load_group
-
     if not 1 <= gid <= 14:
         raise ValueError("order-16 group IDs run from 1 to 14")
     return load_group(data_dir() / "groups16" / f"id{gid:02d}.group")
@@ -31,8 +30,6 @@ def all_groups_16() -> list[FiniteGroup]:
 
 def frobenius_21() -> FiniteGroup:
     """F21 with the presentation relation b a = a b^2."""
-    from .groups import make_metacyclic
-
     g = make_metacyclic(3, 7, 2)
     g.name = "F21"
     return g
@@ -41,8 +38,6 @@ def frobenius_21() -> FiniteGroup:
 def nonabelian_27() -> FiniteGroup:
     """The order-27 group Z9 x| Z3 carrying two inequivalent (27,13,6)
     difference sets."""
-    from .groups import make_metacyclic
-
     g = make_metacyclic(3, 9, 4)
     g.name = "Z9:Z3"
     return g

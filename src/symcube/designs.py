@@ -12,7 +12,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .canon import design_canonical
 from .errors import ConstructionBugError, InvalidInputError
+from .groups import DifferenceSet, is_difference_set, make_direct_product
 
 __all__ = [
     "DesignParams",
@@ -123,8 +125,6 @@ def design_class(a: IncidenceMatrix, catalog=None) -> DesignClass:
     The certificate is the lexicographic minimum over the matrix and its
     transpose of the canonical form of the point/block incidence structure.
     """
-    from .canon import design_canonical
-
     res = design_canonical(a.bits)
     res_t = design_canonical(a.bits.T)
     cert = min(res.certificate, res_t.certificate)
@@ -154,8 +154,6 @@ def menon_params(m: int) -> DesignParams:
 def mann_product(d_prev, d_base):
     """Difference-set product step: from D in G and the singleton seed in the
     Klein four-group, build (D^c x D1) u (D x D1^c) in the direct product."""
-    from .groups import DifferenceSet, is_difference_set, make_direct_product
-
     g_prev, g_base = d_prev.group, d_base.group
     if g_base.order != 4 or d_base.k != 1:
         raise InvalidInputError("base set must be a (4,1,0) singleton in the Klein group")

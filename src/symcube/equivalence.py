@@ -285,27 +285,32 @@ def autoparatopy_report(c: Cube, time_budget: float | None = None) -> Automorphi
 # -- the theoretical autotopy subgroup of difference cubes ---------------------
 
 
+def _translation_autotopies(g: FiniteGroup, n: int, start: int) -> list[ParatopyElement]:
+    """The embedded copies of G on adjacent axes: for each generator a and
+    each axis pos >= start, x -> x a^{-1} on axis pos and x -> a x on axis
+    pos + 1.  They fix every product g_{i_pos} g_{i_(pos+1)}, so with
+    start=0 they fix a difference cube and with start=1 any group cube."""
+    v = g.order
+    ident = id_perm(v)
+    out: list[ParatopyElement] = []
+    for a in g.generating_sequence():
+        ia = g.inv(a)
+        right_mult_inv = tuple(g.table[x][ia] for x in range(v))  # i -> index of g_i a^{-1}
+        left_mult = tuple(g.table[a])  # i -> index of a g_i
+        for pos in range(start, n - 1):
+            perms = [ident] * n
+            perms[pos] = right_mult_inv
+            perms[pos + 1] = left_mult
+            out.append(ParatopyElement(tuple(perms), id_perm(n)))
+    return out
+
+
 def theoretical_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[ParatopyElement]:
     """Generators of the autotopy subgroup G^(n-1) x| Mult(D) of the
     difference cube, as explicit paratopies (verified before returning)."""
     cube = difference_cube(g, d, n)
     v = g.order
-    ident = id_perm(v)
-    out: list[ParatopyElement] = []
-
-    def left_mult(a: int):
-        return tuple(g.table[a])
-
-    def right_mult_inv(a: int):
-        ia = g.inv(a)
-        return tuple(g.table[x][ia] for x in range(v))
-
-    for a in g.generating_sequence():
-        for pos in range(n - 1):
-            perms = [ident] * n
-            perms[pos] = right_mult_inv(a)  # i -> index of g_i a^{-1}
-            perms[pos + 1] = left_mult(a)  # i -> index of a g_i
-            out.append(ParatopyElement(tuple(perms), id_perm(n)))
+    out = _translation_autotopies(g, n, start=0)
 
     # phi -> w(phi) below respects products (phi psi maps D onto phi(b) a D
     # when phi(D) = aD and psi(D) = bD), so generators of Mult(D) suffice

@@ -1,20 +1,19 @@
-"""Text file formats for groups, difference sets, designs, cubes,
-transversal designs, certificates, and orbit-cube inputs.
+"""Text file formats for groups, difference sets, designs, cubes and
+orbit-cube inputs.
 
-Cycle notation and transversal-design point indices are 1-based in files;
-everything is 0-based in memory.
+Cycle notation and orbit-cube points are 1-based in files; everything is
+0-based in memory.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
 from .cubes import Cube
 from .designs import DesignParams, IncidenceMatrix
-from .equivalence import CanonicalCertificate, TransversalRep
 from .errors import InvalidInputError
 from .groups import DifferenceSet, FiniteGroup, make_from_permutation_generators
 from .perms import format_cycles, parse_cycles
@@ -24,15 +23,10 @@ __all__ = [
     "load_group",
     "save_group",
     "load_difference_set",
-    "save_difference_set",
     "load_design",
     "save_design",
     "load_cube",
     "save_cube",
-    "save_transversal",
-    "load_transversal",
-    "save_certificate",
-    "load_certificate",
     "load_orbit_input",
     "save_orbit_input",
 ]
@@ -73,8 +67,9 @@ def load_group(path: str | Path) -> FiniteGroup:
         rows = []
         for ln in lines[pos + 1 : pos + 1 + v]:
             rows.append([int(x) for x in ln.split()])
-        g = FiniteGroup(rows, labels=labels, name=name)
-        return g
+        if len(rows) != v:
+            raise InvalidInputError(f"{path}: table has {len(rows)} rows, header says order {v}")
+        return FiniteGroup(rows, labels=labels, name=name)
     if lines[pos].startswith("permgens"):
         degree = int(lines[pos].split()[1])
         gens = [
@@ -119,13 +114,6 @@ def load_difference_set(path: str | Path, group: FiniteGroup) -> DifferenceSet:
     return DifferenceSet(group, elements, (v, k, lam))
 
 
-def save_difference_set(d: DifferenceSet, path: str | Path) -> None:
-    v, k, lam = d.params
-    Path(path).write_text(
-        f"ds {v} {k} {lam}\n" + " ".join(str(x) for x in d.elements) + "\n"
-    )
-
-
 def load_design(path: str | Path) -> IncidenceMatrix:
     lines = [ln for ln in _lines(path, "design") if ln.strip()]
     head = lines[0].split()
@@ -167,44 +155,6 @@ def load_cube(path: str | Path) -> Cube:
         raise InvalidInputError(f"{path}: expected {expected} matrix rows, got {len(rows)}")
     arr = np.array([[int(ch) for ch in ln] for ln in rows], dtype=np.uint8)
     return Cube(arr.reshape((v,) * n), DesignParams(v, k, lam))
-
-
-def save_transversal(t: TransversalRep, path_or_io: str | Path | TextIO) -> None:
-    lines = [f"td n={t.n} v={t.v} blocks={len(t.blocks)}"]
-    for b in t.blocks:
-        lines.append(" ".join(str(x + 1) for x in sorted(b)))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_io, "write"):
-        path_or_io.write(text)
-    else:
-        Path(path_or_io).write_text(text)
-
-
-def load_transversal(path: str | Path) -> TransversalRep:
-    lines = [ln for ln in _lines(path, "transversal") if ln.strip()]
-    if not lines[0].startswith("td "):
-        raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
-    n, v, m = _header_ints(path, lines[0], ("n", "v", "blocks"))
-    blocks = tuple(
-        tuple(int(x) - 1 for x in ln.split()) for ln in lines[1 : 1 + m]
-    )
-    if len(blocks) != m:
-        raise InvalidInputError(f"{path}: expected {m} blocks")
-    k = m // v ** (n - 1)
-    return TransversalRep(n=n, v=v, k=k, blocks=blocks)
-
-
-def save_certificate(cert: CanonicalCertificate, path: str | Path) -> None:
-    Path(path).write_text(f"mode={cert.mode}\n{cert.bytes_.hex()}\n")
-
-
-def load_certificate(path: str | Path) -> CanonicalCertificate:
-    lines = [ln for ln in _lines(path, "certificate") if ln.strip()]
-    if not lines[0].startswith("mode="):
-        raise InvalidInputError(f"{path}: missing mode header")
-    if len(lines) < 2:
-        raise InvalidInputError(f"{path}: missing certificate bytes")
-    return CanonicalCertificate(bytes.fromhex(lines[1]), lines[0][len("mode=") :])
 
 
 def load_orbit_input(path: str | Path) -> OrbitCubeInput:

@@ -8,12 +8,13 @@ immutable tuples; ``table[i][j]`` is the index of the product of elements
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError
-from .perms import Perm, PermGroup, identity as id_perm, induced_permutations, orbit_ids
+from .perms import Perm, PermGroup, identity as id_perm, orbit_minima
 
 __all__ = [
     "FiniteGroup",
@@ -259,8 +260,6 @@ def make_metacyclic(m: int, c: int, r: int) -> FiniteGroup:
         raise InvalidInputError("invalid-order: m and c must be positive")
     if pow(r, m, c) != 1 % c:
         raise InvalidInputError("invalid-action: r^m must be 1 mod c")
-    from math import gcd
-
     if gcd(r, c) != 1:
         raise InvalidInputError("invalid-action: r must be invertible mod c")
 
@@ -548,11 +547,10 @@ def difference_sets_up_to_equivalence(
     sets = sorted(all_sets, key=lambda ds: ds.elements)
     moves = [a.images for a in automorphism_generators(g)]
     moves += [g.left_translation(a) for a in g.generating_sequence()]
-    perms = induced_permutations([ds.elements for ds in sets], moves)
-    if perms is None:
+    minima = orbit_minima([ds.elements for ds in sets], moves)
+    if minima is None:
         raise ConstructionBugError("difference-set orbit left the enumerated set")
-    ids = orbit_ids(perms, len(sets))
-    return [sets[i] for i in np.flatnonzero(ids == np.arange(len(sets)))]
+    return [sets[i] for i in minima]
 
 
 def multipliers(d: DifferenceSet) -> list[Multiplier]:
@@ -574,6 +572,8 @@ def multipliers(d: DifferenceSet) -> list[Multiplier]:
 
 def development(d: DifferenceSet):
     """Incidence matrix of dev D: entry (i, j) = [g_i in g_j D]."""
+    # designs imports this module at its top, so this side of the cycle
+    # imports when called
     from .designs import DesignParams, IncidenceMatrix
 
     g = d.group

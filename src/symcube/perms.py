@@ -6,12 +6,15 @@ image of ``i``.  Composition is ``compose(p, q)[i] = p[q[i]]`` (apply q first).
 The orbit partition (``orbit_ids``) and the induced action on a family of
 sets (``induced_permutations``) work on numpy arrays; together they are the
 orbit-based isomorph rejection shared by the difference-set classes, the
-design dedup and the canonical labeller.
+design dedup and the canonical labeller.  ``orbit_minima`` composes the two:
+the least member of each orbit of a sorted family, the representatives of
+both the difference-set classes and the group-cube designs.
 """
 
 from __future__ import annotations
 
 import re
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,8 +40,6 @@ def inverse(p: Sequence[int]) -> Perm:
 
 def perm_order(p: Sequence[int]) -> int:
     """Order of a permutation (lcm of cycle lengths)."""
-    from math import lcm
-
     seen = [False] * len(p)
     out = 1
     for i in range(len(p)):
@@ -267,3 +268,20 @@ def induced_permutations(
             return None
         out.append(order[pos])
     return out
+
+
+def orbit_minima(
+    rows: Sequence[Sequence[int]] | np.ndarray, point_maps: Iterable[Sequence[int]]
+) -> np.ndarray | None:
+    """Positions of the least row of each orbit, in increasing order, of the
+    group the point maps induce on a family of sets.
+
+    ``rows`` is as for ``induced_permutations`` and sorted lexicographically,
+    so each orbit's least index is its lexicographically least row.  Returns
+    None if some image is not a row.
+    """
+    perms = induced_permutations(rows, point_maps)
+    if perms is None:
+        return None
+    ids = orbit_ids(perms, len(rows))
+    return np.flatnonzero(ids == np.arange(len(rows)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .catalog import reference_catalog, switched_16_designs
+from .catalog import elementary_16, klein_group, reference_catalog, switched_16_designs
 from .cubes import (
     Cube,
     difference_cube,
@@ -182,8 +182,6 @@ def target_prop51() -> str:
 
 def target_menon_family() -> str:
     """The product construction and block quadrupling at m = 2, 3."""
-    from .catalog import klein_group
-
     lines = ["target: menon-family"]
     k4 = klein_group()
     seed = DifferenceSet(k4, (0,), (4, 1, 0))
@@ -205,8 +203,6 @@ def target_menon_family() -> str:
 
 def target_hadamard16() -> str:
     """Hadamard conversion of the (16,6,2) cubes from the three designs."""
-    from .catalog import elementary_16
-
     g16 = elementary_16()
     d1, d2, d3 = switched_16_designs()
     lines = ["target: hadamard16"]

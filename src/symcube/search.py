@@ -18,10 +18,11 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 
 from .catalog import reference_catalog
-from .cubes import Cube, ParatopyElement, difference_cube, group_cube, slice_invariant
+from .cubes import Cube, difference_cube, group_cube, slice_invariant
 from .designs import DesignParams, design_class
 from .equivalence import (
     _certificate,
+    _translation_autotopies,
     cube_certificate,
     from_transversal,
     paratopy_to_point_perm,
@@ -38,7 +39,7 @@ from .groups import (
     difference_sets_up_to_equivalence,
     enumerate_difference_sets,
 )
-from .perms import PermGroup, Perm, identity as id_perm, induced_permutations, orbit_ids
+from .perms import PermGroup, Perm, induced_permutations, orbit_minima
 
 __all__ = [
     "find_ds_block_designs",
@@ -190,36 +191,13 @@ def _design_moves(g: FiniteGroup, candidates: Sequence[tuple[int, ...]]) -> list
     return moves
 
 
-def _orbit_representatives(
-    solutions: Sequence[tuple[int, ...]], moves: Sequence[np.ndarray]
-) -> list[tuple[int, ...]]:
-    """One representative per orbit of solutions (as sorted index tuples):
-    the least member of each orbit, in increasing order."""
-    sols = sorted(solutions)
-    perms = induced_permutations(sols, moves)
-    if perms is None:
-        raise ConstructionBugError("design orbit left the solution set")
-    ids = orbit_ids(perms, len(sols))
-    return [sols[i] for i in np.flatnonzero(ids == np.arange(len(sols)))]
-
-
 # -- seeded certificates -----------------------------------------------------------
 
 
 def _group_cube_seeds(g: FiniteGroup, n: int) -> list[tuple[int, ...]]:
     """Point permutations of the transversal representation fixing any
     group cube over g: the embedded copies of G on axes 2..n."""
-    v = g.order
-    seeds = []
-    for a in g.generating_sequence():
-        ia = g.inv(a)
-        for pos in range(1, n - 1):
-            perms = [id_perm(v)] * n
-            perms[pos] = tuple(g.table[x][ia] for x in range(v))
-            perms[pos + 1] = tuple(g.table[a])
-            w = ParatopyElement(tuple(perms), id_perm(n))
-            seeds.append(paratopy_to_point_perm(w, n, v))
-    return seeds
+    return [paratopy_to_point_perm(w, n, g.order) for w in _translation_autotopies(g, n, start=1)]
 
 
 def build_seeded_cube_certificate(c: Cube, seeds: Sequence[tuple[int, ...]] = ()) -> bytes:
@@ -305,11 +283,14 @@ def classify_group_cubes(
         g, params, all_sets, time_budget=time_budget, collect=index_solutions.append
     )
     candidates = [tuple(d.elements) for d in all_sets]
+    reps: list[tuple[int, ...]] = []
     if index_solutions:
-        moves = _design_moves(g, candidates)
-        reps = _orbit_representatives(index_solutions, moves)
-    else:
-        reps = []
+        # one representative per orbit of designs: the least member of each
+        sols = sorted(index_solutions)
+        minima = orbit_minima(sols, _design_moves(g, candidates))
+        if minima is None:
+            raise ConstructionBugError("design orbit left the solution set")
+        reps = [sols[i] for i in minima]
     seeds = _group_cube_seeds(g, 3)
     diff_certs: set[bytes] = set()
     nondiff_certs: set[bytes] = set()
@@ -352,6 +333,8 @@ class OrbitCubeInput:
     base_blocks: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
+        if self.v < 2:
+            raise InvalidInputError(f"orbit-cube order v={self.v} must be at least 2")
         n_pts = 3 * self.v
         for p in self.generators:
             if len(p) != n_pts:

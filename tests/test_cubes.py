@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -23,6 +24,7 @@ from symcube.cubes import (
 )
 from symcube.designs import DesignParams, verify_design
 from symcube.errors import InvalidInputError
+from symcube.datafiles import frobenius_21
 from symcube.groups import DifferenceSet, difference_sets_up_to_equivalence, make_cyclic
 
 
@@ -44,6 +46,24 @@ class TestSlicing:
             a = slice_matrix(fano_cube, SliceSpec(0, 1, (fixed,)))
             b = slice_matrix(fano_cube, SliceSpec(1, 0, (fixed,)))
             assert np.array_equal(a.bits.T, b.bits)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_slice_matrix_matches_index_oracle(self, n):
+        z7 = make_cyclic(7)
+        c = difference_cube(z7, DifferenceSet(z7, (1, 2, 4), (7, 3, 1)), n)
+        bits = np.asarray(c.bits).copy()
+        bits[(0,) * n] ^= 1  # break the symmetry so orientation matters
+        c = Cube(bits, c.params)
+        fixed = tuple(range(1, n - 1))
+        for x, y in itertools.permutations(range(n), 2):
+            got = slice_matrix(c, SliceSpec(x, y, fixed)).bits
+            rest = [t for t in range(n) if t not in (x, y)]
+            for i, j in itertools.product(range(7), repeat=2):
+                idx = [0] * n
+                for axis, val in zip(rest, fixed):
+                    idx[axis] = val
+                idx[x], idx[y] = i, j
+                assert got[i, j] == bits[tuple(idx)]
 
     def test_slice_out_of_range(self, fano_cube):
         with pytest.raises(InvalidInputError):
@@ -82,6 +102,26 @@ class TestConstructions:
         d = DifferenceSet(z3, (1, 2), (3, 2, 1))
         for n in range(2, 6):
             assert verify_cube(difference_cube(z3, d, n))
+
+    @pytest.mark.parametrize(
+        "name, n",
+        [("fano", 2), ("fano", 3), ("fano", 4), ("f21", 2), ("f21", 3)],
+    )
+    def test_difference_cube_matches_product_oracle(self, name, n):
+        if name == "fano":
+            g = make_cyclic(7)
+            d = DifferenceSet(g, (1, 2, 4), (7, 3, 1))
+        else:  # non-abelian, so the order of the factors matters
+            g = frobenius_21()
+            d = difference_sets_up_to_equivalence(g, 5, 1)[0]
+        members = set(d.elements)
+        expected = np.zeros((g.order,) * n, dtype=np.uint8)
+        for idx in itertools.product(range(g.order), repeat=n):
+            prod = 0
+            for i in idx:
+                prod = g.table[prod][i]
+            expected[idx] = prod in members
+        assert np.array_equal(difference_cube(g, d, n).bits, expected)
 
     def test_difference_cube_abelian_totally_symmetric(self, fano_cube):
         assert is_totally_symmetric(fano_cube)

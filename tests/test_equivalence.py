@@ -29,7 +29,8 @@ from symcube.equivalence import (
 )
 from symcube.errors import NotACubeError
 from symcube.groups import DifferenceSet, difference_sets_up_to_equivalence, make_cyclic
-from symcube.datafiles import frobenius_21
+from symcube.datafiles import data_dir, frobenius_21
+from symcube.fileio import load_design
 from symcube.search import _group_cube_seeds, build_seeded_cube_certificate
 
 
@@ -212,11 +213,31 @@ class TestTheoreticalAutotopies:
         assert order == 147  # 7^2 * 3
         assert autotopy_report(fano_cube).order % order == 0
 
+    def test_fano_subgroup_order_n4(self):
+        z7 = make_cyclic(7)
+        d = DifferenceSet(z7, (1, 2, 4), (7, 3, 1))
+        gens = theoretical_autotopies(z7, d, 4)
+        assert isotopy_group_order(gens, 4, 7) == 1029  # 7^3 * 3
+
     def test_f21_subgroup_is_full_group(self):
         f21 = frobenius_21()
         d = difference_sets_up_to_equivalence(f21, 5, 1)[0]
         gens = theoretical_autotopies(f21, d, 3)
         assert isotopy_group_order(gens, 3, 21) == 1323
+
+    def test_group_cube_seeds_fix_f21_nondevelopment_cube_n4(self):
+        f21 = frobenius_21()
+        nondev = load_design(data_dir() / "designs" / "f21_nondev.design")
+        c = group_cube(f21, nondev.columns_as_sets(), 4)
+        blocks = np.array(to_transversal(c).blocks)
+
+        def block_set(arr):
+            return set(map(tuple, np.sort(arr, axis=1).tolist()))
+
+        seeds = _group_cube_seeds(f21, 4)
+        assert len(seeds) == 2 * len(f21.generating_sequence())
+        for seed in seeds:
+            assert block_set(np.asarray(seed)[blocks]) == block_set(blocks)
 
 
 class TestBruteForceOracle:

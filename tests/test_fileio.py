@@ -3,7 +3,7 @@ import pytest
 from symcube import fileio
 from symcube.cli import main
 from symcube.cubes import difference_cube
-from symcube.equivalence import to_transversal
+from symcube.equivalence import from_transversal, to_transversal
 from symcube.errors import InvalidInputError
 from symcube.groups import DifferenceSet, make_cyclic
 
@@ -12,8 +12,6 @@ LOADERS = {
     "difference set": lambda p: fileio.load_difference_set(p, make_cyclic(7)),
     "design": fileio.load_design,
     "cube": fileio.load_cube,
-    "transversal": fileio.load_transversal,
-    "certificate": fileio.load_certificate,
     "orbit input": fileio.load_orbit_input,
 }
 
@@ -31,12 +29,9 @@ def test_loaders_reject_empty_files(tmp_path, kind, content):
     "kind, content",
     [
         ("difference set", "ds 7 3 1\n"),
-        ("certificate", "mode=colored\n"),
         ("orbit input", "orbitcube\n"),
         ("cube", "cube n=3\n"),
         ("cube", "cube n=3 v=7 k=3 lambda\n"),
-        ("transversal", "td n=3 v=2\n"),
-        ("transversal", "td n=3 v=x blocks=4\n"),
     ],
 )
 def test_loaders_reject_truncated_files(tmp_path, kind, content):
@@ -64,9 +59,25 @@ def test_cube_and_transversal_roundtrip(tmp_path):
     z7 = make_cyclic(7)
     c = difference_cube(z7, DifferenceSet(z7, (1, 2, 4), (7, 3, 1)), 3)
     fileio.save_cube(c, tmp_path / "c.cube")
-    assert fileio.load_cube(tmp_path / "c.cube") == c
-    t = to_transversal(c)
-    fileio.save_transversal(t, tmp_path / "c.td")
-    back = fileio.load_transversal(tmp_path / "c.td")
-    assert (back.n, back.v, back.k) == (t.n, t.v, t.k)
-    assert sorted(map(sorted, back.blocks)) == sorted(map(sorted, t.blocks))
+    back = fileio.load_cube(tmp_path / "c.cube")
+    assert back == c
+    assert from_transversal(to_transversal(back), back.params) == c
+
+
+def test_group_table_must_match_header_order(tmp_path, capsys):
+    path = tmp_path / "short.group"
+    path.write_text("group G order 4\ntable\n0 1\n1 0\n")
+    with pytest.raises(InvalidInputError, match="header says order 4"):
+        fileio.load_group(path)
+    assert main(["group", "validate", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("v", [0, 1])
+def test_cli_orbit_cube_rejects_order_below_two(tmp_path, capsys, v):
+    path = tmp_path / "small.orbit"
+    path.write_text(f"orbitcube v={v}\n" + ("block 1 2 3\n" if v else ""))
+    assert main(["search", "orbit-cube", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"order v={v} must be at least 2" in captured.err
+    assert "Traceback" not in captured.err + captured.out

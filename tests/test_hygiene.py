@@ -62,3 +62,32 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+# designs imports groups at its top (mann_product builds difference sets),
+# and groups.development returns a designs.IncidenceMatrix: the package's one
+# import cycle, broken by importing on the groups side when called
+ALLOWED_LOCAL_IMPORTS = {("groups.py", "development", ".designs")}
+
+
+def _local_imports(tree: ast.Module) -> dict[int, tuple[str, str]]:
+    """Line of each import inside a function -> (innermost function, module)."""
+    out: dict[int, tuple[str, str]] = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    out[node.lineno] = (func.name, "." * node.level + (node.module or ""))
+                elif isinstance(node, ast.Import):
+                    out[node.lineno] = (func.name, ",".join(a.name for a in node.names))
+    return out
+
+
+def test_no_function_local_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, (func, module) in sorted(_local_imports(tree).items()):
+            if (path.name, func, module) not in ALLOWED_LOCAL_IMPORTS:
+                found.append(f"{path.name}:{line} {func}() imports {module}")
+    assert not found, "imports inside functions: " + "; ".join(found)

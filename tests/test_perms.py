@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,6 +13,7 @@ from symcube.perms import (
     induced_permutations,
     inverse,
     orbit_ids,
+    orbit_minima,
     parse_cycles,
     perm_order,
 )
@@ -149,3 +151,29 @@ def test_induced_permutations_leaving_the_family():
 
 def test_induced_permutations_without_maps():
     assert induced_permutations([(0, 1), (1, 2)], []) == []
+
+
+def test_orbit_minima_match_orbit_closure():
+    rng = random.Random(11)
+    rows = sorted(itertools.combinations(range(7), 3))
+    maps = [(1, 0, 2, 3, 4, 5, 6), tuple(rng.sample(range(7), 7))]
+    expected = set()
+    seen = set()
+    for row in rows:
+        if row in seen:
+            continue
+        orbit, queue = {row}, [row]
+        while queue:
+            cur = queue.pop()
+            for m in maps:
+                img = tuple(sorted(m[x] for x in cur))
+                if img not in orbit:
+                    orbit.add(img)
+                    queue.append(img)
+        seen |= orbit
+        expected.add(rows.index(min(orbit)))
+    assert orbit_minima(rows, maps).tolist() == sorted(expected)
+
+
+def test_orbit_minima_leaving_the_family():
+    assert orbit_minima([(0, 1), (1, 2)], [(2, 0, 1)]) is None

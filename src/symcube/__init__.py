@@ -22,7 +22,6 @@ from .designs import (
 from .groups import (
     DifferenceSet,
     FiniteGroup,
-    GroupMap,
     Multiplier,
     automorphism_group,
     development,

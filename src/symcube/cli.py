@@ -124,8 +124,8 @@ def cmd_ds_multipliers(args) -> int:
     d = fileio.load_difference_set(args.path, g)
     mults = multipliers(d)
     print(f"multipliers: {len(mults)}")
-    for m in sorted(mults, key=lambda m: m.map.images):
-        print(f"translate {m.translate} images {' '.join(str(x) for x in m.map.images)}")
+    for m in sorted(mults, key=lambda m: m.images):
+        print(f"translate {m.translate} images {' '.join(str(x) for x in m.images)}")
     return 0
 
 

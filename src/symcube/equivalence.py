@@ -305,24 +305,29 @@ def _translation_autotopies(g: FiniteGroup, n: int, start: int) -> list[Paratopy
     return out
 
 
-def theoretical_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[ParatopyElement]:
-    """Generators of the autotopy subgroup G^(n-1) x| Mult(D) of the
-    difference cube, as explicit paratopies (verified before returning)."""
-    cube = difference_cube(g, d, n)
-    v = g.order
+def _difference_cube_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[ParatopyElement]:
+    """Generators of G^(n-1) x| Mult(D), unverified."""
     out = _translation_autotopies(g, n, start=0)
 
     # phi -> w(phi) below respects products (phi psi maps D onto phi(b) a D
     # when phi(D) = aD and psi(D) = bD), so generators of Mult(D) suffice
-    mults = {m.map.images: m for m in _multipliers(d)}
-    for phi_map in automorphism_generators(g, [m.map for m in mults.values()]):
-        mult = mults[phi_map.images]
-        phi = mult.map.images
-        ia = g.inv(mult.translate)
-        first = tuple(g.table[ia][phi[i]] for i in range(v))  # i -> a^{-1} phi(g_i)
+    translate = {m.images: m.translate for m in _multipliers(d)}
+    for phi in automorphism_generators(g, list(translate)):
+        ia = g.inv(translate[phi])
+        first = tuple(g.table[ia][phi[i]] for i in range(g.order))  # i -> a^{-1} phi(g_i)
         perms = (first,) + tuple(phi for _ in range(n - 1))
         out.append(ParatopyElement(perms, id_perm(n)))
+    return out
 
+
+def theoretical_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[ParatopyElement]:
+    """Generators of the autotopy subgroup G^(n-1) x| Mult(D) of the
+    difference cube, as explicit paratopies, each verified here to fix the
+    cube.  The seeded difference-cube certificates of ``search`` take the
+    same generators unverified; canon's ``seed_automorphisms`` verifies
+    them there and raises ``ConstructionBugError`` for a non-automorphism."""
+    cube = difference_cube(g, d, n)
+    out = _difference_cube_autotopies(g, d, n)
     for w in out:
         if apply_paratopy(cube, w) != cube:
             raise ConstructionBugError("theoretical autotopy does not fix the cube")

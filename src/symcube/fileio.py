@@ -71,7 +71,10 @@ def load_group(path: str | Path) -> FiniteGroup:
             raise InvalidInputError(f"{path}: table has {len(rows)} rows, header says order {v}")
         return FiniteGroup(rows, labels=labels, name=name)
     if lines[pos].startswith("permgens"):
-        degree = int(lines[pos].split()[1])
+        fields = lines[pos].split()
+        if len(fields) != 2 or fields[0] != "permgens" or not fields[1].isdigit():
+            raise InvalidInputError(f"{path}: expected 'permgens <degree>', got {lines[pos]!r}")
+        degree = int(fields[1])
         gens = [
             parse_cycles(ln, degree, one_based=True)
             for ln in lines[pos + 1 :]

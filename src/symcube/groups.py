@@ -1,8 +1,12 @@
-"""Finite groups as Cayley tables, their maps, and difference sets.
+"""Finite groups as Cayley tables, their automorphisms, and difference sets.
 
 Elements are indices ``0..v-1`` with 0 always the identity.  Tables are
 immutable tuples; ``table[i][j]`` is the index of the product of elements
-``i`` and ``j``.
+``i`` and ``j``.  A map between groups is its image row: ``phi[i]`` is the
+image of element ``i``.  Aut(G) is one read-only |Aut| x v array per group
+table, enumerated once per process and cached (``automorphism_group``); its
+generators, the multipliers of a difference set and the orbit moves of the
+difference-set classes are all derived from that array.
 """
 
 from __future__ import annotations
@@ -14,11 +18,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError
-from .perms import Perm, PermGroup, identity as id_perm, orbit_minima
+from .perms import Perm, PermGroup, identity as id_perm, orbit_minima, void_rows
 
 __all__ = [
     "FiniteGroup",
-    "GroupMap",
     "DifferenceSet",
     "Multiplier",
     "make_cyclic",
@@ -120,10 +123,6 @@ class FiniteGroup:
             t[i][j] == t[j][i] for i in range(self.order) for j in range(i + 1, self.order)
         )
 
-    def left_translation(self, a: int) -> Perm:
-        """The permutation x -> a*x."""
-        return self.table[a]
-
     def closure(self, elements: Iterable[int]) -> set[int]:
         seen = {0}
         queue = [0]
@@ -157,28 +156,6 @@ class FiniteGroup:
 
     def __hash__(self) -> int:
         return hash(self.table)
-
-
-@dataclass(frozen=True)
-class GroupMap:
-    """A homomorphism between groups of equal order, stored by images."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.images[a]
-
-    def is_valid(self) -> bool:
-        s, t, img = self.source, self.target, self.images
-        if sorted(img) != list(range(s.order)) or s.order != t.order:
-            return False
-        return all(
-            img[s.table[i][j]] == t.table[img[i]][img[j]]
-            for i in range(s.order)
-            for j in range(s.order)
-        )
 
 
 @dataclass(frozen=True)
@@ -218,9 +195,10 @@ class DifferenceSet:
 
 @dataclass(frozen=True)
 class Multiplier:
-    """An automorphism mapping a difference set to one of its left translates."""
+    """An automorphism, as its image row, mapping a difference set onto its
+    left translate by ``translate``."""
 
-    map: GroupMap
+    images: tuple[int, ...]
     translate: int
 
 
@@ -377,7 +355,7 @@ def _extend_homomorphism(
 
 def _isomorphism_search(
     source: FiniteGroup, target: FiniteGroup, find_all: bool
-) -> list[GroupMap]:
+) -> list[tuple[int, ...]]:
     if source.order != target.order:
         return []
     src_orders = [source.element_order(x) for x in range(source.order)]
@@ -385,7 +363,7 @@ def _isomorphism_search(
     if sorted(src_orders) != sorted(tgt_orders):
         return []
     gens = source.generating_sequence()
-    found: list[GroupMap] = []
+    found: list[tuple[int, ...]] = []
     candidates_by_order: dict[int, list[int]] = {}
     for x in range(target.order):
         candidates_by_order.setdefault(tgt_orders[x], []).append(x)
@@ -394,7 +372,7 @@ def _isomorphism_search(
         if level == len(gens):
             img = _extend_homomorphism(source, target, gens, images, require_full=True)
             if img is not None:
-                found.append(GroupMap(source, target, img))
+                found.append(img)
                 return not find_all
             return False
         g = gens[level]
@@ -411,28 +389,44 @@ def _isomorphism_search(
     return found
 
 
-def automorphism_group(g: FiniteGroup) -> list[GroupMap]:
-    """All automorphisms, by backtracking over images of a minimal
-    generating sequence.  Intended for small orders (v <= 32)."""
-    return _isomorphism_search(g, g, find_all=True)
+# keyed by table (FiniteGroup hashes and compares by it); the entries are
+# read-only and live for the process, which holds few distinct tables
+_AUT_CACHE: dict[FiniteGroup, np.ndarray] = {}
 
 
-def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> GroupMap | None:
+def automorphism_group(g: FiniteGroup) -> np.ndarray:
+    """All automorphisms as a read-only |Aut| x v int32 array of image rows,
+    in the order of a backtracking search over images of a minimal
+    generating sequence.  Each group table is enumerated once per process
+    and the array cached; intended for small orders (v <= 32)."""
+    auts = _AUT_CACHE.get(g)
+    if auts is None:
+        auts = np.array(_isomorphism_search(g, g, find_all=True), dtype=np.int32)
+        auts.flags.writeable = False
+        _AUT_CACHE[g] = auts
+    return auts
+
+
+def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None:
+    """The image row of an isomorphism g1 -> g2, or None."""
     result = _isomorphism_search(g1, g2, find_all=False)
     return result[0] if result else None
 
 
-def automorphism_generators(g: FiniteGroup, auts: Sequence[GroupMap] | None = None) -> list[GroupMap]:
-    """A small generating subset of Aut(g), found greedily by group order."""
+def automorphism_generators(
+    g: FiniteGroup, auts: np.ndarray | Sequence[Sequence[int]] | None = None
+) -> list[Perm]:
+    """A small generating subset of Aut(g), or of the group whose elements
+    are the rows ``auts``, chosen greedily in row order by group order."""
     if auts is None:
         auts = automorphism_group(g)
     target = len(auts)
-    chosen: list[GroupMap] = []
+    chosen: list[Perm] = []
     group = PermGroup([], g.order)
-    for a in auts:
-        if a.images in group:
+    for a in map(tuple, np.asarray(auts).tolist()):
+        if a in group:
             continue
-        group.add_generator(a.images)
+        group.add_generator(a)
         chosen.append(a)
         if group.order() == target:
             break
@@ -545,8 +539,8 @@ def difference_sets_up_to_equivalence(
     if not all_sets:
         return []
     sets = sorted(all_sets, key=lambda ds: ds.elements)
-    moves = [a.images for a in automorphism_generators(g)]
-    moves += [g.left_translation(a) for a in g.generating_sequence()]
+    moves = automorphism_generators(g)
+    moves += [g.table[a] for a in g.generating_sequence()]  # left translations
     minima = orbit_minima([ds.elements for ds in sets], moves)
     if minima is None:
         raise ConstructionBugError("difference-set orbit left the enumerated set")
@@ -554,20 +548,18 @@ def difference_sets_up_to_equivalence(
 
 
 def multipliers(d: DifferenceSet) -> list[Multiplier]:
-    """The subgroup Mult(D) of Aut(G) mapping D onto a left translate,
-    with the witnessing translate for each member."""
-    g = d.group
-    dset = frozenset(d.elements)
-    out = []
-    translates = {}
-    for a in range(g.order):
-        translates[frozenset(g.table[a][x] for x in dset)] = a
-    for phi in automorphism_group(g):
-        image = frozenset(phi.images[x] for x in dset)
-        a = translates.get(image)
-        if a is not None:
-            out.append(Multiplier(phi, a))
-    return out
+    """The subgroup Mult(D) of Aut(G) mapping D onto a left translate, in
+    the row order of ``automorphism_group``, with the witnessing translate
+    for each member (the last one if several translates coincide)."""
+    auts = automorphism_group(d.group)
+    elements = list(d.elements)
+    images = void_rows(np.sort(auts[:, elements], axis=1))
+    translates = void_rows(np.sort(np.asarray(d.group.table)[:, elements], axis=1))
+    order = np.argsort(translates, kind="stable")
+    translates = translates[order]
+    pos = np.maximum(np.searchsorted(translates, images, side="right") - 1, 0)
+    hits = np.flatnonzero(translates[pos] == images)
+    return [Multiplier(tuple(auts[i].tolist()), int(order[pos[i]])) for i in hits]
 
 
 def development(d: DifferenceSet):

@@ -22,11 +22,11 @@ from .cubes import Cube, difference_cube, group_cube, slice_invariant
 from .designs import DesignParams, design_class
 from .equivalence import (
     _certificate,
+    _difference_cube_autotopies,
     _translation_autotopies,
     cube_certificate,
     from_transversal,
     paratopy_to_point_perm,
-    theoretical_autotopies,
     TransversalRep,
     validate_transversal,
 )
@@ -181,7 +181,7 @@ def _design_moves(g: FiniteGroup, candidates: Sequence[tuple[int, ...]]) -> list
     Designs in one orbit of these moves yield paratopic cubes, so orbit
     representatives suffice for classification by certificate.
     """
-    maps = [phi.images for phi in automorphism_generators(g)]
+    maps = automorphism_generators(g)
     for a in g.generating_sequence():
         maps.append(g.table[a])  # left translation
         maps.append([g.table[x][a] for x in range(g.order)])  # right translation
@@ -208,8 +208,8 @@ def build_seeded_cube_certificate(c: Cube, seeds: Sequence[tuple[int, ...]] = ()
 
 def _difference_cube_certificate(g: FiniteGroup, rep: DifferenceSet, n: int) -> bytes:
     """Certificate of the difference n-cube of rep, seeded with its
-    theoretical autotopies."""
-    seeds = [paratopy_to_point_perm(w, n, g.order) for w in theoretical_autotopies(g, rep, n)]
+    theoretical autotopies (which the canonicalizer verifies as seeds)."""
+    seeds = [paratopy_to_point_perm(w, n, g.order) for w in _difference_cube_autotopies(g, rep, n)]
     return build_seeded_cube_certificate(difference_cube(g, rep, n), seeds)
 
 

@@ -73,6 +73,16 @@ def test_group_table_must_match_header_order(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["permgens", "permgens x", "permgens 2 3"])
+def test_permgens_line_needs_one_degree(tmp_path, capsys, line):
+    path = tmp_path / "nodegree.group"
+    path.write_text(f"group G order 2\n{line}\n(1,2)\n")
+    with pytest.raises(InvalidInputError, match="permgens <degree>"):
+        fileio.load_group(path)
+    assert main(["group", "validate", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("v", [0, 1])
 def test_cli_orbit_cube_rejects_order_below_two(tmp_path, capsys, v):
     path = tmp_path / "small.orbit"

@@ -15,6 +15,6 @@ def test_reproduce_matches_expected(target, capsys):
 
 
 @pytest.mark.extended
-@pytest.mark.parametrize("target", ["diffcubes27", "table1"])
+@pytest.mark.parametrize("target", ["diffcubes27", "table1", "prop51"])
 def test_reproduce_matches_expected_extended(target):
     assert main(["reproduce", target, "--check"]) == 0

@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from symcube.catalog import reference_catalog
-from symcube.cubes import group_cube, slice_invariant, verify_cube
+from symcube import equivalence, groups, search
+from symcube.catalog import elementary_16, reference_catalog
+from symcube.cubes import ParatopyElement, group_cube, slice_invariant, verify_cube
 from symcube.datafiles import data_dir, frobenius_21
 from symcube.designs import DesignParams, IncidenceMatrix, verify_design
-from symcube.errors import InvalidInputError, NotACubeError
+from symcube.errors import ConstructionBugError, InvalidInputError, NotACubeError
 from symcube.fileio import load_design, load_orbit_input
 from symcube.groups import (
     FiniteGroup,
@@ -147,6 +148,63 @@ class TestClassification:
         cls = classify_group_cubes(f21, params)
         assert cls.nds == 1 and cls.ndc == 1
         assert cls.ngc == 1  # the unique non-difference group cube
+
+
+class TestWorkDoneOnce:
+    """Aut(G) is enumerated once per group and each difference cube is
+    built once per certificate."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        reference_catalog()  # built once per process, before counting
+        monkeypatch.setattr(groups, "_AUT_CACHE", {})
+        calls = []
+        enumerate_maps = groups._isomorphism_search
+
+        def counting(source, target, find_all):
+            calls.append(source)
+            return enumerate_maps(source, target, find_all)
+
+        monkeypatch.setattr(groups, "_isomorphism_search", counting)
+        return calls
+
+    def test_classification_enumerates_aut_once(self, enumerations):
+        classify_group_cubes(make_cyclic(7), DesignParams(7, 3, 1))
+        assert len(enumerations) == 1
+
+    def test_reference_enumerates_aut_once(self, enumerations):
+        difference_cube_reference([elementary_16()], DesignParams(16, 6, 2))
+        assert len(enumerations) == 1
+
+    def test_aut_array_is_cached_and_read_only(self, enumerations):
+        z7 = make_cyclic(7)
+        auts = groups.automorphism_group(z7)
+        assert groups.automorphism_group(make_cyclic(7)) is auts
+        assert len(enumerations) == 1
+        assert auts.shape == (6, 7) and not auts.flags.writeable
+        with pytest.raises(ValueError):
+            auts[0, 0] = 1
+
+    def test_difference_cube_built_once(self, monkeypatch):
+        builds = []
+        for module in (search, equivalence):
+            build = module.difference_cube
+
+            def counting(*args, build=build):
+                builds.append(args)
+                return build(*args)
+
+            monkeypatch.setattr(module, "difference_cube", counting)
+        difference_cube_reference([make_cyclic(7)], DesignParams(7, 3, 1))
+        assert len(builds) == 1
+
+    def test_difference_cube_seeds_are_verified(self, monkeypatch):
+        swap = (1, 0, 2, 3, 4, 5, 6)
+        ident = tuple(range(7))
+        bogus = [ParatopyElement((swap, ident, ident), (0, 1, 2))]
+        monkeypatch.setattr(search, "_difference_cube_autotopies", lambda g, d, n: bogus)
+        with pytest.raises(ConstructionBugError, match="not an automorphism"):
+            difference_cube_reference([make_cyclic(7)], DesignParams(7, 3, 1))
 
 
 class TestOrbitCube:

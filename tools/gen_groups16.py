@@ -87,14 +87,15 @@ def generalized_quaternion(m: int) -> FiniteGroup:
 
 
 def semidirect_by_involution(base: FiniteGroup, phi) -> FiniteGroup:
-    """(base) x| C2 with the complement acting by the automorphism phi."""
+    """(base) x| C2 with the complement acting by the automorphism phi
+    (an image row)."""
     nb = base.order
 
     def idx(x, e):
         return (e % 2) * nb + x
 
     def act(e, y):
-        return phi.images[y] if e else y
+        return phi[y] if e else y
 
     table = [
         [idx(base.table[x][act(e, y)], e ^ d) for d in range(2) for y in range(nb)]
@@ -126,9 +127,9 @@ def candidates() -> list[FiniteGroup]:
         make_direct_product(k4, k4),
     ]
     base = make_direct_product(c4, c2)
-    for phi in automorphism_group(base):
-        images = phi.images
-        if all(images[images[x]] == x for x in range(8)):  # involutions and id
+    for row in automorphism_group(base):
+        phi = tuple(row.tolist())
+        if all(phi[phi[x]] == x for x in range(8)):  # involutions and id
             out.append(semidirect_by_involution(base, phi))
     return out
 
@@ -136,7 +137,7 @@ def candidates() -> list[FiniteGroup]:
 def isomorphism_classes(groups):
     reps = []
     for g in groups:
-        if not any(find_isomorphism(g, r) for r in reps):
+        if all(find_isomorphism(g, r) is None for r in reps):
             reps.append(g)
     return reps
 

@@ -1,18 +1,22 @@
 """Canonical labeling of point/block incidence structures.
 
-The engine performs individualization-refinement over vertex colorings of the
-bipartite point-block incidence graph.  Cells are refined by the multiset of
-neighbor colors.  At each node a lookahead individualizes members of the few
-smallest non-singleton cells and branches on the cell whose best member
-splits the coloring the most (``_Search._choose_cell``).  The tree is pruned
-three ways:
+The engine performs individualization-refinement over colorings of the
+points alone.  Blocks are pairwise distinct and of one size, so a point
+coloring determines the block coloring: a block's color is the multiset of
+its points' colors.  Each refinement round ranks the blocks by that multiset
+and refines every point cell by the multiset of ranks of its incident
+blocks (the vertex-coloring view of McKay & Piperno, *Practical graph
+isomorphism II*, JSC 2014).  At each node a lookahead individualizes members
+of the few smallest non-singleton point cells and branches on the cell whose
+best member splits the coloring the most (``_Search._choose_cell``).  The
+tree is pruned three ways:
 
 * partial-invariant comparison against the best path found so far,
 * orbits of the known automorphisms that fix the node's individualized
-  vertices (the partition ``perms.orbit_ids``), among the children of a
-  node (the lookahead scores one member per orbit, too),
+  points (the partition ``perms.orbit_ids``), among the children of a node
+  (the lookahead scores one member per orbit, too),
 * backjumping: a leaf whose certificate equals a reference leaf yields an
-  automorphism mapping its individualized vertices onto the reference's, so
+  automorphism mapping its individualized points onto the reference's, so
   the search unwinds to the deepest node the two paths share.
 
 The canonical form of a structure is the minimum, over explored leaves, of
@@ -20,11 +24,13 @@ the pair (node-invariant sequence, serialized relabeled block list).  Both
 components are pure functions of the isomorphism type, so two structures are
 isomorphic (respecting initial colors) iff their certificates are equal.
 
-Automorphisms discovered as equal-certificate leaves generate the full
-automorphism group; each one, and each seeded one, is verified through the
-block permutation it induces (``perms.induced_permutations``).  The exact
-order comes from a stabilizer chain on the point action, which is faithful
-because blocks are pairwise distinct.
+Automorphisms are point permutations.  Those discovered as
+equal-certificate leaves generate the full automorphism group; each one, and
+each seeded one, is verified through the block permutation it induces
+(``perms.induced_permutations``).  The exact order
+(``CanonResult.aut_order``) comes from a stabilizer chain on the point
+action, which is faithful because blocks are pairwise distinct; it is
+computed on first read only.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import hashlib
 import struct
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,10 +55,16 @@ class CanonResult:
     certificate: bytes
     point_labeling: tuple[int, ...]  # point -> canonical point id
     aut_point_gens: list[tuple[int, ...]]
-    aut_order: int
     complete: bool = True
     leaf_count: int = 0
     node_count: int = 0
+
+    @cached_property
+    def aut_order(self) -> int:
+        """Order of the group the generators generate (Schreier-Sims)."""
+        if not self.aut_point_gens:
+            return 1
+        return PermGroup(self.aut_point_gens, len(self.aut_point_gens[0])).order()
 
 
 class _Deadline(Exception):
@@ -84,15 +97,8 @@ class _Structure:
         if pc.shape != (n_points,):
             raise InvalidInputError("one initial color per point required")
         _, dense = np.unique(pc, return_inverse=True)
-        self.init_colors = np.concatenate(
-            [dense, np.full(self.m, int(dense.max()) + 1, dtype=np.int64)]
-        ).astype(np.int32)
-        self.init_cells = int(dense.max()) + 2
-        self.n_vertices = n_points + self.m
-        # block refinement keys are (own color, member colors); pack them into
-        # one int64 when the field width allows, else fall back to byte rows
-        self.key_bits = max(2, int(np.ceil(np.log2(2 * self.n_vertices + 2))))
-        self.packable = self.key_bits * (self.block_size + 1) <= 63
+        self.init_colors = dense.astype(np.int32)
+        self.init_cells = int(dense.max()) + 1
 
 
 class _Search:
@@ -103,7 +109,7 @@ class _Search:
         self.best_labeling: np.ndarray | None = None
         self.first_key: tuple | None = None
         self.first_labeling: np.ndarray | None = None
-        self.aut_gens: list[np.ndarray] = []  # full-vertex permutations
+        self.aut_gens: list[np.ndarray] = []  # point permutations
         self.node_count = 0
         self.leaf_count = 0
         self.unwind_to: int | None = None
@@ -111,64 +117,37 @@ class _Search:
     # -- refinement -----------------------------------------------------------
 
     @staticmethod
-    def _ranks_sorted(primary: np.ndarray, order: np.ndarray, srows: np.ndarray):
+    def _dense_ranks(rows: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+        """Rank of each byte row among the distinct rows, their count, and
+        the rows in sorted order."""
+        order = np.argsort(rows, kind="stable")
+        srows = rows[order]
         boundary = np.empty(len(order), dtype=bool)
         boundary[0] = True
         boundary[1:] = srows[1:] != srows[:-1]
-        rank_sorted = np.cumsum(boundary) - 1
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = rank_sorted
-        return rank, primary[order[boundary]]
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.cumsum(boundary) - 1
+        return rank, int(boundary.sum()), srows
 
     def refine(self, colors: np.ndarray, n_cells: int) -> tuple[np.ndarray, int, bytes]:
-        """Refine ``colors`` (with ``n_cells`` cells) to the stable coloring:
-        (colors, n_cells, invariant)."""
+        """Refine the point ``colors`` (with ``n_cells`` cells) to the stable
+        coloring: (colors, n_cells, invariant)."""
         s = self.s
-        npts = s.n_points
+        key = np.empty((s.n_points, s.point_degree + 1), dtype=np.int32)
         while True:
-            pk = np.sort(colors[npts + s.P], axis=1)
-            bk = np.sort(colors[s.B], axis=1)
-
-            pcol = colors[:npts]
-            combined = np.empty((npts, pk.shape[1] + 1), dtype=np.int32)
-            combined[:, 0] = pcol
-            combined[:, 1:] = pk
-            prows = void_rows(combined)
-            porder = np.argsort(prows, kind="stable")
-            prank, p_oc = self._ranks_sorted(pcol, porder, prows[porder])
-
-            bcol = colors[npts:]
-            if s.packable:
-                bkey = bcol.astype(np.int64) << np.int64(s.key_bits * s.block_size)
-                for c in range(s.block_size):
-                    bkey |= bk[:, c].astype(np.int64) << np.int64(
-                        s.key_bits * (s.block_size - 1 - c)
-                    )
-                border = np.argsort(bkey, kind="stable")
-                brank, b_oc = self._ranks_sorted(bcol, border, bkey[border])
-            else:
-                bcombined = np.empty((s.m, bk.shape[1] + 1), dtype=np.int32)
-                bcombined[:, 0] = bcol
-                bcombined[:, 1:] = bk
-                brows = void_rows(bcombined)
-                border = np.argsort(brows, kind="stable")
-                brank, b_oc = self._ranks_sorted(bcol, border, brows[border])
-
-            # merge the two sides' groups by old color; sides never share one
-            p_new = np.arange(len(p_oc)) + np.searchsorted(b_oc, p_oc)
-            b_new = np.arange(len(b_oc)) + np.searchsorted(p_oc, b_oc)
-            new_colors = np.empty_like(colors)
-            new_colors[:npts] = p_new[prank]
-            new_colors[npts:] = b_new[brank]
-            new_n_cells = len(p_oc) + len(b_oc)
-            colors = new_colors
+            # a block's key is the multiset of its points' colors; a point's
+            # is its old color, then the multiset of its blocks' key ranks,
+            # so the new order refines the old one
+            brank, _, bkeys = self._dense_ranks(void_rows(np.sort(colors[s.B], axis=1)))
+            key[:, 0] = colors
+            key[:, 1:] = np.sort(brank[s.P], axis=1)
+            colors, new_n_cells, pkeys = self._dense_ranks(void_rows(key))
             if new_n_cells == n_cells:
-                sizes = np.bincount(colors, minlength=new_n_cells)
                 h = hashlib.blake2b(digest_size=16)
-                h.update(sizes.astype(np.int64).tobytes())
-                h.update(np.sort(void_rows(pk)).tobytes())
-                h.update(np.sort(void_rows(bk)).tobytes())
-                return colors, new_n_cells, h.digest()
+                h.update(np.bincount(colors, minlength=n_cells).astype(np.int64).tobytes())
+                h.update(pkeys.tobytes())
+                h.update(bkeys.tobytes())
+                return colors, n_cells, h.digest()
             n_cells = new_n_cells
 
     # -- leaves ---------------------------------------------------------------
@@ -188,10 +167,10 @@ class _Search:
         """Record the leaf; returns a backjump depth if it yielded an
         automorphism that maps the current branch onto an explored sibling.
 
-        The jump target is the deepest prefix of the individualized vertices
+        The jump target is the deepest prefix of the individualized points
         fixed pointwise by the automorphism g; g then preserves that node's
-        refined coloring, so it maps the branch taken there to another vertex
-        of the same target cell.  Only when that image is a smaller vertex id
+        refined coloring, so it maps the branch taken there to another point
+        of the same target cell.  Only when that image is a smaller point id
         (hence a sibling whose subtree was already fully processed) is the
         rest of the current subtree abandoned; this keeps the minimum over
         explored leaves intact without circular reasoning.
@@ -253,8 +232,9 @@ class _Search:
         return self.refine(child, n_cells + 1)
 
     def _choose_cell(self, colors: np.ndarray, n_cells: int, cache: dict, orbits: np.ndarray):
-        """Pick the branching cell: among the few smallest cells, the one
-        whose best member splits the partition the most when individualized.
+        """Pick the branching point cell: among the few smallest cells, the
+        one whose best member splits the partition the most when
+        individualized.
 
         On refinement-stable structures (cubes over elementary abelian
         groups, say) the smallest cell can be near-useless to branch on,
@@ -265,8 +245,8 @@ class _Search:
         which depends only on the isomorphism type of the node, keeping the
         canonical form label-invariant.
 
-        ``orbits`` labels each vertex by its orbit under the known
-        automorphisms fixing the individualized vertices; these preserve the
+        ``orbits`` labels each point by its orbit under the known
+        automorphisms fixing the individualized points; these preserve the
         node's coloring, so all members of an orbit reach the same count and
         one member per orbit is scored.  A cell stops being scored once it
         has won (its running score beats every earlier cell and reaches the
@@ -281,11 +261,14 @@ class _Search:
         best_color = int(order[0])
         best_score = -1
         best_cache: dict = {}
-        # a member always splits off its own singleton and usually its
-        # incident blocks, so scores up to n_cells + 2 are "generic"; a score
-        # beyond that signals a real cascade and ends the lookahead (all
-        # stopping criteria depend on cell sizes and scores only, which are
-        # isomorphism-invariant, so the chosen cell is label-invariant)
+        # a member always splits off its own singleton; the other points of a
+        # cell then split by how many blocks they share with it, which on a
+        # symmetric design is one number and on a cube's transversal design
+        # two (none for the member's own class), so scores up to n_cells + 2
+        # are "generic"; a score beyond that signals a real cascade and ends
+        # the lookahead (all stopping criteria depend on cell sizes and scores
+        # only, which are isomorphism-invariant, so the chosen cell is
+        # label-invariant)
         cascade = n_cells + 3
         for rank, color in enumerate(order.tolist()):
             if rank >= self.LOOKAHEAD_CELLS or best_score >= cascade:
@@ -311,7 +294,7 @@ class _Search:
 
     def _fixing_gens(self, start: int, fixed: np.ndarray) -> list[np.ndarray]:
         """The known automorphisms from index ``start`` on that fix every
-        vertex in ``fixed``."""
+        point in ``fixed``."""
         return [g for g in self.aut_gens[start:] if bool((g[fixed] == fixed).all())]
 
     def search(self, state, path: list[bytes], fixed: list[int]) -> None:
@@ -336,15 +319,15 @@ class _Search:
                 self.best_labeling = None
             elif prefix > ref_prefix and not same_as_first:
                 return
-        if n_cells == self.s.n_vertices:
+        if n_cells == self.s.n_points:
             self.unwind_to = self.handle_leaf(colors, path, fixed)
             return
         # orbits of the known automorphisms fixing the individualized
-        # vertices, shared by the lookahead and the sibling pruning below
+        # points, shared by the lookahead and the sibling pruning below
         fixed_arr = np.asarray(fixed, dtype=np.int64)
         gen_count = len(self.aut_gens)
         usable = self._fixing_gens(0, fixed_arr)
-        orbits = orbit_ids(usable, self.s.n_vertices)
+        orbits = orbit_ids(usable, self.s.n_points)
         cache: dict = {}
         cell = self._choose_cell(colors, n_cells, cache, orbits)
         explored: list[int] = []
@@ -355,7 +338,7 @@ class _Search:
                 gen_count = len(self.aut_gens)
                 if new_gens:
                     usable += new_gens
-                    orbits = orbit_ids(usable, self.s.n_vertices)
+                    orbits = orbit_ids(usable, self.s.n_points)
                     explored_orbits = {int(orbits[x]) for x in explored}
             if int(orbits[v]) in explored_orbits:
                 continue
@@ -375,25 +358,20 @@ class _Search:
 
     def seed_automorphisms(self, point_gens) -> None:
         """Install known automorphisms, given as point permutations that
-        preserve the initial point colors; the induced block permutations
-        come from ``induced_permutations`` (which thereby verifies them)."""
+        preserve the initial point colors; ``induced_permutations`` verifies
+        that each maps the blocks onto the blocks."""
         s = self.s
-        point_colors = s.init_colors[: s.n_points]
         maps = []
         for pg in point_gens:
             p = np.asarray(pg, dtype=np.int64)
             if p.shape != (s.n_points,) or not np.array_equal(np.sort(p), np.arange(s.n_points)):
                 raise InvalidInputError("seed must permute the points")
-            if not np.array_equal(point_colors[p], point_colors):
+            if not np.array_equal(s.init_colors[p], s.init_colors):
                 raise ConstructionBugError("seed permutation does not preserve the point colors")
             maps.append(p)
-        block_perms = induced_permutations(s.B, maps)
-        if block_perms is None:
+        if induced_permutations(s.B, maps) is None:
             raise ConstructionBugError("seed permutation is not an automorphism")
-        for p, bp in zip(maps, block_perms):
-            full = np.concatenate([p, s.n_points + bp])
-            if not (full == np.arange(s.n_vertices)).all():
-                self.aut_gens.append(full)
+        self.aut_gens += [p for p in maps if (p != np.arange(s.n_points)).any()]
 
     def run(self) -> CanonResult:
         complete = True
@@ -401,15 +379,12 @@ class _Search:
             self.search(self.refine(self.s.init_colors.copy(), self.s.init_cells), [], [])
         except _Deadline:
             complete = False
-        npts = self.s.n_points
-        point_gens = [tuple(int(x) for x in g[:npts]) for g in self.aut_gens]
-        order = PermGroup(point_gens, npts).order()
+        point_gens = [tuple(int(x) for x in g) for g in self.aut_gens]
         if not complete:
             return CanonResult(
                 certificate=b"",
                 point_labeling=(),
                 aut_point_gens=point_gens,
-                aut_order=order,
                 complete=False,
                 leaf_count=self.leaf_count,
                 node_count=self.node_count,
@@ -420,16 +395,15 @@ class _Search:
         )
         return CanonResult(
             certificate=head + self.best_key[1],
-            point_labeling=tuple(int(x) for x in self.best_labeling[:npts]),
+            point_labeling=tuple(int(x) for x in self.best_labeling),
             aut_point_gens=point_gens,
-            aut_order=order,
             complete=True,
             leaf_count=self.leaf_count,
             node_count=self.node_count,
         )
 
     def _check_automorphism(self, g: np.ndarray) -> None:
-        if induced_permutations(self.s.B, [g[: self.s.n_points]]) is None:
+        if induced_permutations(self.s.B, [g]) is None:
             raise ConstructionBugError("discovered generator is not an automorphism")
 
 

@@ -7,6 +7,7 @@ Cycle notation and orbit-cube points are 1-based in files; everything is
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import Sequence
 
@@ -32,6 +33,22 @@ __all__ = [
 ]
 
 
+def _input_errors(load):
+    """Report what the parsers reject with a plain ValueError (a malformed
+    integer or cycle) as an input error naming the file."""
+
+    @functools.wraps(load)
+    def wrapped(path, *args):
+        try:
+            return load(path, *args)
+        except InvalidInputError:
+            raise
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
+
+    return wrapped
+
+
 def _lines(path: str | Path, kind: str) -> list[str]:
     """The file's lines; a file with no content is an input error."""
     lines = Path(path).read_text().splitlines()
@@ -49,6 +66,7 @@ def _header_ints(path: str | Path, header: str, names: Sequence[str]) -> list[in
         raise InvalidInputError(f"{path}: bad header {header!r}") from None
 
 
+@_input_errors
 def load_group(path: str | Path) -> FiniteGroup:
     lines = _lines(path, "group")
     head = lines[0].split()
@@ -60,6 +78,8 @@ def load_group(path: str | Path) -> FiniteGroup:
     labels = None
     if pos < len(lines) and lines[pos].startswith("labels "):
         labels = lines[pos][len("labels ") :].split(",")
+        if len(labels) != v:
+            raise InvalidInputError(f"{path}: label count must equal group order")
         pos += 1
     if pos >= len(lines):
         raise InvalidInputError(f"{path}: missing body")
@@ -107,6 +127,7 @@ def save_group(g: FiniteGroup, path: str | Path, as_table: bool = True) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_input_errors
 def load_difference_set(path: str | Path, group: FiniteGroup) -> DifferenceSet:
     lines = [ln for ln in _lines(path, "difference set") if ln.strip()]
     head = lines[0].split()
@@ -117,6 +138,7 @@ def load_difference_set(path: str | Path, group: FiniteGroup) -> DifferenceSet:
     return DifferenceSet(group, elements, (v, k, lam))
 
 
+@_input_errors
 def load_design(path: str | Path) -> IncidenceMatrix:
     lines = [ln for ln in _lines(path, "design") if ln.strip()]
     head = lines[0].split()
@@ -147,11 +169,14 @@ def save_cube(c: Cube, path: str | Path) -> None:
     Path(path).write_text(head + "\n" + "\n\n".join(chunks) + "\n")
 
 
+@_input_errors
 def load_cube(path: str | Path) -> Cube:
     lines = _lines(path, "cube")
     if not lines[0].startswith("cube "):
         raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
     n, v, k, lam = _header_ints(path, lines[0], ("n", "v", "k", "lambda"))
+    if n < 2 or v < 1:
+        raise InvalidInputError(f"{path}: a cube needs n >= 2 and v >= 1")
     rows = [ln for ln in lines[1:] if ln.strip()]
     expected = v ** (n - 2) * v
     if len(rows) != expected:
@@ -160,6 +185,7 @@ def load_cube(path: str | Path) -> Cube:
     return Cube(arr.reshape((v,) * n), DesignParams(v, k, lam))
 
 
+@_input_errors
 def load_orbit_input(path: str | Path) -> OrbitCubeInput:
     lines = [ln for ln in _lines(path, "orbit input") if ln.strip()]
     head = lines[0].split()

@@ -1,16 +1,17 @@
 import hashlib
+import random
 
 import pytest
 
 from symcube.canon import canonicalize, design_canonical
 from symcube.catalog import elementary_16, switched_16_designs
-from symcube.cubes import ParatopyElement, difference_cube, group_cube
-from symcube.datafiles import data_dir, frobenius_21
-from symcube.equivalence import paratopy_to_point_perm, to_transversal
+from symcube.cubes import ParatopyElement, apply_paratopy, difference_cube, random_paratopy
+from symcube.equivalence import cube_certificate, paratopy_to_point_perm, to_transversal
 from symcube.errors import ConstructionBugError, InvalidInputError
-from symcube.fileio import load_design
 from symcube.groups import DifferenceSet, development, make_cyclic
 from symcube.search import _group_cube_seeds
+
+from named_cubes import fano_cube, named_cube
 
 
 def _cube_result(c, colored, seeds=()):
@@ -19,28 +20,21 @@ def _cube_result(c, colored, seeds=()):
     return canonicalize(t.n_points, t.blocks, colors, known_automorphisms=seeds)
 
 
-def _fano_cube():
-    z7 = make_cyclic(7)
-    return difference_cube(z7, DifferenceSet(z7, (1, 2, 4), (7, 3, 1)), 3)
-
-
 def _corpus():
     z7 = make_cyclic(7)
-    fano = DifferenceSet(z7, (1, 2, 4), (7, 3, 1))
-    fano_cube = _fano_cube()
+    fano_set = DifferenceSet(z7, (1, 2, 4), (7, 3, 1))
+    fano = fano_cube()
     d1, d2, d3 = switched_16_designs()
-    f21 = frobenius_21()
-    nondev = load_design(data_dir() / "designs" / "f21_nondev.design")
     g16 = elementary_16()
     z2_4 = difference_cube(g16, DifferenceSet(g16, (1, 2, 3, 4, 8, 12), (16, 6, 2)), 3)
     return {
-        "fano design": lambda: design_canonical(development(fano).bits),
+        "fano design": lambda: design_canonical(development(fano_set).bits),
         "D1 design": lambda: design_canonical(d1.bits),
         "D2 design": lambda: design_canonical(d2.bits),
         "D3 design": lambda: design_canonical(d3.bits),
-        "fano cube colored": lambda: _cube_result(fano_cube, True),
-        "fano cube uncolored": lambda: _cube_result(fano_cube, False),
-        "C3 uncolored": lambda: _cube_result(group_cube(f21, nondev.columns_as_sets(), 3), False),
+        "fano cube colored": lambda: _cube_result(fano, True),
+        "fano cube uncolored": lambda: _cube_result(fano, False),
+        "C3 uncolored": lambda: _cube_result(named_cube("C3"), False),
         "Z2^4 difference cube seeded": lambda: _cube_result(
             z2_4, False, _group_cube_seeds(g16, 3)
         ),
@@ -49,15 +43,15 @@ def _corpus():
 
 # name -> (sha256 of the certificate, node_count, leaf_count, aut_order)
 PINNED = {
-    "fano design": ("40a92dea104015ea63903109616d0ba5a9bbe5f9d92180e7807df8085c189c37", 11, 5, 168),
-    "D1 design": ("8ebcc347662360757d6be375650aba51256adaadbcba7e8ee66322d9ce63528b", 28, 7, 11520),
-    "D2 design": ("988b7a5f003117060e0b60a954e64ac53d7c241ea9d869f78b2ec084eac427d7", 69, 7, 768),
-    "D3 design": ("422193859cc546c7b44b73704b9f487b6328261457e8a7f1f703fcf68bebb049", 57, 6, 384),
-    "fano cube colored": ("0da5929c64088c4a81ddc2b5df65907c345d356117eab47edd085760547c0d9a", 5, 4, 147),
-    "fano cube uncolored": ("b96f4f842c6071706f42e471e5680427bb4f19307cf37a2d720591ab8f306fc4", 15, 6, 882),
-    "C3 uncolored": ("1783cefeccba1d54f7e38ea85f0518bf2ecd6f88f28143e7e728c1307d3cdfd0", 64, 14, 882),
+    "fano design": ("7450fcb2854bb42f11c2255ea34ce25fe2054b414f3924a6637ef8739b1a5910", 11, 5, 168),
+    "D1 design": ("02ddb703f1c6776e313243c32f144c98f20061156e1fbfaca058627a9a3a5a8f", 26, 8, 11520),
+    "D2 design": ("08592ab38d200584c0e411b07706952f5b5c0d51291c7739525e1c075695a366", 28, 9, 768),
+    "D3 design": ("8f44c4722bba0724ba240b6510d78191b75439c991742a5c1e658d29061c459b", 35, 8, 384),
+    "fano cube colored": ("5ed4c52f69cc7d94b544795e508d8222a7f4320dd352ee0023b04d21e153b6fc", 10, 4, 147),
+    "fano cube uncolored": ("be0a163841f294b8102f12153f4f922a6b5e654a99af34d5ce4d5ecbc18669ee", 15, 6, 882),
+    "C3 uncolored": ("379b4ee25aff0c25153724f0e0462e0d7ae76988a1757601659dafa8f26bb4be", 63, 9, 882),
     "Z2^4 difference cube seeded": (
-        "509c7202c21f73f47cceb5578a4f8294a65472cdae4ba83babaf7151e5f23aac", 43, 9, 1105920
+        "eed45854da6890c2036e5d4567c8ed1c66bb756990716cce4a92428c7ea372f6", 43, 9, 1105920
     ),
 }
 
@@ -70,9 +64,38 @@ def test_pinned_certificates(name):
     assert got == PINNED[name]
 
 
+def _check_invariance(name, images):
+    """The paratopy certificate of ``images`` random paratopy images, and the
+    isotopy certificate of as many random isotopy images, equal the cube's."""
+    c = named_cube(name)
+    rng = random.Random(name)
+    ident = tuple(range(c.n))
+    for mode in ("uncolored", "colored"):
+        cert = cube_certificate(c, mode)
+        for _ in range(images):
+            p = random_paratopy(rng, c.n, c.v)
+            if mode == "colored":
+                p = ParatopyElement(p.perms, ident)
+            assert cube_certificate(apply_paratopy(c, p), mode) == cert
+
+
+STRESS_CUBES = ["D1", "D2", "D3", "C3"]
+
+
+@pytest.mark.parametrize("name", STRESS_CUBES)
+def test_certificate_invariance(name):
+    _check_invariance(name, 3)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("name", STRESS_CUBES)
+def test_certificate_invariance_extended(name):
+    _check_invariance(name, 200)
+
+
 class TestSeeds:
     def setup_method(self):
-        self.t = to_transversal(_fano_cube())
+        self.t = to_transversal(fano_cube())
         self.colors = [p // 7 for p in range(self.t.n_points)]
         ident = tuple(range(7))
         # the difference cube of an abelian group is totally symmetric, so

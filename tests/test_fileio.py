@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symcube import fileio
 from symcube.cli import main
@@ -32,6 +33,7 @@ def test_loaders_reject_empty_files(tmp_path, kind, content):
         ("orbit input", "orbitcube\n"),
         ("cube", "cube n=3\n"),
         ("cube", "cube n=3 v=7 k=3 lambda\n"),
+        ("cube", "cube n=0 v=0 k=0 lambda=0\n1\n"),
     ],
 )
 def test_loaders_reject_truncated_files(tmp_path, kind, content):
@@ -91,3 +93,66 @@ def test_cli_orbit_cube_rejects_order_below_two(tmp_path, capsys, v):
     captured = capsys.readouterr()
     assert f"order v={v} must be at least 2" in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("group G order 2\nlabels a,b,c\npermgens 2\n(1,2)\n", "label count"),
+        ("group G order x\ntable\n0\n", "invalid literal"),
+        ("group G order 2\ntable\n0 1\n1 y\n", "invalid literal"),
+        ("group G order 2\npermgens 2\n(1,3)\n", "out of range"),
+        ("group G order 2\npermgens 3\n(1,2,3)\n", "header says 2"),
+    ],
+)
+def test_malformed_group_is_an_input_error(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.group"
+    path.write_text(content)
+    with pytest.raises(InvalidInputError, match=message):
+        fileio.load_group(path)
+    assert main(["group", "validate", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# a header of one of the formats with small or malformed fields, then lines
+# of the formats' own words: these reach past the header checks far more
+# often than arbitrary text does
+_FIELD = st.one_of(st.integers(-1, 8).map(str), st.sampled_from(["x", "", "1.5", "v=3"]))
+_HEADER = st.sampled_from(
+    [
+        "group G order {}",
+        "group G order {}\nlabels a,b{}",
+        "ds {} {} {}",
+        "design {} {} {}",
+        "cube n={} v={} k={} lambda={}",
+        "orbitcube v={}",
+    ]
+).flatmap(lambda t: st.lists(_FIELD, min_size=4, max_size=4).map(lambda f: t.format(*f)))
+_WORD = st.one_of(
+    st.sampled_from("table permgens gen block () (1,2) (1,2,3) (1,4)(2,5) , x".split()),
+    st.integers(-1, 9).map(str),
+    st.text(alphabet="012", min_size=1, max_size=8),
+)
+_BODY = st.lists(st.lists(_WORD, min_size=1, max_size=5).map(" ".join), max_size=9)
+_TEXT = st.one_of(
+    st.text(max_size=120),
+    st.tuples(_HEADER, _BODY).map(lambda hb: "\n".join([hb[0], *hb[1]])),
+)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_TEXT)
+def test_loaders_fail_only_with_input_errors(tmp_path, kind, text):
+    path = tmp_path / "fuzz.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        LOADERS[kind](path)
+    except InvalidInputError:
+        pass

@@ -49,7 +49,7 @@ def measure(name: str, argv: list[str]) -> dict:
     out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     lines = out.strip().splitlines()
     result = {
         "name": name,

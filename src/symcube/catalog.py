@@ -6,12 +6,26 @@ truth; names are presentation only.  For each parameter set with a unique
 class arising from a difference set the class is named D0; the three
 (16,6,2) classes are D1 (the development), D2 (one switch), D3 (two
 switches).
+
+Completeness assumption.  For the parameter sets in ``COMPLETE_PARAMS`` the
+catalog holds every design up to isomorphism, by these theorems: the
+projective planes PG(2,2), PG(2,3) and PG(2,4) are the unique (7,3,1),
+(13,4,1) and (21,5,1) designs, the (11,5,2) biplane is unique, and there
+are exactly three (16,6,2) designs (Hussain 1945).  The rank over GF(2) of
+the incidence matrix is an isomorphism and duality invariant, and it
+separates the three (16,6,2) classes (ranks 6, 7 and 8, computed from the
+catalog matrices at build time).  So a verified design with one of these
+parameter sets is named by its parameters and 2-rank alone, without canon
+(``Catalog.lookup``).  (15,7,3) is left out: it has five classes, and the
+catalog holds only one.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+
+import numpy as np
 
 from .designs import DesignParams, IncidenceMatrix, design_class, switch_blocks, verify_design
 from .errors import ConstructionBugError
@@ -24,7 +38,20 @@ from .groups import (
     make_metacyclic,
 )
 
-__all__ = ["Catalog", "CatalogEntry", "reference_catalog", "klein_group", "elementary_16"]
+__all__ = [
+    "COMPLETE_PARAMS",
+    "Catalog",
+    "CatalogEntry",
+    "reference_catalog",
+    "klein_group",
+    "elementary_16",
+]
+
+# parameter sets whose designs the catalog classifies completely (see the
+# module docstring for the theorems)
+COMPLETE_PARAMS = frozenset(
+    DesignParams(*p) for p in ((7, 3, 1), (11, 5, 2), (13, 4, 1), (21, 5, 1), (16, 6, 2))
+)
 
 
 @dataclass(frozen=True)
@@ -36,10 +63,44 @@ class CatalogEntry:
     matrix: IncidenceMatrix
 
 
+def _gf2_rank(bits: np.ndarray) -> int:
+    """Rank over GF(2) of a 0/1 matrix, by elimination on rows packed into
+    integers."""
+    rows = [int.from_bytes(np.packbits(r).tobytes(), "big") for r in bits]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
 class Catalog:
     def __init__(self, entries: list[CatalogEntry]):
         self.entries = entries
         self._by_cert = {e.certificate: e for e in entries}
+        self._by_rank: dict[tuple[DesignParams, int], CatalogEntry] = {}
+        for e in entries:
+            if e.params in COMPLETE_PARAMS:
+                key = (e.params, _gf2_rank(e.matrix.bits))
+                if key in self._by_rank:
+                    raise ConstructionBugError(
+                        f"catalog entries {self._by_rank[key].name} and {e.name} share "
+                        f"parameters {key[0]} and 2-rank {key[1]}"
+                    )
+                self._by_rank[key] = e
+
+    def lookup(self, a: IncidenceMatrix) -> CatalogEntry | None:
+        """The entry of a's class, named by its parameters and 2-rank
+        without canon; None unless a verifies as a design whose parameter
+        set the catalog holds completely and whose 2-rank it indexes."""
+        k = int(a.bits[:, :1].sum())
+        params = next((p for p in COMPLETE_PARAMS if (p.v, p.k) == (a.v, k)), None)
+        if params is None or not verify_design(a, params):
+            return None
+        return self._by_rank.get((params, _gf2_rank(a.bits)))
 
     def name_for(self, certificate: bytes) -> str | None:
         entry = self._by_cert.get(certificate)

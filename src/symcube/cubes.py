@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .canon import canonicalize
+from .catalog import reference_catalog
 from .designs import DesignParams, IncidenceMatrix, design_class, verify_design
 from .errors import ConstructionBugError, InvalidInputError
 from .groups import DifferenceSet, FiniteGroup, is_difference_set
@@ -289,7 +290,7 @@ class SliceInvariant:
 @lru_cache(maxsize=65536)
 def _design_class_cached(key: bytes, v: int):
     bits = np.frombuffer(key, dtype=np.uint8).reshape(v, v)
-    return design_class(IncidenceMatrix(bits))
+    return design_class(IncidenceMatrix(bits), reference_catalog())
 
 
 def cached_design_class(m: IncidenceMatrix):

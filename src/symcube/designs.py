@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .canon import design_canonical
+from .canon import CanonResult, design_canonical
 from .errors import ConstructionBugError, InvalidInputError
 from .groups import DifferenceSet, is_difference_set, make_direct_product
 
@@ -90,13 +90,27 @@ class IncidenceMatrix:
         return f"IncidenceMatrix(v={self.v}{tag})"
 
 
-@dataclass(frozen=True)
 class DesignClass:
-    """Canonical certificate of a design up to isomorphism and duality."""
+    """Canonical certificate of a design up to isomorphism and duality.
 
-    certificate: bytes
-    aut_order: int
-    name: str | None = None
+    ``aut_order`` is given as an int, or as the design's ``CanonResult``,
+    whose automorphism group order is then computed on first read only.
+    """
+
+    __slots__ = ("certificate", "name", "_aut")
+
+    def __init__(self, certificate: bytes, aut_order: int | CanonResult, name: str | None = None):
+        self.certificate = certificate
+        self.name = name
+        self._aut = aut_order
+
+    @property
+    def aut_order(self) -> int:
+        aut = self._aut
+        return aut if isinstance(aut, int) else aut.aut_order
+
+    def __repr__(self) -> str:
+        return f"DesignClass(certificate={self.certificate.hex()[:16]}..., name={self.name!r})"
 
 
 def verify_design(a: IncidenceMatrix, p: DesignParams) -> bool:
@@ -124,14 +138,26 @@ def design_class(a: IncidenceMatrix, catalog=None) -> DesignClass:
 
     The certificate is the lexicographic minimum over the matrix and its
     transpose of the canonical form of the point/block incidence structure.
+
+    Canon is skipped when a catalog is given and ``catalog.lookup`` names
+    the design: a verified design of a parameter set the catalog holds
+    completely, whose 2-rank selects one entry.  The entry's certificate,
+    automorphism group order and name are returned; they are the values
+    canon would give.  Every other input, and every call without a catalog,
+    is canonicalised, and its automorphism group order is computed on first
+    read only.
     """
+    if catalog is not None:
+        entry = catalog.lookup(a)
+        if entry is not None:
+            return DesignClass(entry.certificate, entry.aut_order, entry.name)
     res = design_canonical(a.bits)
     res_t = design_canonical(a.bits.T)
     cert = min(res.certificate, res_t.certificate)
     name = None
     if catalog is not None:
         name = catalog.name_for(cert)
-    return DesignClass(certificate=cert, aut_order=res.aut_order, name=name)
+    return DesignClass(certificate=cert, aut_order=res, name=name)
 
 
 def switch_blocks(

@@ -8,12 +8,13 @@ Cycle notation and orbit-cube points are 1-based in files; everything is
 from __future__ import annotations
 
 import functools
+import re
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .cubes import Cube
+from .cubes import MAX_CELLS, Cube
 from .designs import DesignParams, IncidenceMatrix
 from .errors import InvalidInputError
 from .groups import DifferenceSet, FiniteGroup, make_from_permutation_generators
@@ -66,6 +67,18 @@ def _header_ints(path: str | Path, header: str, names: Sequence[str]) -> list[in
         raise InvalidInputError(f"{path}: bad header {header!r}") from None
 
 
+def _permutation_generators(path, texts: list[str], degree: int) -> list[tuple[int, ...]]:
+    """Generators in cycle notation on the symbols 1..degree, each built only
+    up to the largest symbol used: trailing fixed points do not change the
+    group they generate, and a declared degree costs no memory."""
+    symbols = [int(s) for t in texts for s in re.findall(r"-?\d+", t)]
+    for s in symbols:
+        if not 1 <= s <= degree:
+            raise InvalidInputError(f"{path}: symbol {s} out of range 1..{degree}")
+    used = max(symbols, default=0)
+    return [parse_cycles(t, used, one_based=True) for t in texts]
+
+
 @_input_errors
 def load_group(path: str | Path) -> FiniteGroup:
     lines = _lines(path, "group")
@@ -94,13 +107,10 @@ def load_group(path: str | Path) -> FiniteGroup:
         fields = lines[pos].split()
         if len(fields) != 2 or fields[0] != "permgens" or not fields[1].isdigit():
             raise InvalidInputError(f"{path}: expected 'permgens <degree>', got {lines[pos]!r}")
-        degree = int(fields[1])
-        gens = [
-            parse_cycles(ln, degree, one_based=True)
-            for ln in lines[pos + 1 :]
-            if ln.strip()
-        ]
-        g = make_from_permutation_generators(gens, name=name)
+        texts = [ln for ln in lines[pos + 1 :] if ln.strip()]
+        g = make_from_permutation_generators(
+            _permutation_generators(path, texts, int(fields[1])), name=name
+        )
         if g.order != v:
             raise InvalidInputError(
                 f"{path}: generators produce order {g.order}, header says {v}"
@@ -192,6 +202,8 @@ def load_orbit_input(path: str | Path) -> OrbitCubeInput:
     if len(head) != 2 or head[0] != "orbitcube" or not head[1].startswith("v="):
         raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
     v = int(head[1][2:])
+    if v**3 > MAX_CELLS:
+        raise InvalidInputError(f"{path}: a 3-cube of order v={v} exceeds {MAX_CELLS} cells")
     gens = []
     blocks = []
     for ln in lines[1:]:

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -112,6 +115,34 @@ def test_malformed_group_is_an_input_error(tmp_path, capsys, content, message):
         fileio.load_group(path)
     assert main(["group", "validate", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, content, message",
+    [
+        ("group", "group G order 2\npermgens 3000000\n()\n", "header says 2"),
+        ("orbit input", "orbitcube v=1000000\ngen ()\n", "exceeds"),
+    ],
+)
+def test_declared_degree_allocates_nothing(tmp_path, kind, content, message):
+    path = tmp_path / "huge.txt"
+    path.write_text(content)
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(InvalidInputError, match=message):
+        LOADERS[kind](path)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 4 << 20
+
+
+def test_trailing_fixed_points_do_not_change_the_group(tmp_path):
+    small, large = tmp_path / "small.group", tmp_path / "large.group"
+    small.write_text("group G order 6\npermgens 3\n(1,2,3)\n(1,2)\n")
+    large.write_text("group G order 6\npermgens 9\n(1,2,3)\n(1,2)\n()\n")
+    assert fileio.load_group(small).table == fileio.load_group(large).table
 
 
 # a header of one of the formats with small or malformed fields, then lines

@@ -1,15 +1,30 @@
 """Canonical labeling of point/block incidence structures.
 
 The engine performs individualization-refinement over colorings of the
-points alone.  Blocks are pairwise distinct and of one size, so a point
-coloring determines the block coloring: a block's color is the multiset of
-its points' colors.  Each refinement round ranks the blocks by that multiset
-and refines every point cell by the multiset of ranks of its incident
-blocks (the vertex-coloring view of McKay & Piperno, *Practical graph
-isomorphism II*, JSC 2014).  At each node a lookahead individualizes members
-of the few smallest non-singleton point cells and branches on the cell whose
-best member splits the coloring the most (``_Search._choose_cell``).  The
-tree is pruned three ways:
+points alone (the vertex-coloring view of McKay & Piperno, *Practical graph
+isomorphism II*, JSC 2014).  Blocks are pairwise distinct and of one size,
+so a point coloring determines the block coloring: a block's color is the
+multiset of its points' colors.  Each refinement round splits every point
+cell by the multiset of its points' block colors.
+
+Both multisets are hashed, not sorted, as Weisfeiler-Lehman graph kernels
+do (Shervashidze et al., JMLR 2011).  A block's key is the wrapping uint64
+sum of ``_mix(color)`` over its points; a point's key is the wrapping sum of
+``_mix(block key)`` over its blocks; the new colors are the dense ranks of
+the pairs (old color, point key).  ``_mix`` is splitmix64's finalizer, with
+fixed constants and one fixed salt for colors and another for block keys,
+so every key is a function of the colors alone and the labeling stays a
+function of the isomorphism type.  Without a hash collision a round splits
+exactly the cells the multisets split.  A collision can only keep together
+two cells that the multisets would separate: that weakens pruning, not
+correctness, because leaves are compared by their exact relabeled block
+lists and every automorphism is verified.  A node's invariant hashes the
+stable coloring's cell sizes and the point key of each cell.
+
+At each node a lookahead individualizes members of the few smallest
+non-singleton point cells and branches on the cell whose best member splits
+the coloring the most (``_Search._choose_cell``).  The tree is pruned three
+ways:
 
 * partial-invariant comparison against the best path found so far,
 * orbits of the known automorphisms that fix the node's individualized
@@ -67,6 +82,26 @@ class CanonResult:
         return PermGroup(self.aut_point_gens, len(self.aut_point_gens[0])).order()
 
 
+# splitmix64's finalizer (Steele, Lea & Flood, OOPSLA 2014) after adding a
+# salt; the point colors and the block keys are mixed with different salts
+_COLOR_SALT = np.uint64(0x9E3779B97F4A7C15)
+_BLOCK_SALT = np.uint64(0x3C6EF372FE94F82A)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(x: np.ndarray, salt: np.uint64) -> np.ndarray:
+    """A fixed bijection of uint64 arrays that scatters nearby values
+    (arithmetic wraps)."""
+    z = x + salt
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
 class _Deadline(Exception):
     pass
 
@@ -113,40 +148,42 @@ class _Search:
         self.node_count = 0
         self.leaf_count = 0
         self.unwind_to: int | None = None
+        # colors stay below 2 * n_points: _child_state doubles at most
+        # n_points - 1
+        self.color_hash = _mix(np.arange(2 * struct.n_points, dtype=np.uint64), _COLOR_SALT)
+        # the blocks' points by position, so a sum over each block adds
+        # whole rows
+        self.block_columns = np.ascontiguousarray(struct.B.T)
 
     # -- refinement -----------------------------------------------------------
-
-    @staticmethod
-    def _dense_ranks(rows: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-        """Rank of each byte row among the distinct rows, their count, and
-        the rows in sorted order."""
-        order = np.argsort(rows, kind="stable")
-        srows = rows[order]
-        boundary = np.empty(len(order), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = srows[1:] != srows[:-1]
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.cumsum(boundary) - 1
-        return rank, int(boundary.sum()), srows
 
     def refine(self, colors: np.ndarray, n_cells: int) -> tuple[np.ndarray, int, bytes]:
         """Refine the point ``colors`` (with ``n_cells`` cells) to the stable
         coloring: (colors, n_cells, invariant)."""
         s = self.s
-        key = np.empty((s.n_points, s.point_degree + 1), dtype=np.int32)
         while True:
-            # a block's key is the multiset of its points' colors; a point's
-            # is its old color, then the multiset of its blocks' key ranks,
-            # so the new order refines the old one
-            brank, _, bkeys = self._dense_ranks(void_rows(np.sort(colors[s.B], axis=1)))
-            key[:, 0] = colors
-            key[:, 1:] = np.sort(brank[s.P], axis=1)
-            colors, new_n_cells, pkeys = self._dense_ranks(void_rows(key))
+            # a block's key hashes the multiset of its points' colors, a
+            # point's the multiset of its blocks' keys; ranking by (old color,
+            # point key) makes the new order refine the old one
+            bkey = self.color_hash[colors][self.block_columns].sum(axis=0)
+            pkey = _mix(bkey, _BLOCK_SALT)[s.P].sum(axis=1)
+            order = np.lexsort((pkey, colors))
+            sorted_colors = colors[order]
+            sorted_keys = pkey[order]
+            boundary = np.empty(len(order), dtype=bool)
+            boundary[0] = True
+            boundary[1:] = (sorted_colors[1:] != sorted_colors[:-1]) | (
+                sorted_keys[1:] != sorted_keys[:-1]
+            )
+            colors = np.empty(len(order), dtype=np.int32)
+            colors[order] = np.cumsum(boundary) - 1
+            new_n_cells = int(colors[order[-1]]) + 1
             if new_n_cells == n_cells:
+                # stable: every cell has one point key; the invariant is the
+                # cell starts (hence sizes) and those keys
                 h = hashlib.blake2b(digest_size=16)
-                h.update(np.bincount(colors, minlength=n_cells).astype(np.int64).tobytes())
-                h.update(pkeys.tobytes())
-                h.update(bkeys.tobytes())
+                h.update(np.flatnonzero(boundary).astype(np.int32).tobytes())
+                h.update(sorted_keys[boundary].tobytes())
                 return colors, n_cells, h.digest()
             n_cells = new_n_cells
 

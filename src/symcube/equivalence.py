@@ -26,7 +26,7 @@ import numpy as np
 from .canon import CanonResult, canonicalize
 from .cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, verify_cube
 from .designs import DesignParams, IncidenceMatrix, design_class
-from .errors import ConstructionBugError, InvalidInputError, NotACubeError
+from .errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
 from .groups import DifferenceSet, FiniteGroup, automorphism_generators, multipliers as _multipliers
 from .perms import PermGroup, identity as id_perm, inverse as perm_inverse
 
@@ -161,12 +161,18 @@ def _canonicalize(
     )
 
 
-def _certificate(c: Cube, mode: str, seeds: Sequence[Sequence[int]] = ()) -> bytes:
-    """Header (n, v, k, lambda, colored flag) plus the canonical form."""
+def _certificate(
+    c: Cube, mode: str, seeds: Sequence[Sequence[int]] = (), time_budget: float | None = None
+) -> bytes:
+    """Header (n, v, k, lambda, colored flag) plus the canonical form;
+    raises ResourceLimitError if the labelling exceeds ``time_budget``."""
     head = struct.pack(
         "<5I", c.n, c.v, c.params.k, c.params.lam, 0 if mode == "uncolored" else 1
     )
-    return head + _canonicalize(c, mode, seeds).certificate
+    res = _canonicalize(c, mode, seeds, time_budget)
+    if not res.complete:
+        raise ResourceLimitError("canonical labelling time budget exceeded")
+    return head + res.certificate
 
 
 def cube_certificate(c: Cube, mode: str = "uncolored") -> CanonicalCertificate:

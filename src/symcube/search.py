@@ -200,17 +200,22 @@ def _group_cube_seeds(g: FiniteGroup, n: int) -> list[tuple[int, ...]]:
     return [paratopy_to_point_perm(w, n, g.order) for w in _translation_autotopies(g, n, start=1)]
 
 
-def build_seeded_cube_certificate(c: Cube, seeds: Sequence[tuple[int, ...]] = ()) -> bytes:
+def build_seeded_cube_certificate(
+    c: Cube, seeds: Sequence[tuple[int, ...]] = (), time_budget: float | None = None
+) -> bytes:
     """Uncolored cube certificate, seeding the canonicalizer with known
-    automorphisms (given as transversal point permutations)."""
-    return _certificate(c, "uncolored", seeds)
+    automorphisms (given as transversal point permutations); raises
+    ResourceLimitError if the labelling exceeds ``time_budget``."""
+    return _certificate(c, "uncolored", seeds, time_budget)
 
 
-def _difference_cube_certificate(g: FiniteGroup, rep: DifferenceSet, n: int) -> bytes:
+def _difference_cube_certificate(
+    g: FiniteGroup, rep: DifferenceSet, n: int, time_budget: float | None = None
+) -> bytes:
     """Certificate of the difference n-cube of rep, seeded with its
     theoretical autotopies (which the canonicalizer verifies as seeds)."""
     seeds = [paratopy_to_point_perm(w, n, g.order) for w in _difference_cube_autotopies(g, rep, n)]
-    return build_seeded_cube_certificate(difference_cube(g, rep, n), seeds)
+    return build_seeded_cube_certificate(difference_cube(g, rep, n), seeds, time_budget)
 
 
 def difference_cube_reference(
@@ -264,13 +269,21 @@ def classify_group_cubes(
     and should cover all groups of the relevant order (certificates of cubes
     equivalent to a difference cube over *any* group count as difference
     cubes); when omitted, this group's own difference cubes are used.
+
+    ``time_budget`` (seconds) bounds the design search and the cube
+    labellings together; ResourceLimitError is raised when it runs out.
     """
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
+
+    def remaining() -> float | None:
+        return deadline - time.monotonic() if deadline is not None else None
+
     catalog = reference_catalog()
     all_sets = enumerate_difference_sets(g, params.k, params.lam)
     tds = len(all_sets)
     classes = difference_sets_up_to_equivalence(g, params.k, params.lam, all_sets)
     nds = len(classes)
-    own_dc_certs = {_difference_cube_certificate(g, rep, 3) for rep in classes}
+    own_dc_certs = {_difference_cube_certificate(g, rep, 3, remaining()) for rep in classes}
     if reference is None:
         reference = own_dc_certs
     dev_names = set()
@@ -280,7 +293,7 @@ def classify_group_cubes(
     ndc = len(own_dc_certs)
     index_solutions: list[tuple[int, ...]] = []
     find_ds_block_designs(
-        g, params, all_sets, time_budget=time_budget, collect=index_solutions.append
+        g, params, all_sets, time_budget=remaining(), collect=index_solutions.append
     )
     candidates = [tuple(d.elements) for d in all_sets]
     reps: list[tuple[int, ...]] = []
@@ -296,7 +309,7 @@ def classify_group_cubes(
     nondiff_certs: set[bytes] = set()
     for rep in reps:
         cube = group_cube(g, [candidates[i] for i in rep], 3)
-        cert = build_seeded_cube_certificate(cube, seeds)
+        cert = build_seeded_cube_certificate(cube, seeds, remaining())
         if cert in reference:
             diff_certs.add(cert)
         else:

@@ -1,14 +1,17 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
-from symcube.canon import canonicalize, design_canonical
+from symcube.canon import _Search, _Structure, canonicalize, design_canonical
 from symcube.catalog import elementary_16, switched_16_designs
 from symcube.cubes import ParatopyElement, apply_paratopy, difference_cube, random_paratopy
+from symcube.designs import block_quadruple
 from symcube.equivalence import cube_certificate, paratopy_to_point_perm, to_transversal
 from symcube.errors import ConstructionBugError, InvalidInputError
 from symcube.groups import DifferenceSet, development, make_cyclic
+from symcube.perms import void_rows
 from symcube.search import _group_cube_seeds
 
 from named_cubes import fano_cube, named_cube
@@ -43,15 +46,15 @@ def _corpus():
 
 # name -> (sha256 of the certificate, node_count, leaf_count, aut_order)
 PINNED = {
-    "fano design": ("7450fcb2854bb42f11c2255ea34ce25fe2054b414f3924a6637ef8739b1a5910", 11, 5, 168),
-    "D1 design": ("02ddb703f1c6776e313243c32f144c98f20061156e1fbfaca058627a9a3a5a8f", 26, 8, 11520),
-    "D2 design": ("08592ab38d200584c0e411b07706952f5b5c0d51291c7739525e1c075695a366", 28, 9, 768),
-    "D3 design": ("8f44c4722bba0724ba240b6510d78191b75439c991742a5c1e658d29061c459b", 35, 8, 384),
-    "fano cube colored": ("5ed4c52f69cc7d94b544795e508d8222a7f4320dd352ee0023b04d21e153b6fc", 10, 4, 147),
-    "fano cube uncolored": ("be0a163841f294b8102f12153f4f922a6b5e654a99af34d5ce4d5ecbc18669ee", 15, 6, 882),
-    "C3 uncolored": ("379b4ee25aff0c25153724f0e0462e0d7ae76988a1757601659dafa8f26bb4be", 63, 9, 882),
+    "fano design": ("deee4d57b7f6de29c97f0fb824276999a5d202ee706ea29aaf25b7bbf3a93490", 11, 5, 168),
+    "D1 design": ("a53c5447f572b10cf02001addd3126f942bf7d3a6a16e20e1c742a9ca1b32b7b", 26, 8, 11520),
+    "D2 design": ("350f261750d1f174ff6509b1015f0bf4776b11cbb4f2fc2b02ac614e375c496b", 28, 9, 768),
+    "D3 design": ("6dc8dc6a413c39a9464451cce5c5a3b3ec975e0cf31e0e56879756ed5d8f8573", 29, 8, 384),
+    "fano cube colored": ("59d0972401833b5e902c408af66676c3f1ce74254afe9debbcb1133b54414690", 10, 4, 147),
+    "fano cube uncolored": ("5d2cb67b2a937a74200203c9765869146deab1f859f33a9dbd601be85b4ceb9c", 15, 6, 882),
+    "C3 uncolored": ("909f8552d594b0150bb1f7fef081a445fcbcd3da0cfd80ce4e7a29966e0c8044", 70, 14, 882),
     "Z2^4 difference cube seeded": (
-        "eed45854da6890c2036e5d4567c8ed1c66bb756990716cce4a92428c7ea372f6", 43, 9, 1105920
+        "4e14ef37a31d2e880bf721bbc1c3ba171f2e5632f844bbcbdc27d669dc9e24b3", 43, 9, 1105920
     ),
 }
 
@@ -91,6 +94,81 @@ def test_certificate_invariance(name):
 @pytest.mark.parametrize("name", STRESS_CUBES)
 def test_certificate_invariance_extended(name):
     _check_invariance(name, 200)
+
+
+def _dense_ranks(rows):
+    """Rank of each byte row among the distinct rows, and their count."""
+    order = np.argsort(rows, kind="stable")
+    srows = rows[order]
+    boundary = np.empty(len(order), dtype=bool)
+    boundary[0] = True
+    boundary[1:] = srows[1:] != srows[:-1]
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.cumsum(boundary) - 1
+    return rank, int(boundary.sum())
+
+
+def _exact_refine(s, colors, n_cells):
+    """Reference refinement without hashing: a block's key is the sorted row
+    of its points' colors, a point's its old color followed by the sorted
+    ranks of its blocks' keys."""
+    key = np.empty((s.n_points, s.point_degree + 1), dtype=np.int32)
+    while True:
+        brank, _ = _dense_ranks(void_rows(np.sort(colors[s.B], axis=1)))
+        key[:, 0] = colors
+        key[:, 1:] = np.sort(brank[s.P], axis=1)
+        colors, new_n_cells = _dense_ranks(void_rows(key))
+        if new_n_cells == n_cells:
+            return colors, n_cells
+        n_cells = new_n_cells
+
+
+REFINEMENT_CASES = (
+    [(name, "design") for name in ("fano", "D1", "D2", "D3")]
+    + [(name, "quadruple") for name in ("D1", "D2", "D3")]
+    + [(name, mode) for name in ("fano", "C1", "C3", "example52") for mode in ("uncolored", "colored")]
+)
+
+
+def _refinement_structure(name, kind):
+    """(n_points, blocks, point colors) of a design, of the (64,28,12) block
+    quadruple of a (16,6,2) design, or of a cube's transversal design."""
+    if kind in ("design", "quadruple"):
+        if name == "fano":
+            z7 = make_cyclic(7)
+            design = development(DifferenceSet(z7, (1, 2, 4), (7, 3, 1)))
+        else:
+            design = switched_16_designs()[int(name[1]) - 1]
+        bits = block_quadruple(design).bits if kind == "quadruple" else design.bits
+        v = bits.shape[0]
+        return v, [np.flatnonzero(bits[:, j]).tolist() for j in range(v)], [0] * v
+    t = to_transversal(named_cube(name))
+    colors = [p // t.v for p in range(t.n_points)] if kind == "colored" else [0] * t.n_points
+    return t.n_points, t.blocks, colors
+
+
+@pytest.mark.parametrize("name,kind", REFINEMENT_CASES)
+def test_hashed_refinement_matches_exact(name, kind):
+    """At every step of random individualization chains, the hashed
+    refinement reaches the exact refinement's partition, up to the order of
+    the cells."""
+    search = _Search(_Structure(*_refinement_structure(name, kind)))
+    s = search.s
+    rng = random.Random(f"{name} {kind}")
+    for _ in range(24):
+        colors, n_cells = s.init_colors.copy(), s.init_cells
+        while True:
+            hashed, n_hashed, _ = search.refine(colors, n_cells)
+            exact, n_exact = _exact_refine(s, colors, n_cells)
+            assert n_hashed == n_exact
+            # equal partitions: the cell pairs (hashed, exact) are a bijection
+            assert len(set(zip(hashed.tolist(), exact.tolist()))) == n_exact
+            if n_hashed == s.n_points:
+                break
+            sizes = np.bincount(hashed, minlength=n_hashed)
+            v = rng.choice(np.flatnonzero(sizes[hashed] > 1).tolist())
+            colors, n_cells = hashed * 2, n_hashed + 1
+            colors[v] -= 1
 
 
 class TestSeeds:

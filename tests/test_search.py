@@ -6,10 +6,11 @@ import pytest
 
 from symcube import equivalence, groups, search
 from symcube.catalog import elementary_16, reference_catalog
+from symcube.cli import main
 from symcube.cubes import ParatopyElement, group_cube, slice_invariant, verify_cube
 from symcube.datafiles import data_dir, frobenius_21
 from symcube.designs import DesignParams, IncidenceMatrix, verify_design
-from symcube.errors import ConstructionBugError, InvalidInputError, NotACubeError
+from symcube.errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
 from symcube.fileio import load_design, load_orbit_input
 from symcube.groups import (
     FiniteGroup,
@@ -148,6 +149,14 @@ class TestClassification:
         cls = classify_group_cubes(f21, params)
         assert cls.nds == 1 and cls.ndc == 1
         assert cls.ngc == 1  # the unique non-difference group cube
+
+    def test_budget_too_small_for_one_certificate(self, capsys):
+        # the design search over Z7 ends before it first reads the clock, so
+        # only the cube labellings can notice that the budget has run out
+        with pytest.raises(ResourceLimitError, match="labelling"):
+            classify_group_cubes(make_cyclic(7), DesignParams(7, 3, 1), time_budget=1e-6)
+        assert main(["search", "classify", "cyclic:7", "7,3,1", "--time-budget", "1e-6"]) == 2
+        assert "time budget" in capsys.readouterr().err
 
 
 class TestWorkDoneOnce:

@@ -126,7 +126,11 @@ def _exact_refine(s, colors, n_cells):
 REFINEMENT_CASES = (
     [(name, "design") for name in ("fano", "D1", "D2", "D3")]
     + [(name, "quadruple") for name in ("D1", "D2", "D3")]
-    + [(name, mode) for name in ("fano", "C1", "C3", "example52") for mode in ("uncolored", "colored")]
+    + [
+        (name, mode)
+        for name in ("fano", "C1", "C3", "example52")
+        for mode in ("uncolored", "colored")
+    ]
 )
 
 

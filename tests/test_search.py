@@ -10,7 +10,12 @@ from symcube.cli import main
 from symcube.cubes import ParatopyElement, group_cube, slice_invariant, verify_cube
 from symcube.datafiles import data_dir, frobenius_21
 from symcube.designs import DesignParams, IncidenceMatrix, verify_design
-from symcube.errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
+from symcube.errors import (
+    ConstructionBugError,
+    InvalidInputError,
+    NotACubeError,
+    ResourceLimitError,
+)
 from symcube.fileio import load_design, load_orbit_input
 from symcube.groups import (
     FiniteGroup,

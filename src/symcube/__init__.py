@@ -13,6 +13,7 @@ from .designs import (
     block_quadruple,
     complement,
     design_class,
+    development,
     dual,
     mann_product,
     menon_params,
@@ -24,7 +25,6 @@ from .groups import (
     FiniteGroup,
     Multiplier,
     automorphism_group,
-    development,
     difference_sets_up_to_equivalence,
     enumerate_difference_sets,
     find_isomorphism,

@@ -27,11 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import DesignParams, IncidenceMatrix, design_class, switch_blocks, verify_design
+from .designs import (
+    DesignParams,
+    IncidenceMatrix,
+    design_class,
+    development,
+    switch_blocks,
+    verify_design,
+)
 from .errors import ConstructionBugError
 from .groups import (
     DifferenceSet,
-    development,
     difference_sets_up_to_equivalence,
     make_cyclic,
     make_direct_product,

@@ -40,7 +40,7 @@ from .equivalence import (
     cube_certificate,
     paratopy_witness,
 )
-from .errors import SymcubeError
+from .errors import InvalidInputError, SymcubeError
 from .groups import (
     difference_sets_up_to_equivalence,
     enumerate_difference_sets,
@@ -56,7 +56,8 @@ from .search import classify_group_cubes, find_ds_block_designs, orbit_cube
 def resolve_group(spec: str):
     """A group argument: a file path, or one of the shorthands
     ``cyclic:<v>``, ``metacyclic:<m>,<c>,<r>``, ``id16:<id>``, ``f21``,
-    ``z9z3``."""
+    ``z9z3``, or ``product:<a>,<b>`` (the direct product of two groups
+    given as comma-free specs, such as ``product:cyclic:2,cyclic:8``)."""
     if spec == "f21":
         return frobenius_21()
     if spec == "z9z3":
@@ -69,7 +70,12 @@ def resolve_group(spec: str):
     if spec.startswith("id16:"):
         return load_group_16(int(spec.split(":", 1)[1]))
     if spec.startswith("product:"):
-        a, b = spec.split(":", 1)[1].split(",")
+        parts = spec.split(":", 1)[1].split(",")
+        if len(parts) != 2:
+            raise InvalidInputError(
+                f"group spec {spec!r}: expected product:<a>,<b> with two comma-free specs"
+            )
+        a, b = parts
         return make_direct_product(resolve_group(a), resolve_group(b))
     return fileio.load_group(spec)
 

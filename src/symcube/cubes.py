@@ -375,9 +375,9 @@ def hadamard_certificate(h: np.ndarray) -> bytes:
     row copies do.
     """
     arr = np.asarray(h, dtype=np.int64)
-    v = arr.shape[0]
-    if arr.ndim != 2 or arr.shape != (v, v) or not np.isin(arr, (-1, 1)).all():
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not np.isin(arr, (-1, 1)).all():
         raise InvalidInputError("expected a square +-1 matrix")
+    v = arr.shape[0]
     blocks = []
     for j in range(v):
         col = arr[:, j]

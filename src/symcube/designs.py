@@ -23,6 +23,7 @@ __all__ = [
     "verify_design",
     "dual",
     "complement",
+    "development",
     "design_class",
     "switch_blocks",
     "mann_product",
@@ -131,6 +132,18 @@ def dual(a: IncidenceMatrix) -> IncidenceMatrix:
 def complement(a: IncidenceMatrix) -> IncidenceMatrix:
     params = a.params.complement() if a.params is not None else None
     return IncidenceMatrix(1 - a.bits, params)
+
+
+def development(d: DifferenceSet) -> IncidenceMatrix:
+    """Incidence matrix of dev D: entry (i, j) = [g_i in g_j D]."""
+    g = d.group
+    v = g.order
+    bits = np.zeros((v, v), dtype=np.uint8)
+    for j in range(v):
+        row = g.table[j]
+        for x in d.elements:
+            bits[row[x], j] = 1
+    return IncidenceMatrix(bits, DesignParams(*d.params))
 
 
 def design_class(a: IncidenceMatrix, catalog=None) -> DesignClass:

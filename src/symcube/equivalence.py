@@ -343,12 +343,6 @@ def theoretical_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[Par
 def isotopy_group_order(elements: Sequence[ParatopyElement], n: int, v: int) -> int:
     """Order of the group generated by pure isotopies, via their action on
     the n*v class-offset points."""
-    gens = []
-    for e in elements:
-        if tuple(e.axis_perm) != tuple(range(n)):
-            raise InvalidInputError("only pure isotopies act on points classwise")
-        perm = []
-        for t in range(n):
-            perm.extend(t * v + e.perms[t][i] for i in range(v))
-        gens.append(tuple(perm))
-    return PermGroup(gens, n * v).order()
+    if any(tuple(e.axis_perm) != tuple(range(n)) for e in elements):
+        raise InvalidInputError("only pure isotopies act on points classwise")
+    return PermGroup([paratopy_to_point_perm(e, n, v) for e in elements], n * v).order()

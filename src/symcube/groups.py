@@ -35,7 +35,6 @@ __all__ = [
     "enumerate_difference_sets",
     "difference_sets_up_to_equivalence",
     "multipliers",
-    "development",
 ]
 
 
@@ -560,19 +559,3 @@ def multipliers(d: DifferenceSet) -> list[Multiplier]:
     pos = np.maximum(np.searchsorted(translates, images, side="right") - 1, 0)
     hits = np.flatnonzero(translates[pos] == images)
     return [Multiplier(tuple(auts[i].tolist()), int(order[pos[i]])) for i in hits]
-
-
-def development(d: DifferenceSet):
-    """Incidence matrix of dev D: entry (i, j) = [g_i in g_j D]."""
-    # designs imports this module at its top, so this side of the cycle
-    # imports when called
-    from .designs import DesignParams, IncidenceMatrix
-
-    g = d.group
-    v = g.order
-    bits = np.zeros((v, v), dtype=np.uint8)
-    for j in range(v):
-        row = g.table[j]
-        for x in d.elements:
-            bits[row[x], j] = 1
-    return IncidenceMatrix(bits, DesignParams(*d.params))

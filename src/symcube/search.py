@@ -1,15 +1,22 @@
 """Search for designs whose blocks are all difference sets, classification
 of the resulting group cubes, and orbit-generated cube reconstruction.
 
-The design search backtracks over candidate blocks, branching on the
-lexicographically first point pair with coverage below lambda.  While one
-pair is being filled it stays the branching pair, so blocks covering the
-same pair are committed in increasing index order; this yields every block
-multiset exactly once.
+The design search is a clique search (Kaski & Ostergard, *Classification
+Algorithms for Codes and Designs*, 2006).  By the dual of Ryser's theorem,
+v blocks of size k on v points that pairwise meet in lambda points are the
+blocks of a symmetric (v,k,lambda) design, so a design is a v-clique of the
+graph joining the candidates that meet in lambda points.  Each node branches
+on the point lying in fewer than k chosen blocks that has the fewest allowed
+candidates through it, and prunes when some point has fewer of them left
+than it still needs.  The least candidate through the branching point is
+taken (the allowed set shrinks to its neighbours, less the candidates
+through points already in k blocks) and then excluded, so every block set
+is found exactly once.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -19,7 +26,7 @@ import numpy as np
 
 from .catalog import reference_catalog
 from .cubes import Cube, difference_cube, group_cube, slice_invariant
-from .designs import DesignParams, design_class
+from .designs import DesignParams, design_class, development
 from .equivalence import (
     _certificate,
     _difference_cube_autotopies,
@@ -35,7 +42,6 @@ from .groups import (
     DifferenceSet,
     FiniteGroup,
     automorphism_generators,
-    development,
     difference_sets_up_to_equivalence,
     enumerate_difference_sets,
 )
@@ -64,7 +70,7 @@ def find_ds_block_designs(
     collect=None,
 ) -> list[Design]:
     """All (v,k,lambda) designs over g whose blocks are difference sets,
-    as unordered block multisets (each found exactly once).
+    as unordered block multisets (each found exactly once), sorted.
 
     With ``collect``, each solution is passed to it as a sorted tuple of
     candidate indices instead of being accumulated (for streaming callers).
@@ -72,103 +78,46 @@ def find_ds_block_designs(
     v, k, lam = params.v, params.k, params.lam
     if candidates is None:
         candidates = enumerate_difference_sets(g, k, lam)
-    if not candidates:
-        return []
     blocks = [tuple(d.elements) for d in candidates]
-    # pairs are compressed to ranks so compatibility is one mask intersection
-    pair_ids = sorted({b[i] * v + b[j] for b in blocks for i in range(k) for j in range(i + 1, k)})
-    pair_rank = {p: r for r, p in enumerate(pair_ids)}
-    n_ranked = len(pair_ids)
-    block_pairs: list[tuple[int, ...]] = []
-    block_mask: list[int] = []
-    for b in blocks:
-        ranks = tuple(
-            pair_rank[b[i] * v + b[j]] for i in range(k) for j in range(i + 1, k)
-        )
-        block_pairs.append(ranks)
-        mask = 0
-        for r in ranks:
-            mask |= 1 << r
-        block_mask.append(mask)
-    if n_ranked != v * (v - 1) // 2:
-        return []  # some point pair is covered by no candidate block
-    by_pair_mask: dict[int, int] = {r: 0 for r in range(n_ranked)}
-    for idx, ranks in enumerate(block_pairs):
-        for r in ranks:
-            by_pair_mask[r] |= 1 << idx
-    # in a symmetric design any two blocks meet in exactly lambda points, so
-    # candidates pairwise compatible with everything chosen are tracked in a
-    # bitmask; together with a count bound this prunes most dead branches
-    elem_mask = [0] * len(blocks)
-    for idx, b in enumerate(blocks):
-        m = 0
-        for x in b:
-            m |= 1 << x
-        elem_mask[idx] = m
-    adj = [0] * len(blocks)
-    for i in range(len(blocks)):
-        mi = elem_mask[i]
-        acc = 0
-        for j in range(len(blocks)):
-            if i != j and (mi & elem_mask[j]).bit_count() == lam:
-                acc |= 1 << j
-        adj[i] = acc
-    counts = [0] * n_ranked
-    chosen: list[int] = []
-    out: list[Design] = []
+    elem_mask = [sum(1 << x for x in b) for b in blocks]
+    adj = [
+        sum(1 << j for j, mj in enumerate(elem_mask) if j != i and (mi & mj).bit_count() == lam)
+        for i, mi in enumerate(elem_mask)
+    ]
+    through = [sum(1 << i for i, b in enumerate(blocks) if x in b) for x in range(v)]
+    found: list[tuple[int, ...]] = []
+    emit = collect if collect is not None else found.append
     deadline = time.monotonic() + time_budget if time_budget is not None else None
-    state = {"ticker": 0}
-
-    def emit() -> None:
-        if len(chosen) != v:
-            raise ConstructionBugError("coverage complete with wrong block count")
-        sol = tuple(sorted(chosen))
-        if collect is not None:
-            collect(sol)
-        else:
-            out.append(tuple(sorted(blocks[i] for i in sol)))
-
-    def rec(scan_from: int, run_pair: int, min_idx: int, full: int, allowed: int) -> None:
-        state["ticker"] += 1
-        if (
-            deadline is not None
-            and state["ticker"] % 4096 == 0
-            and time.monotonic() > deadline
-        ):
+    nodes = itertools.count(1)
+    # need[x]: how many more chosen blocks must contain point x
+    def rec(allowed: int, need: list[int], chosen: tuple[int, ...]) -> None:
+        if deadline is not None and next(nodes) % 4096 == 0 and time.monotonic() > deadline:
             raise ResourceLimitError("design search time budget exceeded")
-        pos = scan_from
-        while pos < n_ranked and counts[pos] == lam:
-            pos += 1
-        if pos == n_ranked:
-            emit()
+        point, fewest = -1, len(blocks) + 1
+        for x in range(v):
+            if need[x] > 0:
+                left = (allowed & through[x]).bit_count()
+                if left < need[x]:
+                    return
+                if left < fewest:
+                    point, fewest = x, left
+        if point < 0:
+            if need.count(0) != v:
+                raise ConstructionBugError("a point lies in other than k chosen blocks")
+            emit(tuple(sorted(chosen)))
             return
-        cands = by_pair_mask[pos] & allowed
-        if pos == run_pair and min_idx:
-            cands &= -(1 << min_idx)
-        need = v - len(chosen)
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            idx = low.bit_length() - 1
-            if block_mask[idx] & full:
-                continue
-            new_allowed = allowed & adj[idx]
-            if new_allowed.bit_count() < need - 1:
-                continue
-            new_full = full
-            for q in block_pairs[idx]:
-                c = counts[q] + 1
-                counts[q] = c
-                if c == lam:
-                    new_full |= 1 << q
-            chosen.append(idx)
-            rec(pos, pos, idx + 1, new_full, new_allowed)
-            chosen.pop()
-            for q in block_pairs[idx]:
-                counts[q] -= 1
+        while (cands := allowed & through[point]).bit_count() >= need[point]:
+            i = (cands & -cands).bit_length() - 1
+            sub, rest = allowed & adj[i], need.copy()
+            for x in blocks[i]:
+                rest[x] -= 1
+                if not rest[x]:
+                    sub &= ~through[x]
+            rec(sub, rest, chosen + (i,))
+            allowed ^= 1 << i
 
-    rec(0, -1, 0, 0, (1 << len(blocks)) - 1)
-    return out
+    rec((1 << len(blocks)) - 1, [k] * v, ())
+    return sorted(tuple(sorted(blocks[i] for i in sol)) for sol in found)
 
 
 # -- orbit dedup of found designs ------------------------------------------------

@@ -7,10 +7,10 @@ import pytest
 from symcube.canon import _Search, _Structure, canonicalize, design_canonical
 from symcube.catalog import elementary_16, switched_16_designs
 from symcube.cubes import ParatopyElement, apply_paratopy, difference_cube, random_paratopy
-from symcube.designs import block_quadruple
+from symcube.designs import block_quadruple, development
 from symcube.equivalence import cube_certificate, paratopy_to_point_perm, to_transversal
 from symcube.errors import ConstructionBugError, InvalidInputError
-from symcube.groups import DifferenceSet, development, make_cyclic
+from symcube.groups import DifferenceSet, make_cyclic
 from symcube.perms import void_rows
 from symcube.search import _group_cube_seeds
 

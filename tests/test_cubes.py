@@ -12,6 +12,7 @@ from symcube.cubes import (
     apply_paratopy,
     difference_cube,
     group_cube,
+    hadamard_certificate,
     hadamard_slice_checks,
     is_totally_symmetric,
     latin_square_to_cube,
@@ -257,6 +258,15 @@ class TestHadamard:
         d = DifferenceSet(k4, (0,), (4, 1, 0))
         h = to_hadamard(difference_cube(k4, d, 3))
         assert hadamard_slice_checks(h)
+
+    @pytest.mark.parametrize(
+        "h",
+        [np.array(1), np.ones(4), np.ones((2, 3)), np.zeros((2, 2))],
+        ids=["0-d", "1-d", "2x3", "zeros"],
+    )
+    def test_certificate_rejects_non_square_pm1(self, h):
+        with pytest.raises(InvalidInputError, match="expected a square"):
+            hadamard_certificate(h)
 
     def test_non_menon_rejected(self, fano_cube):
         with pytest.raises(InvalidInputError):

@@ -13,6 +13,7 @@ from symcube.designs import (
     block_quadruple,
     complement,
     design_class,
+    development,
     dual,
     mann_product,
     menon_params,
@@ -20,7 +21,7 @@ from symcube.designs import (
     verify_design,
 )
 from symcube.errors import InvalidInputError
-from symcube.groups import DifferenceSet, development, make_cyclic
+from symcube.groups import DifferenceSet, make_cyclic
 
 
 @pytest.fixture(scope="module")

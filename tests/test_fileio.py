@@ -60,6 +60,19 @@ def test_cli_has_no_seed_or_jobs_option(capsys):
     assert main(["--jobs", "2", "reproduce", "fano"]) == 2
 
 
+@pytest.mark.parametrize("spec", ["product:metacyclic:3,7,2,cyclic:2", "product:cyclic:2"])
+def test_cli_product_spec_needs_two_parts(capsys, spec):
+    assert main(["group", "make", spec]) == 2
+    err = capsys.readouterr().err
+    assert repr(spec) in err and "product:<a>,<b>" in err
+    assert "Traceback" not in err
+
+
+def test_cli_product_spec(capsys):
+    assert main(["group", "make", "product:cyclic:2,cyclic:8"]) == 0
+    assert "order 16 abelian True" in capsys.readouterr().out
+
+
 def test_cube_and_transversal_roundtrip(tmp_path):
     z7 = make_cyclic(7)
     c = difference_cube(z7, DifferenceSet(z7, (1, 2, 4), (7, 3, 1)), 3)

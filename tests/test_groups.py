@@ -4,13 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from symcube.designs import DesignParams, verify_design
+from symcube.designs import DesignParams, development, verify_design
 from symcube.errors import ConstructionBugError, InvalidInputError, ResourceLimitError
 from symcube.groups import (
     DifferenceSet,
     FiniteGroup,
     automorphism_group,
-    development,
     difference_sets_up_to_equivalence,
     enumerate_difference_sets,
     find_isomorphism,

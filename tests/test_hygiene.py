@@ -64,10 +64,7 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
-# designs imports groups at its top (mann_product builds difference sets),
-# and groups.development returns a designs.IncidenceMatrix: the package's one
-# import cycle, broken by importing on the groups side when called
-ALLOWED_LOCAL_IMPORTS = {("groups.py", "development", ".designs")}
+ALLOWED_LOCAL_IMPORTS: set[tuple[str, str, str]] = set()
 
 
 def _local_imports(tree: ast.Module) -> dict[int, tuple[str, str]]:

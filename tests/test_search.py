@@ -8,7 +8,7 @@ from symcube import equivalence, groups, search
 from symcube.catalog import elementary_16, reference_catalog
 from symcube.cli import main
 from symcube.cubes import ParatopyElement, group_cube, slice_invariant, verify_cube
-from symcube.datafiles import data_dir, frobenius_21
+from symcube.datafiles import data_dir, frobenius_21, load_group_16
 from symcube.designs import DesignParams, IncidenceMatrix, verify_design
 from symcube.errors import (
     ConstructionBugError,
@@ -88,13 +88,22 @@ class TestDesignSearch:
             for b in sol:
                 assert is_difference_set(z7, b, 1)
 
-    @pytest.mark.parametrize("v,k,lam", [(7, 3, 1), (13, 4, 1)])
-    def test_against_naive_backtracking(self, v, k, lam):
-        g = make_cyclic(v)
+    @pytest.mark.parametrize(
+        "make_group,v,k,lam,n_designs",
+        [
+            pytest.param(lambda: make_cyclic(7), 7, 3, 1, 2, id="7-3-1"),
+            pytest.param(lambda: make_cyclic(13), 13, 4, 1, 4, id="13-4-1"),
+            pytest.param(frobenius_21, 21, 5, 1, 70, id="f21-21-5-1"),
+            pytest.param(lambda: load_group_16(6), 16, 6, 2, 576, id="id16:6-16-6-2"),
+        ],
+    )
+    def test_against_naive_backtracking(self, make_group, v, k, lam, n_designs):
+        g = make_group()
         params = DesignParams(v, k, lam)
         cands = enumerate_difference_sets(g, k, lam)
         fast = []
         find_ds_block_designs(g, params, cands, collect=fast.append)
+        assert len(fast) == n_designs
         assert sorted(fast) == naive_pair_coverage_search(g, params, cands)
 
     def test_fano_brute_force_subsets(self):

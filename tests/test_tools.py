@@ -24,3 +24,11 @@ def test_gen_groups16_regenerates_bundled_groups(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in bundled]
     for path in bundled:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+def test_gen_bundled_data_regenerates_bundled_files(tmp_path, monkeypatch):
+    tool = _load_tool("gen_bundled_data")
+    monkeypatch.setattr(tool, "DATA", tmp_path)
+    tool.main()
+    for name in ("designs/fano_a1.design", "designs/f21_nondev.design", "orbit/ngc_example.orbit"):
+        assert (tmp_path / name).read_bytes() == (data_dir() / name).read_bytes()

@@ -135,7 +135,11 @@ def write_orbit_input():
     print("wrote ngc_example.orbit")
 
 
-if __name__ == "__main__":
+def main():
     write_fano()
     write_f21_design()
     write_orbit_input()
+
+
+if __name__ == "__main__":
+    main()

@@ -53,6 +53,18 @@ from .reproduce import TARGETS, run_target
 from .search import classify_group_cubes, find_ds_block_designs, orbit_cube
 
 
+def _ints(text: str, count: int, argument: str, form: str) -> list[int]:
+    """``count`` comma-separated integers from ``text``, or an
+    InvalidInputError that names the argument and its expected form."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise InvalidInputError(f"{argument}: expected {form}")
+    return values
+
+
 def resolve_group(spec: str):
     """A group argument: a file path, or one of the shorthands
     ``cyclic:<v>``, ``metacyclic:<m>,<c>,<r>``, ``id16:<id>``, ``f21``,
@@ -62,15 +74,20 @@ def resolve_group(spec: str):
         return frobenius_21()
     if spec == "z9z3":
         return nonabelian_27()
-    if spec.startswith("cyclic:"):
-        return make_cyclic(int(spec.split(":", 1)[1]))
-    if spec.startswith("metacyclic:"):
-        m, c, r = (int(x) for x in spec.split(":", 1)[1].split(","))
+    kind, _, arg = spec.partition(":")
+    if kind == "cyclic":
+        (v,) = _ints(arg, 1, f"group spec {spec!r}", "cyclic:<v> with an integer v")
+        return make_cyclic(v)
+    if kind == "metacyclic":
+        m, c, r = _ints(
+            arg, 3, f"group spec {spec!r}", "metacyclic:<m>,<c>,<r> with three integers"
+        )
         return make_metacyclic(m, c, r)
-    if spec.startswith("id16:"):
-        return load_group_16(int(spec.split(":", 1)[1]))
-    if spec.startswith("product:"):
-        parts = spec.split(":", 1)[1].split(",")
+    if kind == "id16":
+        (gid,) = _ints(arg, 1, f"group spec {spec!r}", "id16:<id> with an integer id")
+        return load_group_16(gid)
+    if kind == "product":
+        parts = arg.split(",")
         if len(parts) != 2:
             raise InvalidInputError(
                 f"group spec {spec!r}: expected product:<a>,<b> with two comma-free specs"
@@ -81,7 +98,7 @@ def resolve_group(spec: str):
 
 
 def _params(s: str) -> DesignParams:
-    v, k, lam = (int(x) for x in s.split(","))
+    v, k, lam = _ints(s, 3, f"design parameters {s!r}", "<v>,<k>,<lambda> with three integers")
     return DesignParams(v, k, lam)
 
 

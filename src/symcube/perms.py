@@ -4,11 +4,13 @@ orbit partitions and the actions that point maps induce on set families.
 Permutations on ``{0, ..., n-1}`` are stored as tuples ``p`` with ``p[i]`` the
 image of ``i``.  Composition is ``compose(p, q)[i] = p[q[i]]`` (apply q first).
 The orbit partition (``orbit_ids``) and the induced action on a family of
-sets (``induced_permutations``) work on numpy arrays; together they are the
-orbit-based isomorph rejection shared by the difference-set classes, the
-design dedup and the canonical labeller.  ``orbit_minima`` composes the two:
-the least member of each orbit of a sorted family, the representatives of
-both the difference-set classes and the group-cube designs.
+sets (``induced_permutations``, through the set lookup ``RowIndex``) work on
+numpy arrays; together they are the orbit-based isomorph rejection shared
+by the difference-set classes, the group-cube design search and the
+canonical labeller.  ``orbit_minima`` composes the two: the least member of
+each orbit of a sorted family, the representatives of the difference-set
+classes.  ``component_ids`` partitions a graph given by its edges, for
+moves that are not permutations of the whole family.
 """
 
 from __future__ import annotations
@@ -241,6 +243,45 @@ def orbit_ids(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
         ids = pulled[pulled]
 
 
+def component_ids(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on range(n) with the edges
+    ``u[j] -- w[j]``: each vertex is labelled by the least vertex of its
+    component."""
+    ids = np.arange(n)
+    while True:
+        # as in orbit_ids: pull the least label across every edge, then
+        # shortcut labels through their own labels
+        pulled = ids.copy()
+        np.minimum.at(pulled, u, ids[w])
+        np.minimum.at(pulled, w, ids[u])
+        pulled = pulled[pulled]
+        if np.array_equal(pulled, ids):
+            return ids
+        ids = pulled
+
+
+class RowIndex:
+    """Positions of sets in a family of distinct sets of equal size, each
+    given as a sorted row; the family is not empty."""
+
+    def __init__(self, rows: Sequence[Sequence[int]] | np.ndarray):
+        keys = void_rows(np.asarray(rows, dtype=np.int32))
+        self.order = np.argsort(keys).astype(np.int32)
+        keys.sort()
+        self.keys = keys
+
+    def find(self, images: np.ndarray) -> np.ndarray | None:
+        """The position of each row of ``images`` (an integer array, sorted
+        in place along its rows) in the family, or None if some row of it
+        is not in the family."""
+        images.sort(axis=1)
+        images = void_rows(images)
+        pos = np.minimum(np.searchsorted(self.keys, images), len(self.keys) - 1)
+        if not (self.keys[pos] == images).all():
+            return None
+        return self.order[pos]
+
+
 def induced_permutations(
     rows: Sequence[Sequence[int]] | np.ndarray, point_maps: Iterable[Sequence[int]]
 ) -> list[np.ndarray] | None:
@@ -251,22 +292,14 @@ def induced_permutations(
     the image of row i under ``point_maps[j]``.  Returns None if some image
     is not a row.
     """
-    # int32 rows and in-place sorts keep the peak memory near a few copies of
-    # the family, which matters for the tens of thousands of designs of a
-    # (16,6,2) classification
     rows = np.asarray(rows, dtype=np.int32)
-    keys = void_rows(rows)
-    order = np.argsort(keys).astype(np.int32)
-    keys.sort()
+    index = RowIndex(rows)
     out = []
     for pm in point_maps:
-        images = np.asarray(pm, dtype=np.int32)[rows]
-        images.sort(axis=1)
-        images = void_rows(images)
-        pos = np.minimum(np.searchsorted(keys, images), len(rows) - 1)
-        if not (keys[pos] == images).all():
+        perm = index.find(np.asarray(pm, dtype=np.int32)[rows])
+        if perm is None:
             return None
-        out.append(order[pos])
+        out.append(perm)
     return out
 
 

@@ -11,7 +11,37 @@ candidates through it, and prunes when some point has fewer of them left
 than it still needs.  The least candidate through the branching point is
 taken (the allowed set shrinks to its neighbours, less the candidates
 through points already in k blocks) and then excluded, so every block set
-is found exactly once.
+is found exactly once.  A rooted search takes one given block first.
+
+Group cubes are classified up to the design moves: the group M of point
+maps generated by Aut(G), the left and right translations and the
+inversion x -> x^-1.  Each of them maps difference sets to difference sets
+(right differences of a difference set are balanced too), hence designs to
+designs, and the group cubes of a design and of its image are paratopic.
+For the inversion: swapping axes 2 and 3 of C(i1,i2,i3) = [g_i2 g_i3 in
+B_i1] gives [g_i3 g_i2 in B_i1] = [g_i2^-1 g_i3^-1 in B_i1^-1], and
+relabelling both axes by inversion then gives the group cube of the blocks
+B_i^-1.
+
+The designs are searched only through candidate-orbit minima (orbit-based
+isomorph rejection: Kaski & Ostergard, ch. 4 and 10; McKay, *Isomorph-free
+exhaustive generation*, J. Algorithms 1998).  Let O be an M-orbit of
+candidates with least index m, and S_m the designs that contain m and whose
+blocks all lie in orbits with least index >= m.  The least design of a
+design orbit (as a sorted tuple of candidate indices) starts with the least
+block that any member contains; that block is the least of its candidate
+orbit, and no block of the design lies in an orbit with a smaller least
+index.  So each design orbit meets exactly one S_m, in those members that
+contain m, its least design among them, and a search rooted at m finds S_m.
+If D and hD (h in M) both lie in S_m, then b = h^-1(m) lies in D and in O;
+with t_b a fixed transporter m -> b, s = h t_b fixes m and hD = s(t_b^-1 D).
+So the rerooting moves D -> t_b^-1 D (b in D and O) and the generators of
+Stab_M(m), which map S_m onto itself, connect the members of each orbit
+within S_m, and the least member of each component is its orbit's least
+design.  M is transitive on O, so each b in O lies in equally many designs
+of a design orbit; counting the pairs (D, b) with b in D and O then gives
+the number of designs as the sum over the orbits O of |O| times the sum of
+1/|D and O| over S_m.
 """
 
 from __future__ import annotations
@@ -20,6 +50,7 @@ import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Collection, Iterable, Sequence
 
 import numpy as np
@@ -45,7 +76,17 @@ from .groups import (
     difference_sets_up_to_equivalence,
     enumerate_difference_sets,
 )
-from .perms import PermGroup, Perm, induced_permutations, orbit_minima
+from .perms import (
+    PermGroup,
+    Perm,
+    RowIndex,
+    component_ids,
+    compose,
+    identity,
+    induced_permutations,
+    inverse,
+    orbit_ids,
+)
 
 __all__ = [
     "find_ds_block_designs",
@@ -62,34 +103,54 @@ __all__ = [
 Design = tuple[tuple[int, ...], ...]  # blocks as sorted element tuples, sorted
 
 
+def _bitmasks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int with bit j set for column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def find_ds_block_designs(
     g: FiniteGroup,
     params: DesignParams,
     candidates: Sequence[DifferenceSet] | None = None,
     time_budget: float | None = None,
     collect=None,
+    *,
+    root: int | None = None,
 ) -> list[Design]:
     """All (v,k,lambda) designs over g whose blocks are difference sets,
     as unordered block multisets (each found exactly once), sorted.
 
     With ``collect``, each solution is passed to it as a sorted tuple of
     candidate indices instead of being accumulated (for streaming callers).
+    With ``root`` (a candidate index), only the designs that contain that
+    candidate are found.
     """
     v, k, lam = params.v, params.k, params.lam
     if candidates is None:
         candidates = enumerate_difference_sets(g, k, lam)
     blocks = [tuple(d.elements) for d in candidates]
-    elem_mask = [sum(1 << x for x in b) for b in blocks]
-    adj = [
-        sum(1 << j for j, mj in enumerate(elem_mask) if j != i and (mi & mj).bit_count() == lam)
-        for i, mi in enumerate(elem_mask)
-    ]
-    through = [sum(1 << i for i, b in enumerate(blocks) if x in b) for x in range(v)]
+    member = np.zeros((len(blocks), v), dtype=np.int32)
+    for i, b in enumerate(blocks):
+        member[i, list(b)] = 1
+    meets = member @ member.T == lam
+    np.fill_diagonal(meets, False)
+    adj = _bitmasks(meets)
+    through = _bitmasks(member.T.astype(bool))
     found: list[tuple[int, ...]] = []
     emit = collect if collect is not None else found.append
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     nodes = itertools.count(1)
+
     # need[x]: how many more chosen blocks must contain point x
+    def take(i: int, allowed: int, need: list[int], chosen: tuple[int, ...]) -> None:
+        sub, rest = allowed & adj[i], need.copy()
+        for x in blocks[i]:
+            rest[x] -= 1
+            if not rest[x]:
+                sub &= ~through[x]
+        rec(sub, rest, chosen + (i,))
+
     def rec(allowed: int, need: list[int], chosen: tuple[int, ...]) -> None:
         if deadline is not None and next(nodes) % 4096 == 0 and time.monotonic() > deadline:
             raise ResourceLimitError("design search time budget exceeded")
@@ -108,36 +169,153 @@ def find_ds_block_designs(
             return
         while (cands := allowed & through[point]).bit_count() >= need[point]:
             i = (cands & -cands).bit_length() - 1
-            sub, rest = allowed & adj[i], need.copy()
-            for x in blocks[i]:
-                rest[x] -= 1
-                if not rest[x]:
-                    sub &= ~through[x]
-            rec(sub, rest, chosen + (i,))
+            take(i, allowed, need, chosen)
             allowed ^= 1 << i
 
-    rec((1 << len(blocks)) - 1, [k] * v, ())
+    if root is None:
+        rec((1 << len(blocks)) - 1, [k] * v, ())
+    else:
+        take(root, (1 << len(blocks)) - 1, [k] * v, ())
     return sorted(tuple(sorted(blocks[i] for i in sol)) for sol in found)
 
 
-# -- orbit dedup of found designs ------------------------------------------------
+# -- one design per orbit ----------------------------------------------------------
 
 
-def _design_moves(g: FiniteGroup, candidates: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """Permutations of the candidate-block index set induced by Aut(G)
-    generators and left/right translations by group generators.
+def _design_moves(g: FiniteGroup) -> list[Perm]:
+    """Point maps generating the design moves M: generators of Aut(G), left
+    and right translations by group generators, and the inversion.
 
-    Designs in one orbit of these moves yield paratopic cubes, so orbit
-    representatives suffice for classification by certificate.
+    Designs in one orbit of M yield paratopic cubes (see the module
+    docstring), so orbit representatives suffice for classification by
+    certificate.
     """
     maps = automorphism_generators(g)
     for a in g.generating_sequence():
-        maps.append(g.table[a])  # left translation
-        maps.append([g.table[x][a] for x in range(g.order)])  # right translation
-    moves = induced_permutations(candidates, maps)
+        maps.append(tuple(g.table[a]))  # left translation
+        maps.append(tuple(g.table[x][a] for x in range(g.order)))  # right translation
+    maps.append(tuple(g.inv(x) for x in range(g.order)))
+    return maps
+
+
+def _rerooting_and_stabiliser(
+    m: int, maps: Sequence[Perm], moves: Sequence[np.ndarray], group_order: int
+) -> tuple[dict[int, Perm], list[Perm]]:
+    """For each candidate b in the M-orbit of the candidate m, the inverse
+    of a transporter m -> b (found by BFS over the point maps ``maps``,
+    which act on the candidates as ``moves``); and generators of Stab_M(m),
+    sifted from the Schreier generators until the order is |M| / |orbit|."""
+    degree = len(maps[0])
+    transporter = {m: identity(degree)}
+    orbit = [m]
+    for b in orbit:
+        for p, move in zip(maps, moves):
+            c = int(move[b])
+            if c not in transporter:
+                transporter[c] = compose(p, transporter[b])
+                orbit.append(c)
+    back = {b: inverse(t) for b, t in transporter.items()}
+    stab = PermGroup((), degree)
+    gens: list[Perm] = []
+    for b in orbit:
+        for p, move in zip(maps, moves):
+            if stab.order() * len(orbit) == group_order:
+                return back, gens
+            schreier = compose(back[int(move[b])], compose(p, transporter[b]))
+            if schreier not in stab:
+                stab.add_generator(schreier)
+                gens.append(schreier)
+    if stab.order() * len(orbit) != group_order:
+        raise ConstructionBugError(
+            f"stabiliser order {stab.order()} is not |M|/|orbit| = {group_order}/{len(orbit)}"
+        )
+    return back, gens
+
+
+def _orbits_within_root(
+    rows: np.ndarray,
+    designs: np.ndarray,
+    m: int,
+    orbit_min: np.ndarray,
+    maps: Sequence[Perm],
+    moves: Sequence[np.ndarray],
+    group_order: int,
+) -> tuple[list[tuple[int, ...]], int]:
+    """The least design of each design orbit that meets S_m, and the number
+    of designs in those orbits.  ``designs`` is S_m as sorted rows of indices
+    into the candidates ``rows``, in increasing order; ``orbit_min`` labels
+    each candidate by the least index of its M-orbit."""
+    back, stab_gens = _rerooting_and_stabiliser(m, maps, moves, group_order)
+    orbit = list(back)
+    cand_moves = induced_permutations(rows, list(back.values()) + stab_gens)
+    if cand_moves is None:
+        raise ConstructionBugError("candidate set is not closed under the design moves")
+    reroot = np.stack(cand_moves[: len(orbit)])
+    slot = np.full(len(rows), -1)
+    slot[orbit] = np.arange(len(orbit))
+    # the edges of the move graph on S_m: one rerooting move for each block
+    # of O in a design, one move per stabiliser generator
+    index = RowIndex(designs)
+    n = len(designs)
+    in_orbit = orbit_min[designs] == m
+    src, col = np.nonzero(in_orbit)
+    dst = [index.find(reroot[slot[designs[src, col]][:, None], designs[src]])]
+    dst += [index.find(perm[designs]) for perm in cand_moves[len(orbit) :]]
+    if any(d is None for d in dst):
+        raise ConstructionBugError("a rerooting or stabiliser move left S_m")
+    src = np.concatenate([src] + [np.arange(n)] * len(stab_gens))
+    ids = component_ids(n, src, np.concatenate(dst))
+    sizes, counts = np.unique(in_orbit.sum(axis=1), return_counts=True)
+    weighted = sum(Fraction(len(orbit) * int(c), int(s)) for s, c in zip(sizes, counts))
+    if weighted.denominator != 1:
+        raise ConstructionBugError(f"weighted design count {weighted} is not an integer")
+    return [tuple(d) for d in designs[ids == np.arange(n)].tolist()], int(weighted)
+
+
+def _design_orbit_representatives(
+    g: FiniteGroup,
+    params: DesignParams,
+    candidates: Sequence[DifferenceSet],
+    time_budget: float | None = None,
+) -> tuple[list[tuple[int, ...]], int]:
+    """The least design of each orbit of the design moves, as sorted tuples
+    of indices into ``candidates`` (all difference sets of g, sorted), in
+    increasing order, and the number of designs; searched through the
+    candidate-orbit minima as the module docstring describes."""
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    rows = np.array([d.elements for d in candidates], dtype=np.int32)
+    if not len(rows):
+        return [], 0
+    maps = _design_moves(g)
+    moves = induced_permutations(rows, maps)
     if moves is None:
-        raise ConstructionBugError("candidate set is not closed under the action")
-    return moves
+        raise ConstructionBugError("candidate set is not closed under the design moves")
+    orbit_min = orbit_ids(moves, len(rows))
+    group_order = PermGroup(maps, g.order).order()
+    reps: list[tuple[int, ...]] = []
+    count = 0
+    for m in np.flatnonzero(orbit_min == np.arange(len(rows))).tolist():
+        remaining = deadline - time.monotonic() if deadline is not None else None
+        if remaining is not None and remaining <= 0:
+            raise ResourceLimitError("design search time budget exceeded")
+        keep = np.flatnonzero(orbit_min >= m)  # m is the least index kept
+        found: list[tuple[int, ...]] = []
+        find_ds_block_designs(
+            g,
+            params,
+            [candidates[i] for i in keep],
+            time_budget=remaining,
+            collect=found.append,
+            root=0,
+        )
+        if found:
+            designs = keep[np.array(sorted(found))]
+            root_reps, root_count = _orbits_within_root(
+                rows, designs, m, orbit_min, maps, moves, group_order
+            )
+            reps += root_reps
+            count += root_count
+    return sorted(reps), count
 
 
 # -- seeded certificates -----------------------------------------------------------
@@ -240,19 +418,8 @@ def classify_group_cubes(
         name = design_class(development(rep), catalog).name
         dev_names.add(name if name is not None else "?")
     ndc = len(own_dc_certs)
-    index_solutions: list[tuple[int, ...]] = []
-    find_ds_block_designs(
-        g, params, all_sets, time_budget=remaining(), collect=index_solutions.append
-    )
+    reps, design_count = _design_orbit_representatives(g, params, all_sets, remaining())
     candidates = [tuple(d.elements) for d in all_sets]
-    reps: list[tuple[int, ...]] = []
-    if index_solutions:
-        # one representative per orbit of designs: the least member of each
-        sols = sorted(index_solutions)
-        minima = orbit_minima(sols, _design_moves(g, candidates))
-        if minima is None:
-            raise ConstructionBugError("design orbit left the solution set")
-        reps = [sols[i] for i in minima]
     seeds = _group_cube_seeds(g, 3)
     diff_certs: set[bytes] = set()
     nondiff_certs: set[bytes] = set()
@@ -263,7 +430,7 @@ def classify_group_cubes(
             diff_certs.add(cert)
         else:
             nondiff_certs.add(cert)
-    if index_solutions and not own_dc_certs <= diff_certs:
+    if reps and not own_dc_certs <= diff_certs:
         raise ConstructionBugError(
             "development cubes missing from the classified group cubes"
         )
@@ -275,7 +442,7 @@ def classify_group_cubes(
         dev_classes=sorted(dev_names),
         tds=tds,
         ngc=len(nondiff_certs),
-        design_count=len(index_solutions),
+        design_count=design_count,
         orbit_rep_count=len(reps),
         difference_certs=sorted(diff_certs),
         non_difference_certs=sorted(nondiff_certs),

@@ -68,6 +68,23 @@ def test_cli_product_spec_needs_two_parts(capsys, spec):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,named,form",
+    [
+        (["group", "make", "metacyclic:3,7"], "'metacyclic:3,7'", "metacyclic:<m>,<c>,<r>"),
+        (["group", "make", "metacyclic:3,7,x"], "'metacyclic:3,7,x'", "metacyclic:<m>,<c>,<r>"),
+        (["group", "make", "cyclic:x"], "'cyclic:x'", "cyclic:<v>"),
+        (["search", "ds-designs", "cyclic:7", "7,3"], "'7,3'", "<v>,<k>,<lambda>"),
+        (["search", "ds-designs", "cyclic:7", "7,x,1"], "'7,x,1'", "<v>,<k>,<lambda>"),
+    ],
+)
+def test_cli_comma_lists_are_checked(capsys, argv, named, form):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and form in err
+    assert "unpack" not in err and "invalid literal" not in err
+
+
 def test_cli_product_spec(capsys):
     assert main(["group", "make", "product:cyclic:2,cyclic:8"]) == 0
     assert "order 16 abelian True" in capsys.readouterr().out

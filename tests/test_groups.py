@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from symcube.datafiles import frobenius_21, load_group_16
 from symcube.designs import DesignParams, development, verify_design
 from symcube.errors import ConstructionBugError, InvalidInputError, ResourceLimitError
 from symcube.groups import (
@@ -262,6 +263,29 @@ class TestDifferenceSets:
             DifferenceSet(z7, (1, 2, 3), (7, 3, 1))
         with pytest.raises(InvalidInputError):
             DifferenceSet(z7, (1, 2, 4), (7, 3, 2))
+
+
+DOUBLE_COUNT_CASES = [
+    pytest.param(lambda gid=gid: load_group_16(gid), 6, 2, id=f"id16:{gid}")
+    for gid in range(1, 15)
+] + [
+    pytest.param(frobenius_21, 5, 1, id="F21"),
+    pytest.param(lambda: make_cyclic(21), 5, 1, id="Z21"),
+    pytest.param(lambda: make_cyclic(15), 7, 3, id="Z15"),
+    pytest.param(lambda: make_cyclic(13), 4, 1, id="Z13"),
+]
+
+
+@pytest.mark.parametrize("make_group,k,lam", DOUBLE_COUNT_CASES)
+def test_difference_sets_by_double_counting(make_group, k, lam):
+    # the maps x -> a*phi(x) number |G|*|Aut(G)|, and those fixing D are
+    # Mult(D) (its translates are distinct), so D's class has
+    # |G|*|Aut(G)|/|Mult(D)| members
+    g = make_group()
+    sets = enumerate_difference_sets(g, k, lam)
+    n_aut = len(automorphism_group(g))
+    classes = difference_sets_up_to_equivalence(g, k, lam, sets)
+    assert sum(g.order * n_aut // len(multipliers(d)) for d in classes) == len(sets)
 
 
 class TestMultipliersAndDevelopment:

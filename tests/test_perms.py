@@ -7,6 +7,8 @@ import pytest
 
 from symcube.perms import (
     PermGroup,
+    RowIndex,
+    component_ids,
     compose,
     format_cycles,
     identity,
@@ -177,3 +179,34 @@ def test_orbit_minima_match_orbit_closure():
 
 def test_orbit_minima_leaving_the_family():
     assert orbit_minima([(0, 1), (1, 2)], [(2, 0, 1)]) is None
+
+
+def test_component_ids_match_graph_search():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))]
+        u = np.array([a for a, _ in edges], dtype=np.int64)
+        w = np.array([b for _, b in edges], dtype=np.int64)
+        neighbours = {x: set() for x in range(n)}
+        for a, b in edges:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+        expected = list(range(n))
+        for x in range(n):
+            if expected[x] != x:
+                continue
+            queue = [x]
+            while queue:
+                for y in neighbours[queue.pop()]:
+                    if expected[y] == y and y != x:
+                        expected[y] = x
+                        queue.append(y)
+        assert component_ids(n, u, w).tolist() == expected
+
+
+def test_row_index_finds_rows_in_any_order():
+    rows = [(0, 2), (1, 2), (0, 1)]
+    index = RowIndex(rows)
+    assert index.find(np.array([[2, 1], [1, 0], [2, 0]])).tolist() == [1, 2, 0]
+    assert index.find(np.array([[0, 3]])) is None

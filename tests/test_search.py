@@ -23,6 +23,7 @@ from symcube.groups import (
     is_difference_set,
     make_cyclic,
 )
+from symcube.perms import PermGroup, induced_permutations, orbit_minima
 from symcube.search import (
     OrbitCubeInput,
     classify_group_cubes,
@@ -125,6 +126,175 @@ class TestDesignSearch:
     def test_no_candidates(self):
         z16 = make_cyclic(16)
         assert find_ds_block_designs(z16, DesignParams(16, 6, 2)) == []
+
+
+def full_enumeration_minima(g, params, cands):
+    """Oracle for the rooted search: every design, then the least member of
+    each orbit of the design moves, and the number of designs."""
+    sols = []
+    find_ds_block_designs(g, params, cands, collect=sols.append)
+    if not sols:
+        return [], 0
+    sols.sort()
+    moves = induced_permutations([d.elements for d in cands], search._design_moves(g))
+    minima = orbit_minima(sols, moves)
+    assert minima is not None
+    return [sols[i] for i in minima], len(sols)
+
+
+def _order16(gid, *marks):
+    return pytest.param(lambda: load_group_16(gid), (16, 6, 2), id=f"id16:{gid}", marks=marks)
+
+
+ORBIT_CASES = [
+    pytest.param(lambda: make_cyclic(7), (7, 3, 1), id="Z7"),
+    pytest.param(lambda: make_cyclic(13), (13, 4, 1), id="Z13"),
+    pytest.param(frobenius_21, (21, 5, 1), id="F21"),
+    _order16(2),
+    _order16(6),
+    _order16(14),
+] + [_order16(gid, pytest.mark.extended) for gid in range(1, 15) if gid not in (2, 6, 14)]
+
+
+class TestRootedDesignOrbits:
+    """One design per orbit of the design moves, searched through the
+    candidate-orbit minima, against full enumeration and orbit_minima."""
+
+    @pytest.mark.parametrize("make_group,params", ORBIT_CASES)
+    def test_matches_full_enumeration(self, make_group, params):
+        g = make_group()
+        params = DesignParams(*params)
+        cands = enumerate_difference_sets(g, params.k, params.lam)
+        rooted = search._design_orbit_representatives(g, params, cands)
+        assert rooted == full_enumeration_minima(g, params, cands)
+
+    @pytest.mark.parametrize(
+        "make_group,params,n_designs,n_reps,n_reps_without_inversion",
+        [
+            pytest.param(lambda: load_group_16(6), (16, 6, 2), 576, 36, 46, id="id16:6"),
+            pytest.param(frobenius_21, (21, 5, 1), 70, 2, 3, id="F21"),
+        ],
+    )
+    def test_inversion_merges_orbits(
+        self, make_group, params, n_designs, n_reps, n_reps_without_inversion
+    ):
+        g = make_group()
+        params = DesignParams(*params)
+        cands = enumerate_difference_sets(g, params.k, params.lam)
+        reps, count = search._design_orbit_representatives(g, params, cands)
+        assert (count, len(reps)) == (n_designs, n_reps)
+        maps = search._design_moves(g)
+        assert maps[-1] == tuple(g.inv(x) for x in range(g.order))
+        moves = induced_permutations([d.elements for d in cands], maps)
+        sols = []
+        find_ds_block_designs(g, params, cands, collect=sols.append)
+        sols.sort()
+        # the inversion maps designs onto designs and merges orbits
+        assert induced_permutations(sols, moves[-1:]) is not None
+        assert len(orbit_minima(sols, moves[:-1])) == n_reps_without_inversion
+
+    @pytest.mark.parametrize(
+        "make_group,params,group_order",
+        [
+            pytest.param(frobenius_21, (21, 5, 1), 1764, id="F21"),
+            pytest.param(lambda: load_group_16(6), (16, 6, 2), None, id="id16:6"),
+            pytest.param(
+                lambda: load_group_16(8), (16, 6, 2), None, id="id16:8", marks=pytest.mark.extended
+            ),
+            pytest.param(
+                lambda: load_group_16(3), (16, 6, 2), None, id="id16:3", marks=pytest.mark.extended
+            ),
+            pytest.param(
+                lambda: load_group_16(12), (16, 6, 2), 6144, id="id16:12",
+                marks=pytest.mark.extended,
+            ),
+        ],
+    )
+    def test_design_count_by_stabilisers(self, make_group, params, group_order):
+        # design_count = sum over the representatives of |M| / |Stab_M(D)|,
+        # with M listed element by element
+        g = make_group()
+        params = DesignParams(*params)
+        cands = enumerate_difference_sets(g, params.k, params.lam)
+        reps, count = search._design_orbit_representatives(g, params, cands)
+        gens = search._design_moves(g)
+        elements, queue = {tuple(range(g.order))}, [tuple(range(g.order))]
+        while queue:
+            x = queue.pop()
+            for p in gens:
+                y = tuple(p[i] for i in x)
+                if y not in elements:
+                    elements.add(y)
+                    queue.append(y)
+        if group_order is not None:
+            assert len(elements) == group_order
+        moves = np.stack(induced_permutations([d.elements for d in cands], sorted(elements)))
+        total = 0
+        for rep in reps:
+            images = np.sort(moves[:, list(rep)], axis=1)
+            stabiliser = int((images == np.array(rep)).all(axis=1).sum())
+            assert len(elements) % stabiliser == 0
+            total += len(elements) // stabiliser
+        assert total == count
+
+    def test_classification_counts_with_inversion(self):
+        cls = classify_group_cubes(frobenius_21(), DesignParams(21, 5, 1))
+        assert (cls.design_count, cls.orbit_rep_count) == (70, 2)
+
+    @pytest.mark.parametrize("root", [0, 17, 63])
+    def test_rooted_search_finds_the_designs_through_its_root(self, root):
+        g = load_group_16(6)
+        params = DesignParams(16, 6, 2)
+        cands = enumerate_difference_sets(g, 6, 2)
+        every, rooted = [], []
+        find_ds_block_designs(g, params, cands, collect=every.append)
+        find_ds_block_designs(g, params, cands, collect=rooted.append, root=root)
+        assert rooted and sorted(rooted) == [d for d in sorted(every) if root in d]
+        designs = find_ds_block_designs(g, params, cands, root=root)
+        assert designs == sorted(tuple(cands[i].elements for i in d) for d in rooted)
+
+    def test_tiny_budget_on_id12(self):
+        g = load_group_16(12)
+        params = DesignParams(16, 6, 2)
+        cands = enumerate_difference_sets(g, 6, 2)
+        with pytest.raises(ResourceLimitError, match="design search"):
+            search._design_orbit_representatives(g, params, cands, time_budget=1e-9)
+        with pytest.raises(ResourceLimitError):
+            classify_group_cubes(g, params, time_budget=1e-9)
+
+    def test_design_missing_from_its_root_search(self, monkeypatch):
+        # drop one design of S_m: a move that reaches it must then fail
+        search_designs = search.find_ds_block_designs
+
+        def dropping_first(*args, collect, **kwargs):
+            found = []
+            search_designs(*args, collect=found.append, **kwargs)
+            for sol in sorted(found)[1:]:
+                collect(sol)
+
+        monkeypatch.setattr(search, "find_ds_block_designs", dropping_first)
+        g = load_group_16(6)
+        cands = enumerate_difference_sets(g, 6, 2)
+        with pytest.raises(ConstructionBugError, match="left S_m"):
+            search._design_orbit_representatives(g, DesignParams(16, 6, 2), cands)
+
+    def test_stabiliser_order_is_checked(self):
+        g = frobenius_21()
+        cands = enumerate_difference_sets(g, 5, 1)
+        maps = search._design_moves(g)
+        moves = induced_permutations([d.elements for d in cands], maps)
+        order = PermGroup(maps, g.order).order()
+
+        def moves_of(point_map):
+            return induced_permutations([d.elements for d in cands], [point_map])[0]
+
+        back, gens = search._rerooting_and_stabiliser(0, maps, moves, order)
+        assert sorted(back) == list(range(len(cands)))  # one orbit
+        assert all(moves_of(back[b])[b] == 0 for b in back)
+        assert all(moves_of(s)[0] == 0 for s in gens)
+        assert PermGroup(gens, g.order).order() * len(cands) == order
+        with pytest.raises(ConstructionBugError, match="stabiliser order"):
+            search._rerooting_and_stabiliser(0, maps, moves, 2 * order)
 
 
 class TestClassification:

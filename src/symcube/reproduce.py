@@ -1,12 +1,27 @@
 """Reproduction targets tying the modules together.
 
 Each target recomputes one of the small-parameter results and renders a
-deterministic plain-text report (stable ordering, no timestamps), suitable
-for byte-exact comparison against the bundled expected outputs in
-``data/expected``.
+deterministic plain-text report (stable ordering, no timestamps).
+``symcube reproduce <target> --check`` compares it byte for byte with the
+target's one golden, ``data/expected/<target>.txt``:
+
+- ``fano`` (``fano.txt``): the order-7 cube from shifts of the Fano plane.
+- ``small-unique`` (``small-unique.txt``): one cyclic group cube each.
+- ``pg21`` (``pg21.txt``): the three (21,5,1) group cubes.
+- ``table1`` (``table1.txt``): Table 1, rows 1, 5, 6, 7 and 14.
+- ``table1-all`` (``table1-all.txt``): Table 1, all 14 rows.
+- ``prop51`` (``prop51.txt``): Proposition 5.1, 27 + 946 = 973 cubes.
+- ``menon-family`` (``menon-family.txt``): products and quadruples.
+- ``hadamard16`` (``hadamard16.txt``): Hadamard (16,6,2) cubes.
+- ``example52`` (``example52.txt``): Example 5.2, a non-group cube.
+- ``diffcubes27`` (``diffcubes27.txt``): the 27 (16,6,2) difference cubes.
+
+pg21, table1, table1-all and prop51 classify through ``_classify``.
 """
 
 from __future__ import annotations
+
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,53 +37,40 @@ from .cubes import (
     to_hadamard,
     verify_cube,
 )
-from .datafiles import all_groups_16, data_dir, frobenius_21, load_group_16
+from .datafiles import all_groups_16, data_dir, frobenius_21
 from .designs import DesignParams, block_quadruple, design_class, verify_design, mann_product
 from .equivalence import autotopy_report
-from .errors import InvalidInputError
 from .fileio import load_design, load_orbit_input
 from .groups import (
     DifferenceSet,
+    FiniteGroup,
     difference_sets_up_to_equivalence,
     make_cyclic,
 )
 from .search import (
+    GroupCubeClassification,
     classify_group_cubes,
     difference_cube_reference,
     is_group_cube,
     orbit_cube,
 )
 
-TARGETS = [
-    "fano",
-    "small-unique",
-    "pg21",
-    "table1",
-    "prop51",
-    "menon-family",
-    "hadamard16",
-    "example52",
-    "diffcubes27",
-]
-
 TABLE1_PINNED_IDS = [1, 5, 6, 7, 14]
+ORDER16 = DesignParams(16, 6, 2)
 
 
-def run_target(name: str, extended: bool = False) -> str:
-    if name not in TARGETS:
-        raise InvalidInputError(f"unknown target {name!r}; choose from {', '.join(TARGETS)}")
-    func = {
-        "fano": target_fano,
-        "small-unique": target_small_unique,
-        "pg21": target_pg21,
-        "table1": lambda: target_table1(all_ids=extended),
-        "prop51": target_prop51,
-        "menon-family": target_menon_family,
-        "hadamard16": target_hadamard16,
-        "example52": target_example52,
-        "diffcubes27": target_diffcubes27,
-    }[name]
-    return func()
+def _classify(
+    reference_groups: Sequence[FiniteGroup], params: DesignParams, groups: Sequence[FiniteGroup]
+) -> list[GroupCubeClassification]:
+    """The classification of each of ``groups`` against the difference
+    cubes of all ``reference_groups``, which are built once."""
+    ref = difference_cube_reference(reference_groups, params)
+    return [classify_group_cubes(g, params, reference=ref) for g in groups]
+
+
+def _union(records: Sequence[GroupCubeClassification], attr: str) -> set[bytes]:
+    """The certificates ``attr`` of all ``records``."""
+    return set().union(*(getattr(cls, attr) for cls in records))
 
 
 def target_fano() -> str:
@@ -107,73 +109,58 @@ def target_pg21() -> str:
     """The three inequivalent (21,5,1) group cubes and their autotopy orders."""
     f21 = frobenius_21()
     z21 = make_cyclic(21)
-    params = DesignParams(21, 5, 1)
-    ref = difference_cube_reference([f21, z21], params)
+    records = _classify([f21, z21], DesignParams(21, 5, 1), [f21, z21])
     lines = ["target: pg21"]
-    all_certs: set[bytes] = set()
-    records = []
-    for g in (f21, z21):
-        cls = classify_group_cubes(g, params, reference=ref)
-        all_certs.update(cls.all_certs)
-        records.append((g.name, cls))
-    lines.append(f"inequivalent group cubes: {len(all_certs)}")
-    lines.append(f"difference cubes: {len(ref)}")
-    orders = []
+    lines.append(f"inequivalent group cubes: {len(_union(records, 'all_certs'))}")
+    lines.append(f"difference cubes: {len(_union(records, 'difference_certs'))}")
     d_f21 = difference_sets_up_to_equivalence(f21, 5, 1)[0]
     d_z21 = difference_sets_up_to_equivalence(z21, 5, 1)[0]
-    orders.append(("C1 (difference cube over F21)", autotopy_report(difference_cube(f21, d_f21, 3)).order))
-    orders.append(("C2 (difference cube over Z21)", autotopy_report(difference_cube(z21, d_z21, 3)).order))
     nondev = load_design(data_dir() / "designs" / "f21_nondev.design")
-    c3 = group_cube(f21, nondev.columns_as_sets(), 3)
-    orders.append(("C3 (group cube over F21)", autotopy_report(c3).order))
-    for label, order in orders:
-        lines.append(f"|Atop| {label}: {order}")
-    for name, cls in records:
+    for label, cube in (
+        ("C1 (difference cube over F21)", difference_cube(f21, d_f21, 3)),
+        ("C2 (difference cube over Z21)", difference_cube(z21, d_z21, 3)),
+        ("C3 (group cube over F21)", group_cube(f21, nondev.columns_as_sets(), 3)),
+    ):
+        lines.append(f"|Atop| {label}: {autotopy_report(cube).order}")
+    for cls in records:
         lines.append(
-            f"group {name}: designs={cls.design_count} difference_classes={cls.nds} "
+            f"group {cls.group_name}: designs={cls.design_count} difference_classes={cls.nds} "
             f"non_difference_cubes={cls.ngc}"
         )
     return "\n".join(lines) + "\n"
 
 
-def _table1_rows(ids) -> list[str]:
-    params = DesignParams(16, 6, 2)
-    ref = difference_cube_reference(all_groups_16(), params)
-    lines = []
-    lines.append("id structure nds ndc dev tds ngc")
-    for gid in ids:
-        g = load_group_16(gid)
-        cls = classify_group_cubes(g, params, reference=ref)
-        structure = (g.name or "").split(":", 1)[1] if ":" in (g.name or "") else g.name
-        dev = ",".join(cls.dev_classes) if cls.dev_classes else "-"
-        lines.append(
-            f"{gid} {structure} {cls.nds} {cls.ndc} {dev} {cls.tds} {cls.ngc}"
-        )
-    return lines
-
-
-def target_table1(all_ids: bool = False) -> str:
-    """Per-group counts for the order-16 classification (pinned rows by
-    default; all 14 rows when extended)."""
-    ids = list(range(1, 15)) if all_ids else TABLE1_PINNED_IDS
-    lines = [f"target: table1 ({'all rows' if all_ids else 'pinned rows'})"]
-    lines.extend(_table1_rows(ids))
+def _table1(label: str, ids: Sequence[int]) -> str:
+    """Table 1 rows for the order-16 group ids, classified against the
+    difference cubes of all 14 groups."""
+    groups = all_groups_16()
+    records = _classify(groups, ORDER16, [groups[gid - 1] for gid in ids])
+    lines = [f"target: table1 ({label})", "id structure nds ndc dev tds ngc"]
+    for gid, cls in zip(ids, records):
+        structure = cls.group_name.split(":", 1)[-1]
+        dev = ",".join(cls.dev_classes) or "-"
+        lines.append(f"{gid} {structure} {cls.nds} {cls.ndc} {dev} {cls.tds} {cls.ngc}")
     return "\n".join(lines) + "\n"
+
+
+def target_table1() -> str:
+    """Per-group counts for the order-16 classification, pinned rows."""
+    return _table1("pinned rows", TABLE1_PINNED_IDS)
+
+
+def target_table1_all() -> str:
+    """Per-group counts for the order-16 classification, all 14 rows."""
+    return _table1("all rows", range(1, 15))
 
 
 def target_prop51() -> str:
     """Aggregate classification over all 14 groups of order 16 with global
     deduplication: difference cubes and other group cubes."""
-    params = DesignParams(16, 6, 2)
     groups = all_groups_16()
-    ref = difference_cube_reference(groups, params)
-    diff_certs: set[bytes] = set()
-    nondiff_certs: set[bytes] = set()
+    records = _classify(groups, ORDER16, groups)
+    diff_certs = _union(records, "difference_certs")
+    nondiff_certs = _union(records, "non_difference_certs")
     lines = ["target: prop51"]
-    for g in groups:
-        cls = classify_group_cubes(g, params, reference=ref)
-        diff_certs.update(cls.difference_certs)
-        nondiff_certs.update(cls.non_difference_certs)
     lines.append(f"difference cubes: {len(diff_certs)}")
     lines.append(f"group cubes that are not difference cubes: {len(nondiff_certs)}")
     lines.append(f"total inequivalent group cubes: {len(diff_certs | nondiff_certs)}")
@@ -237,8 +224,7 @@ def target_example52() -> str:
 
 def target_diffcubes27() -> str:
     """The 27 pairwise inequivalent (16,6,2) difference 3-cubes."""
-    params = DesignParams(16, 6, 2)
-    ref = difference_cube_reference(all_groups_16(), params)
+    ref = difference_cube_reference(all_groups_16(), ORDER16)
     by_group: dict[str, int] = {}
     for name, _ in ref.values():
         by_group[name] = by_group.get(name, 0) + 1
@@ -247,3 +233,17 @@ def target_diffcubes27() -> str:
     for name in sorted(by_group):
         lines.append(f"{name}: {by_group[name]}")
     return "\n".join(lines) + "\n"
+
+
+TARGETS: dict[str, Callable[[], str]] = {
+    "fano": target_fano,
+    "small-unique": target_small_unique,
+    "pg21": target_pg21,
+    "table1": target_table1,
+    "table1-all": target_table1_all,
+    "prop51": target_prop51,
+    "menon-family": target_menon_family,
+    "hadamard16": target_hadamard16,
+    "example52": target_example52,
+    "diffcubes27": target_diffcubes27,
+}

@@ -103,6 +103,15 @@ __all__ = [
 Design = tuple[tuple[int, ...], ...]  # blocks as sorted element tuples, sorted
 
 
+def _check_order(g: FiniteGroup, params: DesignParams) -> None:
+    """InvalidInputError unless the designs' v is the order of g."""
+    if params.v != g.order:
+        raise InvalidInputError(
+            f"design parameters {params} have v = {params.v}, "
+            f"but group {g.name or '?'} has order {g.order}"
+        )
+
+
 def _bitmasks(rows: np.ndarray) -> list[int]:
     """Each row of a boolean matrix as an int with bit j set for column j."""
     packed = np.packbits(rows, axis=1, bitorder="little")
@@ -126,6 +135,7 @@ def find_ds_block_designs(
     With ``root`` (a candidate index), only the designs that contain that
     candidate are found.
     """
+    _check_order(g, params)
     v, k, lam = params.v, params.k, params.lam
     if candidates is None:
         candidates = enumerate_difference_sets(g, k, lam)
@@ -350,6 +360,8 @@ def difference_cube_reference(
 ) -> dict[bytes, tuple[str, tuple[int, ...]]]:
     """Certificates of the difference n-cubes from every difference-set
     class of the given groups: cert -> (group name, class representative)."""
+    for g in groups:
+        _check_order(g, params)
     out: dict[bytes, tuple[str, tuple[int, ...]]] = {}
     for g in groups:
         for rep in difference_sets_up_to_equivalence(g, params.k, params.lam):
@@ -400,6 +412,7 @@ def classify_group_cubes(
     ``time_budget`` (seconds) bounds the design search and the cube
     labellings together; ResourceLimitError is raised when it runs out.
     """
+    _check_order(g, params)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
 
     def remaining() -> float | None:

@@ -58,6 +58,7 @@ def test_cli_empty_design_exits_2_without_traceback(tmp_path, capsys):
 def test_cli_has_no_seed_or_jobs_option(capsys):
     assert main(["--seed", "1", "reproduce", "fano"]) == 2
     assert main(["--jobs", "2", "reproduce", "fano"]) == 2
+    assert main(["reproduce", "table1", "--extended"]) == 2
 
 
 @pytest.mark.parametrize("spec", ["product:metacyclic:3,7,2,cyclic:2", "product:cyclic:2"])

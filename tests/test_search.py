@@ -335,12 +335,44 @@ class TestClassification:
         assert cls.ngc == 1  # the unique non-difference group cube
 
     def test_budget_too_small_for_one_certificate(self, capsys):
-        # the design search over Z7 ends before it first reads the clock, so
-        # only the cube labellings can notice that the budget has run out
+        # the 1e-6 s budget runs out in the difference-cube labelling, which
+        # runs before the rooted design search first reads the clock
         with pytest.raises(ResourceLimitError, match="labelling"):
             classify_group_cubes(make_cyclic(7), DesignParams(7, 3, 1), time_budget=1e-6)
         assert main(["search", "classify", "cyclic:7", "7,3,1", "--time-budget", "1e-6"]) == 2
         assert "time budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [(0, 0, 0), (16, 6, 2)], ids=["0,0,0", "16,6,2"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        find_ds_block_designs,
+        classify_group_cubes,
+        lambda g, params: difference_cube_reference([g], params),
+    ],
+    ids=["designs", "classify", "reference"],
+)
+def test_design_order_must_be_the_group_order(call, params):
+    with pytest.raises(InvalidInputError, match=rf"v = {params[0]}\b.*order 7\b"):
+        call(make_cyclic(7), DesignParams(*params))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "ds-designs", "cyclic:7", "0,0,0"],
+        ["search", "ds-designs", "cyclic:7", "16,6,2"],
+        ["search", "classify", "cyclic:7", "16,6,2"],
+    ],
+    ids=["designs-0,0,0", "designs-16,6,2", "classify-16,6,2"],
+)
+def test_cli_rejects_design_order_other_than_group_order(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    v = argv[-1].split(",")[0]
+    assert f"v = {v}," in captured.err and "order 7" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestWorkDoneOnce:

@@ -7,6 +7,13 @@ image of element ``i``.  Aut(G) is one read-only |Aut| x v array per group
 table, enumerated once per process and cached (``automorphism_group``); its
 generators, the multipliers of a difference set and the orbit moves of the
 difference-set classes are all derived from that array.
+
+Aut(G), isomorphisms and difference sets come from level-wise searches over
+numpy batches of partial solutions (tuples of generator images, sorted
+subsets).  Each level extends every surviving row by each of its candidates
+in increasing order, surviving rows outer and candidates inner, so the rows
+stay in lexicographic order: the order in which a depth-first search would
+find them.
 """
 
 from __future__ import annotations
@@ -305,87 +312,54 @@ def make_from_permutation_generators(
 # -- isomorphisms ----------------------------------------------------------------
 
 
-def _extend_homomorphism(
-    source: FiniteGroup,
-    target: FiniteGroup,
-    gens: Sequence[int],
-    gen_images: Sequence[int],
-    require_full: bool = False,
-) -> tuple[int, ...] | None:
-    """Extend generator images over the generated subgroup; None on conflict.
-
-    Walks the Cayley graph of the source on the given generators, checking
-    the homomorphism law on every edge and injectivity throughout.  Elements
-    outside the closure stay mapped to -1 unless ``require_full``.
-    """
-    img = [-1] * source.order
-    img[0] = 0
-    used = [False] * target.order
-    used[0] = True
-    for g, ig in zip(gens, gen_images):
-        if img[g] == -1:
-            if used[ig]:
-                return None
-            img[g] = ig
-            used[ig] = True
-        elif img[g] != ig:
-            return None
-    queue = [0] + list(gens)
-    seen = {0} | set(gens)
-    while queue:
-        x = queue.pop()
-        for g, ig in zip(gens, gen_images):
-            y = source.table[x][g]
-            iy = target.table[img[x]][ig]
-            if img[y] == -1:
-                if used[iy]:
-                    return None
-                img[y] = iy
-                used[iy] = True
-            elif img[y] != iy:
-                return None
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if require_full and -1 in img:
-        return None
-    return tuple(img)
-
-
 def _isomorphism_search(
     source: FiniteGroup, target: FiniteGroup, find_all: bool
-) -> list[tuple[int, ...]]:
-    if source.order != target.order:
-        return []
-    src_orders = [source.element_order(x) for x in range(source.order)]
-    tgt_orders = [target.element_order(x) for x in range(target.order)]
-    if sorted(src_orders) != sorted(tgt_orders):
-        return []
+) -> np.ndarray:
+    """Image rows of the isomorphisms source -> target as an n x v array: all
+    of them, or only the first with ``find_all=False``.
+
+    A level-wise search over the source's greedy generating sequence
+    g1..gm.  Level l extends every surviving tuple of images of g1..g(l-1) by
+    each target element of the order of gl, survivors outer and candidates
+    inner, so the rows stay in the lexicographic order of their generator
+    images, the order of a depth-first search.  A row survives when the map
+    that its images induce on <g1..gl> along one BFS tree respects every
+    Cayley edge x*gj of that subgroup and is injective there; at the last
+    level the subgroup is the source, and the map an isomorphism.
+    """
+    v = source.order
+    dtype = np.min_scalar_type(v)
+    none = np.zeros((0, v), dtype)
+    if v != target.order:
+        return none
+    src_orders = [source.element_order(x) for x in range(v)]
+    tgt_orders = np.array([target.element_order(x) for x in range(v)])
+    if sorted(src_orders) != sorted(tgt_orders.tolist()):
+        return none
+    src_table = np.array(source.table, dtype)
+    tgt_table = np.array(target.table, dtype)
     gens = source.generating_sequence()
-    found: list[tuple[int, ...]] = []
-    candidates_by_order: dict[int, list[int]] = {}
-    for x in range(target.order):
-        candidates_by_order.setdefault(tgt_orders[x], []).append(x)
-
-    def backtrack(level: int, images: list[int]) -> bool:
-        if level == len(gens):
-            img = _extend_homomorphism(source, target, gens, images, require_full=True)
-            if img is not None:
-                found.append(img)
-                return not find_all
-            return False
-        g = gens[level]
-        for cand in candidates_by_order.get(src_orders[g], ()):
-            images.append(cand)
-            if _extend_homomorphism(source, target, gens[: level + 1], images) is not None:
-                if backtrack(level + 1, images):
-                    images.pop()
-                    return True
-            images.pop()
-        return False
-
-    backtrack(0, [])
-    return found
+    images = np.zeros((0, 1), dtype)  # images[j] holds the image of gens[j] per row
+    maps = np.zeros((v, 1), dtype)  # maps[x] holds the image of x per row
+    for level in range(1, len(gens) + 1):
+        cands = np.flatnonzero(tgt_orders == src_orders[gens[level - 1]]).astype(dtype)
+        n = images.shape[1]
+        images = np.vstack([np.repeat(images, len(cands), axis=1), np.tile(cands, n)])
+        maps = np.zeros((v, images.shape[1]), dtype)
+        members = [0]
+        for x in members:  # BFS over <gens[:level]>, one gather per new element
+            for j, g in enumerate(gens[:level]):
+                y = source.table[x][g]
+                if y not in members:
+                    members.append(y)
+                    maps[y] = tgt_table[maps[x], images[j]]
+        ok = np.ones(images.shape[1], bool)
+        for j, g in enumerate(gens[:level]):
+            ok &= (maps[src_table[members, g]] == tgt_table[maps[members], images[j]]).all(axis=0)
+        induced = np.sort(maps[members], axis=0)
+        ok &= (induced[1:] != induced[:-1]).all(axis=0)
+        images, maps = images[:, ok], maps[:, ok]
+    return np.ascontiguousarray(maps.T if find_all else maps.T[:1])
 
 
 # keyed by table (FiniteGroup hashes and compares by it); the entries are
@@ -395,12 +369,13 @@ _AUT_CACHE: dict[FiniteGroup, np.ndarray] = {}
 
 def automorphism_group(g: FiniteGroup) -> np.ndarray:
     """All automorphisms as a read-only |Aut| x v int32 array of image rows,
-    in the order of a backtracking search over images of a minimal
-    generating sequence.  Each group table is enumerated once per process
-    and the array cached; intended for small orders (v <= 32)."""
+    in lexicographic order of the images of a minimal generating sequence
+    (the level-wise ``_isomorphism_search``).  Each group table is
+    enumerated once per process and the array cached; intended for small
+    orders (v <= 32)."""
     auts = _AUT_CACHE.get(g)
     if auts is None:
-        auts = np.array(_isomorphism_search(g, g, find_all=True), dtype=np.int32)
+        auts = _isomorphism_search(g, g, find_all=True).astype(np.int32)
         auts.flags.writeable = False
         _AUT_CACHE[g] = auts
     return auts
@@ -408,8 +383,8 @@ def automorphism_group(g: FiniteGroup) -> np.ndarray:
 
 def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup) -> tuple[int, ...] | None:
     """The image row of an isomorphism g1 -> g2, or None."""
-    result = _isomorphism_search(g1, g2, find_all=False)
-    return result[0] if result else None
+    maps = _isomorphism_search(g1, g2, find_all=False)
+    return tuple(maps[0].tolist()) if len(maps) else None
 
 
 def automorphism_generators(
@@ -422,7 +397,8 @@ def automorphism_generators(
     target = len(auts)
     chosen: list[Perm] = []
     group = PermGroup([], g.order)
-    for a in map(tuple, np.asarray(auts).tolist()):
+    for row in np.asarray(auts):
+        a = tuple(row.tolist())
         if a in group:
             continue
         group.add_generator(a)
@@ -469,57 +445,71 @@ def is_difference_set(
     return ok
 
 
+# most (prefix, element) pairs expanded at once; a larger level is split
+# into runs of prefixes, searched in order, which bounds memory
+_BATCH_PAIRS = 1 << 16
+
+
 def enumerate_difference_sets(
     g: FiniteGroup, k: int, lam: int, max_nodes: int = 50_000_000
 ) -> list[DifferenceSet]:
     """All (v,k,lam) difference sets, in lexicographic order of element tuples.
 
-    Lexicographic subset backtracking; partial left-difference counts prune any
-    branch where some element already occurs more than ``lam`` times.
+    A level-wise search over batches of sorted l-subsets (prefixes) with
+    their left-difference counts.  Each prefix is extended by every element
+    above its last that still leaves room for k elements, prefixes outer and
+    elements inner, so a batch stays in lexicographic order, the order of a
+    depth-first subset search; a batch larger than ``_BATCH_PAIRS`` pairs is
+    split into runs that are searched to the end one after another, which
+    keeps that order.  A row is pruned once some non-identity element occurs
+    more than ``lam`` times as a difference.  ``max_nodes`` bounds the
+    (prefix, element) pairs tried, the nodes of that depth-first search.
     """
     v = g.order
+    if not 0 <= k <= v:
+        raise InvalidInputError(f"block size k = {k} must lie between 0 and v = {v}")
     if lam * (v - 1) != k * (k - 1):
         return []
-    inv = [g.inv(x) for x in range(v)]
-    table = g.table
-    counts = [0] * v
-    chosen: list[int] = []
-    out: list[DifferenceSet] = []
+    dtype = np.min_scalar_type(v)
+    table = np.array(g.table, dtype)
+    inv = np.array([g.inv(x) for x in range(v)], dtype)
+    # a count is at most k: each element of a set is the right end of at
+    # most one difference equal to a given d
+    batches = [(np.zeros((1, 0), dtype), np.zeros((1, v), np.min_scalar_type(k)))]
+    found = []
     nodes = 0
-
-    def add_diffs(x: int, sign: int) -> bool:
-        """Update counts for differences between x and current elements."""
-        ok = True
-        ix = inv[x]
-        for y in chosen:
-            a = table[inv[y]][x]
-            b = table[ix][y]
-            counts[a] += sign
-            counts[b] += sign
-            if counts[a] > lam or counts[b] > lam:
-                ok = False
-        return ok
-
-    def backtrack(start: int) -> None:
-        nonlocal nodes
-        if len(chosen) == k:
-            if all(counts[x] == lam for x in range(1, v)):
-                out.append(DifferenceSet(g, tuple(chosen), (v, k, lam)))
-            return
-        # not enough elements left to finish
-        for x in range(start, v - (k - len(chosen)) + 1):
-            nodes += 1
-            if nodes > max_nodes:
-                raise ResourceLimitError("enumeration budget exceeded")
-            ok = add_diffs(x, +1)
-            if ok:
-                chosen.append(x)
-                backtrack(x + 1)
-                chosen.pop()
-            add_diffs(x, -1)
-
-    backtrack(0)
-    return out
+    while batches:
+        prefixes, counts = batches.pop()
+        level = prefixes.shape[1]
+        if level == k:
+            found.append(prefixes[(counts[:, 1:] == lam).all(axis=1)])
+            continue
+        start = prefixes[:, -1].astype(np.intp) + 1 if level else np.zeros(1, np.intp)
+        width = np.maximum(v - (k - level) + 1 - start, 0)
+        total = int(width.sum())
+        if total > _BATCH_PAIRS and len(prefixes) > 1:
+            half = len(prefixes) // 2
+            batches += [(prefixes[half:], counts[half:]), (prefixes[:half], counts[:half])]
+            continue
+        nodes += total
+        if nodes > max_nodes:
+            raise ResourceLimitError("enumeration budget exceeded")
+        parent = np.repeat(np.arange(len(prefixes)), width)
+        x = (np.arange(total) + np.repeat(start - np.cumsum(width) + width, width)).astype(dtype)
+        prefixes = np.column_stack([prefixes[parent], x])
+        counts = counts[parent]
+        rows = np.arange(total)
+        for y in prefixes[:, :-1].T:
+            # two scatters, so that a difference y^-1 x = x^-1 y (an involution)
+            # counts twice
+            counts[rows, table[inv[y], x]] += 1
+            counts[rows, table[inv[x], y]] += 1
+        keep = (counts[:, 1:] <= lam).all(axis=1)
+        batches.append((prefixes[keep], counts[keep]))
+    return [
+        DifferenceSet(g, tuple(row), (v, k, lam))
+        for row in np.concatenate(found).tolist()
+    ]
 
 
 def difference_sets_up_to_equivalence(

@@ -4,6 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from symcube import groups
+from symcube.cli import main
 from symcube.datafiles import frobenius_21, load_group_16
 from symcube.designs import DesignParams, development, verify_design
 from symcube.errors import ConstructionBugError, InvalidInputError, ResourceLimitError
@@ -314,3 +316,240 @@ class TestMultipliersAndDevelopment:
         d = DifferenceSet(z3, (0,), (3, 1, 0))
         dev = development(d)
         assert (dev.bits.sum(axis=0) == 1).all() and (dev.bits.sum(axis=1) == 1).all()
+
+
+# -- depth-first oracles ---------------------------------------------------------
+#
+# The depth-first searches that the level-wise batch searches of
+# ``symcube.groups`` replaced.  Both visit their solutions in lexicographic
+# order, so the batch searches must return the same rows in the same order.
+
+
+def dfs_extend_homomorphism(source, target, gens, gen_images, require_full=False):
+    """Extend generator images over the generated subgroup along a walk of
+    its Cayley graph; None on a broken homomorphism law or injectivity."""
+    img = [-1] * source.order
+    img[0] = 0
+    used = [False] * target.order
+    used[0] = True
+    for g, ig in zip(gens, gen_images):
+        if img[g] == -1:
+            if used[ig]:
+                return None
+            img[g] = ig
+            used[ig] = True
+        elif img[g] != ig:
+            return None
+    queue = [0] + list(gens)
+    seen = {0} | set(gens)
+    while queue:
+        x = queue.pop()
+        for g, ig in zip(gens, gen_images):
+            y = source.table[x][g]
+            iy = target.table[img[x]][ig]
+            if img[y] == -1:
+                if used[iy]:
+                    return None
+                img[y] = iy
+                used[iy] = True
+            elif img[y] != iy:
+                return None
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    if require_full and -1 in img:
+        return None
+    return tuple(img)
+
+
+def dfs_isomorphism_search(source, target, find_all):
+    if source.order != target.order:
+        return []
+    src_orders = [source.element_order(x) for x in range(source.order)]
+    tgt_orders = [target.element_order(x) for x in range(target.order)]
+    if sorted(src_orders) != sorted(tgt_orders):
+        return []
+    gens = source.generating_sequence()
+    found = []
+    candidates_by_order = {}
+    for x in range(target.order):
+        candidates_by_order.setdefault(tgt_orders[x], []).append(x)
+
+    def backtrack(level, images):
+        if level == len(gens):
+            img = dfs_extend_homomorphism(source, target, gens, images, require_full=True)
+            if img is not None:
+                found.append(img)
+                return not find_all
+            return False
+        for cand in candidates_by_order.get(src_orders[gens[level]], ()):
+            images.append(cand)
+            if dfs_extend_homomorphism(source, target, gens[: level + 1], images) is not None:
+                if backtrack(level + 1, images):
+                    images.pop()
+                    return True
+            images.pop()
+        return False
+
+    backtrack(0, [])
+    return found
+
+
+def dfs_difference_sets(g, k, lam, max_nodes=50_000_000):
+    """Element tuples of the (v,k,lam) difference sets by lexicographic
+    subset backtracking, pruned by partial left-difference counts."""
+    v = g.order
+    if lam * (v - 1) != k * (k - 1):
+        return []
+    inv = [g.inv(x) for x in range(v)]
+    counts = [0] * v
+    chosen = []
+    out = []
+    nodes = 0
+
+    def add_diffs(x, sign):
+        ok = True
+        for y in chosen:
+            a = g.table[inv[y]][x]
+            b = g.table[inv[x]][y]
+            counts[a] += sign
+            counts[b] += sign
+            if counts[a] > lam or counts[b] > lam:
+                ok = False
+        return ok
+
+    def backtrack(start):
+        nonlocal nodes
+        if len(chosen) == k:
+            if all(counts[x] == lam for x in range(1, v)):
+                out.append(tuple(chosen))
+            return
+        for x in range(start, v - (k - len(chosen)) + 1):
+            nodes += 1
+            if nodes > max_nodes:
+                raise ResourceLimitError("enumeration budget exceeded")
+            if add_diffs(x, +1):
+                chosen.append(x)
+                backtrack(x + 1)
+                chosen.pop()
+            add_diffs(x, -1)
+
+    backtrack(0)
+    return out
+
+
+def relabelled(g, seed):
+    """A copy of g with its non-identity elements shuffled."""
+    perm = [0] + random.Random(seed).sample(range(1, g.order), g.order - 1)
+    inv = [0] * g.order
+    for i, p in enumerate(perm):
+        inv[p] = i
+    n = g.order
+    return FiniteGroup([[perm[g.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)])
+
+
+AUT_ORACLE_CASES = [
+    pytest.param(lambda gid=gid: load_group_16(gid), id=f"id16:{gid}") for gid in range(1, 15)
+] + [
+    pytest.param(frobenius_21, id="F21"),
+    pytest.param(lambda: make_cyclic(21), id="Z21"),
+    pytest.param(lambda: make_metacyclic(2, 4, 3), id="D8"),
+    pytest.param(lambda: make_cyclic(1), id="Z1"),
+    # the oracle takes about 1 s per copy of Aut(Z2^4) = GL(4,2)
+    pytest.param(
+        lambda: relabelled(load_group_16(14), 14), id="id16:14-relabelled", marks=pytest.mark.extended
+    ),
+]
+
+
+@pytest.mark.parametrize("make_group", AUT_ORACLE_CASES)
+def test_automorphism_group_matches_depth_first_search(make_group):
+    g = make_group()
+    expected = np.array(dfs_isomorphism_search(g, g, find_all=True), dtype=np.int32)
+    auts = automorphism_group(g)
+    assert auts.dtype == expected.dtype and auts.shape == expected.shape
+    assert auts.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("gid", range(1, 15))
+def test_find_isomorphism_matches_depth_first_search(gid):
+    g = load_group_16(gid)
+    h = relabelled(g, gid)
+    for source, target in ((g, h), (h, g)):
+        [expected] = dfs_isomorphism_search(source, target, find_all=False)
+        assert find_isomorphism(source, target) == expected
+
+
+def test_find_isomorphism_rejects_groups_with_equal_element_orders():
+    z4xz4, z4_z4 = load_group_16(2), load_group_16(4)  # Z4 x Z4 and Z4 x| Z4
+
+    def census(g):
+        return sorted(g.element_order(x) for x in range(g.order))
+
+    # equal censuses, so the search itself must tell the groups apart
+    assert census(z4xz4) == census(z4_z4)
+    for source, target in ((z4xz4, z4_z4), (z4_z4, z4xz4)):
+        assert dfs_isomorphism_search(source, target, find_all=False) == []
+        assert find_isomorphism(source, target) is None
+
+
+DS_ORACLE_CASES = (
+    [
+        pytest.param(lambda gid=gid: load_group_16(gid), 6, 2, id=f"id16:{gid}")
+        for gid in range(1, 15)
+    ]
+    + [
+        pytest.param(lambda gid=gid: load_group_16(gid), 10, 6, id=f"id16:{gid}-complements")
+        for gid in (2, 14)
+    ]
+    + [
+        pytest.param(lambda: make_cyclic(7), 3, 1, id="Z7"),
+        pytest.param(frobenius_21, 5, 1, id="F21"),
+        pytest.param(lambda: make_cyclic(21), 5, 1, id="Z21"),
+        pytest.param(lambda: make_cyclic(15), 7, 3, id="Z15"),
+        pytest.param(lambda: make_cyclic(13), 4, 1, id="Z13"),
+        pytest.param(lambda: make_cyclic(11), 5, 2, id="Z11"),
+        pytest.param(lambda: make_cyclic(7), 7, 7, id="Z7-whole"),
+        pytest.param(lambda: make_cyclic(1), 1, 0, id="Z1"),
+    ]
+)
+
+
+@pytest.mark.parametrize("make_group,k,lam", DS_ORACLE_CASES)
+def test_enumeration_matches_depth_first_search(monkeypatch, make_group, k, lam):
+    g = make_group()
+    expected = dfs_difference_sets(g, k, lam)
+    assert [d.elements for d in enumerate_difference_sets(g, k, lam)] == expected
+    monkeypatch.setattr(groups, "_BATCH_PAIRS", 64)  # split the larger levels into runs
+    assert [d.elements for d in enumerate_difference_sets(g, k, lam)] == expected
+
+
+@pytest.mark.parametrize("batch_pairs", [groups._BATCH_PAIRS, 64])
+@pytest.mark.parametrize(
+    "max_nodes,passes",
+    # the depth-first search over z2_4() tries 8944 nodes
+    [(10, False), (1000, False), (5000, False), (8943, False), (8944, True), (10000, True)],
+)
+def test_node_budget_matches_depth_first_search(monkeypatch, batch_pairs, max_nodes, passes):
+    monkeypatch.setattr(groups, "_BATCH_PAIRS", batch_pairs)
+    for enumerate_sets in (enumerate_difference_sets, dfs_difference_sets):
+        if passes:
+            enumerate_sets(z2_4(), 6, 2, max_nodes=max_nodes)
+        else:
+            with pytest.raises(ResourceLimitError):
+                enumerate_sets(z2_4(), 6, 2, max_nodes=max_nodes)
+
+
+# (7,-2,1) and (2,3,6) satisfy lambda(v-1) = k(k-1)
+@pytest.mark.parametrize("v,k,lam", [(7, -2, 1), (2, 3, 6)])
+def test_block_size_outside_the_group_is_rejected(v, k, lam):
+    with pytest.raises(InvalidInputError, match=f"k = {k} .* v = {v}"):
+        enumerate_difference_sets(make_cyclic(v), k, lam)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "classes"])
+def test_cli_rejects_negative_block_size(capsys, command):
+    assert main(["ds", command, "cyclic:7", "--", "-2", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "k = -2" in captured.err and "v = 7" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

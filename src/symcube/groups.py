@@ -369,10 +369,11 @@ _AUT_CACHE: dict[FiniteGroup, np.ndarray] = {}
 
 def automorphism_group(g: FiniteGroup) -> np.ndarray:
     """All automorphisms as a read-only |Aut| x v int32 array of image rows,
-    in lexicographic order of the images of a minimal generating sequence
-    (the level-wise ``_isomorphism_search``).  Each group table is
-    enumerated once per process and the array cached; intended for small
-    orders (v <= 32)."""
+    in lexicographic order of the images of a minimal generating sequence:
+    the level-wise ``_isomorphism_search`` extends its rows in order, so
+    they come out as a depth-first search over those images finds them.
+    Each group table is enumerated once per process and the array cached;
+    intended for small orders (v <= 32)."""
     auts = _AUT_CACHE.get(g)
     if auts is None:
         auts = _isomorphism_search(g, g, find_all=True).astype(np.int32)

@@ -457,7 +457,9 @@ AUT_ORACLE_CASES = [
     pytest.param(lambda: make_cyclic(1), id="Z1"),
     # the oracle takes about 1 s per copy of Aut(Z2^4) = GL(4,2)
     pytest.param(
-        lambda: relabelled(load_group_16(14), 14), id="id16:14-relabelled", marks=pytest.mark.extended
+        lambda: relabelled(load_group_16(14), 14),
+        id="id16:14-relabelled",
+        marks=pytest.mark.extended,
     ),
 ]
 

@@ -21,9 +21,9 @@ correctness, because leaves are compared by their exact relabeled block
 lists and every automorphism is verified.  A node's invariant hashes the
 stable coloring's cell sizes and the point key of each cell.
 
-At each node a lookahead individualizes members of the few smallest
-non-singleton point cells and branches on the cell whose best member splits
-the coloring the most (``_Search._choose_cell``).  The tree is pruned three
+At each node with more than one non-singleton point cell, a lookahead
+individualizes members of the few smallest of them and branches on the cell
+whose best member splits the coloring the most (``_Search._choose_cell``).  The tree is pruned three
 ways:
 
 * partial-invariant comparison against the best path found so far,
@@ -39,10 +39,11 @@ the pair (node-invariant sequence, serialized relabeled block list).  Both
 components are pure functions of the isomorphism type, so two structures are
 isomorphic (respecting initial colors) iff their certificates are equal.
 
-Automorphisms are point permutations.  Those discovered as
-equal-certificate leaves generate the full automorphism group; each one, and
-each seeded one, is verified through the block permutation it induces
-(``perms.induced_permutations``).  The exact order
+Automorphisms are point permutations, kept as the rows of one array.  Those
+discovered as equal-certificate leaves generate the full automorphism group;
+each one, and each seeded one, is verified by looking up its block images in
+the structure's one index of sorted blocks (``perms.RowIndex``), which also
+rejects repeated blocks.  The exact order
 (``CanonResult.aut_order``) comes from a stabilizer chain on the point
 action, which is faithful because blocks are pairwise distinct; it is
 computed on first read only.
@@ -60,7 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionBugError, InvalidInputError
-from .perms import PermGroup, induced_permutations, orbit_ids, void_rows
+from .perms import PermGroup, RowIndex, orbit_ids, void_rows
 
 __all__ = ["CanonResult", "canonicalize", "design_canonical"]
 
@@ -107,23 +108,34 @@ class _Deadline(Exception):
 
 
 class _Structure:
-    def __init__(self, n_points: int, blocks: Sequence[Sequence[int]], point_colors: Sequence[int]):
+    def __init__(
+        self,
+        n_points: int,
+        blocks: np.ndarray | Sequence[Sequence[int]],
+        point_colors: np.ndarray | Sequence[int],
+    ):
         self.n_points = n_points
-        self.m = len(blocks)
-        if self.m == 0 or n_points == 0:
+        try:
+            arr = np.asarray(blocks, dtype=np.int64)
+        except (TypeError, ValueError):
+            raise InvalidInputError("blocks must be integer rows of uniform size") from None
+        if n_points == 0 or arr.ndim == 0 or len(arr) == 0:
             raise InvalidInputError("structure needs at least one point and one block")
-        sizes = {len(b) for b in blocks}
-        if len(sizes) != 1:
-            raise InvalidInputError("blocks must have uniform size")
-        self.block_size = sizes.pop()
-        arr = np.sort(np.asarray(list(blocks), dtype=np.int64).reshape(self.m, self.block_size), axis=1)
+        if arr.ndim != 2:
+            raise InvalidInputError("blocks must be integer rows of uniform size")
+        self.m = len(arr)
+        self.block_size = arr.shape[1]
+        arr = np.sort(arr, axis=1)
         if self.block_size and (arr.min() < 0 or arr.max() >= n_points):
             raise InvalidInputError("block entry out of range")
-        if len({r.tobytes() for r in arr}) != self.m:
+        # one lookup of sorted rows for the whole search: it finds the
+        # repeated blocks here and verifies every automorphism later
+        self.index = RowIndex(arr)
+        if (self.index.keys[1:] == self.index.keys[:-1]).any():
             raise InvalidInputError("repeated blocks are not supported")
         self.B = arr
         degs = np.bincount(arr.ravel(), minlength=n_points)
-        if len(set(degs.tolist())) > 1:
+        if (degs != degs[0]).any():
             raise InvalidInputError("points must have uniform degree")
         self.point_degree = int(degs[0])
         order = np.argsort(arr.ravel(), kind="stable")
@@ -135,6 +147,12 @@ class _Structure:
         self.init_colors = dense.astype(np.int32)
         self.init_cells = int(dense.max()) + 1
 
+    def are_automorphisms(self, point_maps: np.ndarray) -> bool:
+        """True iff every row of ``point_maps`` (point permutations) maps
+        the blocks onto the blocks; one gather for all rows."""
+        images = point_maps[:, self.B].reshape(len(point_maps) * self.m, self.block_size)
+        return self.index.find(images) is not None
+
 
 class _Search:
     def __init__(self, struct: _Structure, deadline: float | None = None):
@@ -144,7 +162,8 @@ class _Search:
         self.best_labeling: np.ndarray | None = None
         self.first_key: tuple | None = None
         self.first_labeling: np.ndarray | None = None
-        self.aut_gens: list[np.ndarray] = []  # point permutations
+        # the known automorphisms, one point permutation per row
+        self.aut = np.empty((0, struct.n_points), dtype=np.int64)
         self.node_count = 0
         self.leaf_count = 0
         self.unwind_to: int | None = None
@@ -249,11 +268,11 @@ class _Search:
         g = inv2[lab1]
         if (g == np.arange(len(g))).all():
             return None
-        for known in self.aut_gens:
-            if np.array_equal(known, g):
-                return g
-        self._check_automorphism(g)
-        self.aut_gens.append(g)
+        if (self.aut == g).all(axis=1).any():
+            return g
+        if not self.s.are_automorphisms(g[None]):
+            raise ConstructionBugError("discovered generator is not an automorphism")
+        self.aut = np.vstack([self.aut, g])
         return g
 
     # -- tree -----------------------------------------------------------------
@@ -289,10 +308,13 @@ class _Search:
         has won (its running score beats every earlier cell and reaches the
         cascade level that ends the lookahead).  The child states computed
         for the winner go to ``cache``; the search builds the others when it
-        visits them.
+        visits them.  With one non-singleton cell the choice is forced, and
+        nothing is scored: the search refines only the children it visits.
         """
         sizes = np.bincount(colors, minlength=n_cells)
         eligible = np.flatnonzero(sizes > 1)
+        if len(eligible) == 1:
+            return np.flatnonzero(colors == eligible[0])
         order = eligible[np.argsort(sizes[eligible], kind="stable")]
         budget = self.LOOKAHEAD_MEMBERS
         best_color = int(order[0])
@@ -329,10 +351,10 @@ class _Search:
         cache.update(best_cache)
         return np.flatnonzero(colors == best_color)
 
-    def _fixing_gens(self, start: int, fixed: np.ndarray) -> list[np.ndarray]:
-        """The known automorphisms from index ``start`` on that fix every
-        point in ``fixed``."""
-        return [g for g in self.aut_gens[start:] if bool((g[fixed] == fixed).all())]
+    def _fixing_gens(self, fixed: np.ndarray) -> np.ndarray:
+        """The known automorphisms that fix every point in ``fixed``, one
+        per row."""
+        return self.aut[(self.aut[:, fixed] == fixed).all(axis=1)]
 
     def search(self, state, path: list[bytes], fixed: list[int]) -> None:
         self.node_count += 1
@@ -362,19 +384,21 @@ class _Search:
         # orbits of the known automorphisms fixing the individualized
         # points, shared by the lookahead and the sibling pruning below
         fixed_arr = np.asarray(fixed, dtype=np.int64)
-        gen_count = len(self.aut_gens)
-        usable = self._fixing_gens(0, fixed_arr)
+        gen_count = len(self.aut)
+        usable = self._fixing_gens(fixed_arr)
         orbits = orbit_ids(usable, self.s.n_points)
         cache: dict = {}
         cell = self._choose_cell(colors, n_cells, cache, orbits)
         explored: list[int] = []
         explored_orbits: set[int] = set()
         for v in cell.tolist():
-            if gen_count != len(self.aut_gens):
-                new_gens = self._fixing_gens(gen_count, fixed_arr)
-                gen_count = len(self.aut_gens)
-                if new_gens:
-                    usable += new_gens
+            if gen_count != len(self.aut):
+                # automorphisms are only appended, so the fixing ones grow
+                # exactly when a new one fixes the individualized points
+                gen_count = len(self.aut)
+                fixing = self._fixing_gens(fixed_arr)
+                if len(fixing) != len(usable):
+                    usable = fixing
                     orbits = orbit_ids(usable, self.s.n_points)
                     explored_orbits = {int(orbits[x]) for x in explored}
             if int(orbits[v]) in explored_orbits:
@@ -395,20 +419,21 @@ class _Search:
 
     def seed_automorphisms(self, point_gens) -> None:
         """Install known automorphisms, given as point permutations that
-        preserve the initial point colors; ``induced_permutations`` verifies
-        that each maps the blocks onto the blocks."""
+        preserve the initial point colors; the block index verifies, in one
+        lookup for all of them, that each maps the blocks onto the blocks."""
         s = self.s
-        maps = []
-        for pg in point_gens:
-            p = np.asarray(pg, dtype=np.int64)
-            if p.shape != (s.n_points,) or not np.array_equal(np.sort(p), np.arange(s.n_points)):
-                raise InvalidInputError("seed must permute the points")
-            if not np.array_equal(s.init_colors[p], s.init_colors):
-                raise ConstructionBugError("seed permutation does not preserve the point colors")
-            maps.append(p)
-        if induced_permutations(s.B, maps) is None:
+        points = np.arange(s.n_points)
+        try:
+            maps = np.asarray(point_gens, dtype=np.int64)
+        except (TypeError, ValueError):
+            raise InvalidInputError("seed must permute the points") from None
+        if maps.ndim != 2 or maps.shape[1] != s.n_points or (np.sort(maps, axis=1) != points).any():
+            raise InvalidInputError("seed must permute the points")
+        if not (s.init_colors[maps] == s.init_colors).all():
+            raise ConstructionBugError("seed permutation does not preserve the point colors")
+        if not s.are_automorphisms(maps):
             raise ConstructionBugError("seed permutation is not an automorphism")
-        self.aut_gens += [p for p in maps if (p != np.arange(s.n_points)).any()]
+        self.aut = maps[(maps != points).any(axis=1)]
 
     def run(self) -> CanonResult:
         complete = True
@@ -416,7 +441,7 @@ class _Search:
             self.search(self.refine(self.s.init_colors.copy(), self.s.init_cells), [], [])
         except _Deadline:
             complete = False
-        point_gens = [tuple(int(x) for x in g) for g in self.aut_gens]
+        point_gens = [tuple(g) for g in self.aut.tolist()]
         if not complete:
             return CanonResult(
                 certificate=b"",
@@ -439,22 +464,21 @@ class _Search:
             node_count=self.node_count,
         )
 
-    def _check_automorphism(self, g: np.ndarray) -> None:
-        if induced_permutations(self.s.B, [g]) is None:
-            raise ConstructionBugError("discovered generator is not an automorphism")
-
 
 def canonicalize(
     n_points: int,
-    blocks: Sequence[Sequence[int]],
-    point_colors: Sequence[int] | None = None,
+    blocks: np.ndarray | Sequence[Sequence[int]],
+    point_colors: np.ndarray | Sequence[int] | None = None,
     time_budget: float | None = None,
     known_automorphisms: Sequence[Sequence[int]] = (),
 ) -> CanonResult:
     """Canonical form of a point/block incidence structure.
 
-    ``point_colors`` fixes an initial coloring that any isomorphism must
-    preserve; omit it to allow arbitrary point permutations.
+    ``blocks`` is an m x block-size integer array of point ids, or a
+    sequence of equal-length rows; ragged, repeated or out-of-range blocks
+    raise ``InvalidInputError``.  ``point_colors`` fixes an initial coloring
+    that any isomorphism must preserve; omit it to allow arbitrary point
+    permutations.
     ``known_automorphisms`` (point permutations) seed the orbit pruning; each
     is verified against the structure.  With a ``time_budget`` (seconds), a
     partial result flagged ``complete=False`` is returned when the budget
@@ -462,7 +486,7 @@ def canonicalize(
     are meaningful.
     """
     if point_colors is None:
-        point_colors = [0] * n_points
+        point_colors = np.zeros(n_points, dtype=np.int64)
     struct_ = _Structure(n_points, blocks, point_colors)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     search = _Search(struct_, deadline)
@@ -474,5 +498,9 @@ def canonicalize(
 def design_canonical(bits: np.ndarray) -> CanonResult:
     """Canonicalize a v x v incidence matrix (rows as points, columns as blocks)."""
     v = bits.shape[0]
-    blocks = [tuple(int(i) for i in np.flatnonzero(bits[:, j])) for j in range(v)]
-    return canonicalize(v, blocks, [0] * v)
+    sizes = bits.sum(axis=0)
+    if (sizes != sizes[:1]).any():
+        raise InvalidInputError("blocks must be integer rows of uniform size")
+    # the points of each column, column by column
+    blocks = np.nonzero(bits.T)[1].reshape(v, int(sizes[0]) if v else 0)
+    return canonicalize(v, blocks)

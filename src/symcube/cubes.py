@@ -54,9 +54,13 @@ MAX_CELLS = 1 << 28
 
 
 class Cube:
-    """Immutable n-dimensional 0/1 array tagged with design parameters."""
+    """Immutable n-dimensional 0/1 array tagged with design parameters.
 
-    __slots__ = ("bits", "params")
+    ``_labellings`` belongs to ``equivalence._canonicalize``: the complete
+    unseeded canonical labelling of the cube, per point-coloring mode.
+    """
+
+    __slots__ = ("bits", "params", "_labellings")
 
     def __init__(self, bits: np.ndarray, params: DesignParams):
         arr = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8))
@@ -71,6 +75,7 @@ class Cube:
         arr.setflags(write=False)
         self.bits = arr
         self.params = params
+        self._labellings: dict = {}
 
     @property
     def n(self) -> int:

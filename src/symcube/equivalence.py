@@ -13,6 +13,13 @@ the canonical form with the header (n, v, k, lambda, colored flag).
 ``cube_certificate``, ``canonical_certificate`` (and the seeded
 ``search.build_seeded_cube_certificate``) return those bytes; the witness and
 automorphism reports read the labelling and generators of the same result.
+
+Each ``Cube`` caches its complete unseeded labelling per mode
+(``Cube._labellings``), so ``are_isotopic(c, x)``, ``autotopy_report(c)`` and
+``cube_certificate(c, "colored")`` label ``c`` once between them.  A cached
+labelling is returned at once, whatever the ``time_budget`` of the later
+call; a labelling cut short by its budget is not cached, so the next call
+labels the cube again.  Seeded labellings neither read nor fill the cache.
 """
 
 from __future__ import annotations
@@ -82,15 +89,14 @@ class AutomorphismReport:
     complete: bool = True
 
 
+def _transversal_blocks(c: Cube) -> np.ndarray:
+    """The blocks of the transversal design of c, one row per 1-cell."""
+    return np.argwhere(c.bits) + np.arange(c.n, dtype=np.int64) * c.v
+
+
 def to_transversal(c: Cube) -> TransversalRep:
-    ones = np.argwhere(c.bits)
-    offsets = np.arange(c.n, dtype=np.int64) * c.v
-    blocks = ones + offsets
     return TransversalRep(
-        n=c.n,
-        v=c.v,
-        k=c.params.k,
-        blocks=tuple(tuple(int(x) for x in row) for row in blocks),
+        n=c.n, v=c.v, k=c.params.k, blocks=tuple(map(tuple, _transversal_blocks(c).tolist()))
     )
 
 
@@ -137,11 +143,11 @@ def validate_transversal(t: TransversalRep) -> None:
         raise NotACubeError("a slice violates the design equation", "lambda-condition")
 
 
-def _point_colors(n: int, v: int, mode: str) -> list[int]:
+def _point_colors(n: int, v: int, mode: str) -> np.ndarray:
     if mode == "colored":
-        return [t for t in range(n) for _ in range(v)]
+        return np.repeat(np.arange(n), v)
     if mode == "uncolored":
-        return [0] * (n * v)
+        return np.zeros(n * v, dtype=np.int64)
     raise InvalidInputError(f"unknown mode {mode!r}")
 
 
@@ -150,15 +156,25 @@ def _canonicalize(
 ) -> CanonResult:
     """Canonical labelling of the transversal design of c under the point
     colors of ``mode``, seeded with known automorphisms (transversal point
-    permutations that preserve those colors)."""
-    t = to_transversal(c)
-    return canonicalize(
-        t.n_points,
-        t.blocks,
+    permutations that preserve those colors).
+
+    An unseeded labelling that completes is kept on the cube
+    (``Cube._labellings``) and returned by every later unseeded call in the
+    same mode, whatever its ``time_budget``; an incomplete one is not kept.
+    Seeded calls neither read nor fill it.
+    """
+    if not seeds and mode in c._labellings:
+        return c._labellings[mode]
+    res = canonicalize(
+        c.n * c.v,
+        _transversal_blocks(c),
         _point_colors(c.n, c.v, mode),
         time_budget=time_budget,
         known_automorphisms=seeds,
     )
+    if not seeds and res.complete:
+        c._labellings[mode] = res
+    return res
 
 
 def _certificate(
@@ -278,7 +294,10 @@ def autotopy_report(c: Cube, time_budget: float | None = None) -> AutomorphismRe
     """Generators and exact order of the autotopy group Atop(C).
 
     With a time budget, a partial report flagged incomplete may be returned;
-    its order is then the order of the subgroup found so far.
+    its order is then the order of the subgroup found so far.  The report
+    reads c's cached colored labelling when an earlier unseeded call (an
+    isotopy test, a certificate, a report) completed one, and then ignores
+    the budget; a labelling cut short by the budget is not cached.
     """
     return _report(c, "colored", time_budget)
 

@@ -311,6 +311,9 @@ def make_from_permutation_generators(
 
 # -- isomorphisms ----------------------------------------------------------------
 
+# the rows a search for one isomorphism extends at once
+_ISO_RUN = 16
+
 
 def _isomorphism_search(
     source: FiniteGroup, target: FiniteGroup, find_all: bool
@@ -325,7 +328,10 @@ def _isomorphism_search(
     images, the order of a depth-first search.  A row survives when the map
     that its images induce on <g1..gl> along one BFS tree respects every
     Cayley edge x*gj of that subgroup and is injective there; at the last
-    level the subgroup is the source, and the map an isomorphism.
+    level the subgroup is the source, and the map an isomorphism.  For the
+    first isomorphism only, the survivors of each level are searched in
+    runs of ``_ISO_RUN`` rows, one run to the end before the next, and the
+    search stops at the first complete map.
     """
     v = source.order
     dtype = np.min_scalar_type(v)
@@ -339,13 +345,17 @@ def _isomorphism_search(
     src_table = np.array(source.table, dtype)
     tgt_table = np.array(target.table, dtype)
     gens = source.generating_sequence()
-    images = np.zeros((0, 1), dtype)  # images[j] holds the image of gens[j] per row
-    maps = np.zeros((v, 1), dtype)  # maps[x] holds the image of x per row
-    for level in range(1, len(gens) + 1):
+    if not gens:
+        return np.zeros((1, v), dtype)  # the trivial group
+
+    def extend(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The surviving extensions of the rows ``images`` (images[j] holds
+        the image of gens[j] per row) and their maps on the subgroup."""
+        level = len(images) + 1
         cands = np.flatnonzero(tgt_orders == src_orders[gens[level - 1]]).astype(dtype)
         n = images.shape[1]
         images = np.vstack([np.repeat(images, len(cands), axis=1), np.tile(cands, n)])
-        maps = np.zeros((v, images.shape[1]), dtype)
+        maps = np.zeros((v, images.shape[1]), dtype)  # maps[x] holds the image of x per row
         members = [0]
         for x in members:  # BFS over <gens[:level]>, one gather per new element
             for j, g in enumerate(gens[:level]):
@@ -358,8 +368,21 @@ def _isomorphism_search(
             ok &= (maps[src_table[members, g]] == tgt_table[maps[members], images[j]]).all(axis=0)
         induced = np.sort(maps[members], axis=0)
         ok &= (induced[1:] != induced[:-1]).all(axis=0)
-        images, maps = images[:, ok], maps[:, ok]
-    return np.ascontiguousarray(maps.T if find_all else maps.T[:1])
+        return images[:, ok], maps[:, ok]
+
+    runs = [np.zeros((0, 1), dtype)]  # a stack: the next run to search is last
+    while runs:
+        images, maps = extend(runs.pop())
+        if len(images) == len(gens):
+            if find_all:
+                return np.ascontiguousarray(maps.T)
+            if maps.shape[1]:
+                return np.ascontiguousarray(maps.T[:1])
+        elif find_all:
+            runs.append(images)
+        else:
+            runs += [images[:, i : i + _ISO_RUN] for i in range(0, images.shape[1], _ISO_RUN)][::-1]
+    return none
 
 
 # keyed by table (FiniteGroup hashes and compares by it); the entries are
@@ -425,9 +448,9 @@ def is_difference_set(
     v = g.order
     if any(not 0 <= x < v for x in elems) or len(set(elems)) != len(elems):
         return False
+    inverses = [g.inv(x) for x in elems]
     counts = [0] * v
-    for d1 in elems:
-        i1 = g.inv(d1)
+    for i1 in inverses:
         row = g.table[i1]
         for d2 in elems:
             counts[row[d2]] += 1
@@ -436,8 +459,8 @@ def is_difference_set(
         rcounts = [0] * v
         for d1 in elems:
             row = g.table[d1]
-            for d2 in elems:
-                rcounts[row[g.inv(d2)]] += 1
+            for i2 in inverses:
+                rcounts[row[i2]] += 1
         rok = all(rcounts[x] == lam for x in range(1, v))
         if ok != rok:
             raise ConstructionBugError(

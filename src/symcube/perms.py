@@ -225,13 +225,14 @@ def void_rows(arr: np.ndarray) -> np.ndarray:
     return be.view(f"V{be.shape[1] * 4}").ravel()
 
 
-def orbit_ids(gens: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """Orbits of the group generated by ``gens`` (permutations of range(n)):
-    each point is labelled by the least point of its orbit."""
+def orbit_ids(gens: Sequence[np.ndarray] | np.ndarray, n: int) -> np.ndarray:
+    """Orbits of the group generated by ``gens`` (permutations of range(n),
+    a sequence or the rows of an array): each point is labelled by the
+    least point of its orbit."""
     ids = np.arange(n, dtype=np.int32)
-    if not gens:
+    if len(gens) == 0:
         return ids
-    stacked = np.stack(gens)
+    stacked = np.asarray(gens)
     while True:
         # pull the least label over one generator step, then shortcut labels
         # through their own labels; every label stays inside its orbit, and

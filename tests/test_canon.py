@@ -175,6 +175,55 @@ def test_hashed_refinement_matches_exact(name, kind):
             colors[v] -= 1
 
 
+def _transversal_array(name):
+    c = named_cube(name)
+    return c.n * c.v, np.argwhere(c.bits) + np.arange(c.n) * c.v
+
+
+@pytest.mark.parametrize("name", ["fano", "C3"])
+@pytest.mark.parametrize("colored", [False, True])
+def test_array_and_tuple_blocks_give_equal_results(name, colored):
+    n_points, arr = _transversal_array(name)
+    colors = [p // (n_points // 3) for p in range(n_points)] if colored else None
+    rng = np.random.default_rng(5)
+    # rows in another order, and the points of each row shuffled
+    shuffled = rng.permuted(arr[rng.permutation(len(arr))], axis=1)
+    from_array = canonicalize(n_points, shuffled, colors)
+    from_tuples = canonicalize(n_points, [tuple(int(x) for x in row) for row in shuffled], colors)
+    assert from_array == from_tuples
+    assert from_array == canonicalize(n_points, arr, colors)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        pytest.param([(0, 1), (1, 2), (2,)], id="ragged"),
+        pytest.param([(0, 1), (1, 2), (2, 0), (1, 0)], id="repeated"),
+        pytest.param([(0, 1), (1, 2), (2, 3)], id="out-of-range"),
+        pytest.param([(0, 1), (1, 2), (2, -1)], id="negative"),
+        pytest.param([0, 1, 2], id="not-rows"),
+        pytest.param([], id="empty"),
+    ],
+)
+def test_malformed_blocks_raise_in_both_forms(blocks):
+    try:
+        arr = np.array(blocks)
+    except ValueError:  # ragged rows make only an object array
+        arr = np.array(blocks, dtype=object)
+    for form in (blocks, arr):
+        with pytest.raises(InvalidInputError):
+            canonicalize(3, form)
+
+
+def test_design_canonical_rejects_unequal_block_sizes():
+    bits = np.eye(4, dtype=np.uint8)
+    bits[0, 1] = 1
+    with pytest.raises(InvalidInputError):
+        design_canonical(bits)
+    with pytest.raises(InvalidInputError):
+        design_canonical(np.zeros((0, 0), dtype=np.uint8))
+
+
 class TestSeeds:
     def setup_method(self):
         self.t = to_transversal(fano_cube())
@@ -203,6 +252,23 @@ class TestSeeds:
         swap[0], swap[1] = 1, 0
         with pytest.raises(ConstructionBugError, match="not an automorphism"):
             canonicalize(self.t.n_points, self.t.blocks, self.colors, known_automorphisms=[swap])
+
+    def test_seeds_are_verified_together(self):
+        """One bad seed among good ones, with the blocks as an array: the
+        block index checks every seed in one lookup and still finds it."""
+        blocks = np.array(self.t.blocks)
+        shift = paratopy_to_point_perm(
+            ParatopyElement((tuple(range(7)), (1, 2, 3, 4, 5, 6, 0), (6, 0, 1, 2, 3, 4, 5)), (0, 1, 2)),
+            3,
+            7,
+        )
+        assert canonicalize(self.t.n_points, blocks, self.colors, known_automorphisms=[shift]).complete
+        swap = list(range(self.t.n_points))
+        swap[0], swap[1] = 1, 0
+        with pytest.raises(ConstructionBugError, match="not an automorphism"):
+            canonicalize(
+                self.t.n_points, blocks, self.colors, known_automorphisms=[shift, swap, shift]
+            )
 
     def test_seed_must_be_a_permutation(self):
         with pytest.raises(InvalidInputError):

@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from symcube import equivalence
 from symcube.catalog import elementary_16, switched_16_designs
 from symcube.cubes import (
+    Cube,
+    ParatopyElement,
     apply_paratopy,
     difference_cube,
     group_cube,
@@ -196,6 +199,64 @@ class TestReports:
         c = difference_cube(g16, d, 3)
         rep = autotopy_report(c, time_budget=1e-9)
         assert not rep.complete
+
+
+class TestLabellingCache:
+    """Each cube keeps its complete unseeded labelling per mode, so the
+    isotopy test, the autotopy report and the certificate label it once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        canonicalize = equivalence.canonicalize
+
+        def counting(*args, **kwargs):
+            res = canonicalize(*args, **kwargs)
+            counted.append(res)
+            return res
+
+        monkeypatch.setattr(equivalence, "canonicalize", counting)
+        return counted
+
+    @staticmethod
+    def _cube_and_isotope():
+        z7 = make_cyclic(7)
+        c = difference_cube(z7, DifferenceSet(z7, (1, 2, 4), (7, 3, 1)), 3)
+        perms = tuple(tuple(random.Random(t).sample(range(7), 7)) for t in range(3))
+        return c, apply_paratopy(c, ParatopyElement(perms, (0, 1, 2)))
+
+    def test_one_colored_labelling_per_cube(self, calls):
+        c, isotope = self._cube_and_isotope()
+        assert are_isotopic(c, isotope)
+        assert len(calls) == 2  # c and its isotope
+        assert autotopy_report(c).order == 147
+        cert = cube_certificate(c, "colored")
+        assert len(calls) == 2
+        # the cached labelling gives the certificate a fresh cube gets
+        assert cert == cube_certificate(Cube(c.bits, c.params), "colored")
+        assert len(calls) == 3
+
+    def test_seeded_certificate_is_not_cached(self, calls):
+        c, _ = self._cube_and_isotope()
+        plain = cube_certificate(c, "uncolored").bytes_
+        seeds = _group_cube_seeds(make_cyclic(7), 3)
+        assert build_seeded_cube_certificate(c, seeds) == plain
+        assert build_seeded_cube_certificate(c, seeds) == plain
+        assert len(calls) == 3
+        cube_certificate(c, "uncolored")
+        assert len(calls) == 3
+
+    def test_incomplete_labelling_is_not_cached(self, calls):
+        c, _ = self._cube_and_isotope()
+        assert not autotopy_report(c, time_budget=-1.0).complete
+        assert not calls[-1].complete
+        rep = autotopy_report(c, time_budget=-1.0)
+        assert not rep.complete and len(calls) == 2
+        rep = autotopy_report(c)
+        assert rep.complete and rep.order == 147 and len(calls) == 3
+        # a complete labelling answers later budgeted calls
+        assert autotopy_report(c, time_budget=-1.0).complete
+        assert len(calls) == 3
 
 
 class TestTheoreticalAutotopies:

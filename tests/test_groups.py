@@ -482,6 +482,18 @@ def test_find_isomorphism_matches_depth_first_search(gid):
         assert find_isomorphism(source, target) == expected
 
 
+def test_find_isomorphism_in_single_row_runs(monkeypatch):
+    """Searched one survivor at a time, depth first, the first complete map
+    is still the depth-first search's first."""
+    monkeypatch.setattr(groups, "_ISO_RUN", 1)
+    for gid in (1, 4, 9, 14):
+        g = load_group_16(gid)
+        h = relabelled(g, gid)
+        [expected] = dfs_isomorphism_search(g, h, find_all=False)
+        assert find_isomorphism(g, h) == expected
+    assert find_isomorphism(load_group_16(2), load_group_16(4)) is None
+
+
 def test_find_isomorphism_rejects_groups_with_equal_element_orders():
     z4xz4, z4_z4 = load_group_16(2), load_group_16(4)  # Z4 x Z4 and Z4 x| Z4
 

@@ -8,7 +8,12 @@ from symcube.canon import _Search, _Structure, canonicalize, design_canonical
 from symcube.catalog import elementary_16, switched_16_designs
 from symcube.cubes import ParatopyElement, apply_paratopy, difference_cube, random_paratopy
 from symcube.designs import block_quadruple, development
-from symcube.equivalence import cube_certificate, paratopy_to_point_perm, to_transversal
+from symcube.equivalence import (
+    _transversal_blocks,
+    cube_certificate,
+    paratopy_to_point_perm,
+    to_transversal,
+)
 from symcube.errors import ConstructionBugError, InvalidInputError
 from symcube.groups import DifferenceSet, make_cyclic
 from symcube.perms import void_rows
@@ -175,16 +180,12 @@ def test_hashed_refinement_matches_exact(name, kind):
             colors[v] -= 1
 
 
-def _transversal_array(name):
-    c = named_cube(name)
-    return c.n * c.v, np.argwhere(c.bits) + np.arange(c.n) * c.v
-
-
 @pytest.mark.parametrize("name", ["fano", "C3"])
 @pytest.mark.parametrize("colored", [False, True])
 def test_array_and_tuple_blocks_give_equal_results(name, colored):
-    n_points, arr = _transversal_array(name)
-    colors = [p // (n_points // 3) for p in range(n_points)] if colored else None
+    c = named_cube(name)
+    n_points, arr = c.n * c.v, _transversal_blocks(c)
+    colors = [p // c.v for p in range(n_points)] if colored else None
     rng = np.random.default_rng(5)
     # rows in another order, and the points of each row shuffled
     shuffled = rng.permuted(arr[rng.permutation(len(arr))], axis=1)

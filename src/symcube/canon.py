@@ -18,15 +18,26 @@ function of the isomorphism type.  Without a hash collision a round splits
 exactly the cells the multisets split.  A collision can only keep together
 two cells that the multisets would separate: that weakens pruning, not
 correctness, because leaves are compared by their exact relabeled block
-lists and every automorphism is verified.  A node's invariant hashes the
-stable coloring's cell sizes and the point key of each cell.
+lists and every automorphism is verified.
+
+A node's invariant is its refinement trace (as in Traces: McKay & Piperno,
+above): one digest per round of the cell boundaries, in the sorted order of
+(old color, point key), and of the point key at each boundary.  It is a pure
+function of the node's ordered partition.  The round that would only confirm
+a discrete coloring is skipped; a discrete coloring is stable.
 
 At each node with more than one non-singleton point cell, a lookahead
 individualizes members of the few smallest of them and branches on the cell
-whose best member splits the coloring the most (``_Search._choose_cell``).  The tree is pruned three
-ways:
+whose best member splits the coloring the most (``_Search._choose_cell``).
+The tree is pruned four ways:
 
-* partial-invariant comparison against the best path found so far,
+* invariant-path comparison against the best path found so far, unless the
+  node tracks the first path,
+* aborted refinement: a child that the search refines itself is compared
+  round by round with the best and first paths' traces at its depth
+  (``_Search._bound``), and refinement stops once the trace is sure to lose
+  that comparison; the lookahead and the root refine without a bound, so
+  the cell choice stays label-invariant,
 * orbits of the known automorphisms that fix the node's individualized
   points (the partition ``perms.orbit_ids``), among the children of a node
   (the lookahead scores one member per orbit, too),
@@ -176,10 +187,19 @@ class _Search:
 
     # -- refinement -----------------------------------------------------------
 
-    def refine(self, colors: np.ndarray, n_cells: int) -> tuple[np.ndarray, int, bytes]:
+    def refine(
+        self, colors: np.ndarray, n_cells: int, bound: tuple | None = None
+    ) -> tuple[np.ndarray, int, tuple[bytes, ...]] | None:
         """Refine the point ``colors`` (with ``n_cells`` cells) to the stable
-        coloring: (colors, n_cells, invariant)."""
+        coloring: (colors, n_cells, trace), the trace one digest per round.
+
+        With a ``bound`` (best entry, first entry) from ``_bound``, returns
+        None as soon as the partial trace shows that the whole trace is
+        greater than the best entry and differs from the first entry: the
+        search would prune the node on entry.
+        """
         s = self.s
+        trace: tuple[bytes, ...] = ()
         while True:
             # a block's key hashes the multiset of its points' colors, a
             # point's the multiset of its blocks' keys; ranking by (old color,
@@ -197,13 +217,23 @@ class _Search:
             colors = np.empty(len(order), dtype=np.int32)
             colors[order] = np.cumsum(boundary) - 1
             new_n_cells = int(colors[order[-1]]) + 1
-            if new_n_cells == n_cells:
-                # stable: every cell has one point key; the invariant is the
-                # cell starts (hence sizes) and those keys
-                h = hashlib.blake2b(digest_size=16)
-                h.update(np.flatnonzero(boundary).astype(np.int32).tobytes())
-                h.update(sorted_keys[boundary].tobytes())
-                return colors, n_cells, h.digest()
+            # the round's entry: its cell boundaries in the sorted order and
+            # the point key at each boundary
+            h = hashlib.blake2b(boundary.tobytes(), digest_size=16)
+            h.update(sorted_keys[boundary].tobytes())
+            trace += (h.digest(),)
+            # a discrete coloring is stable: no round confirms it
+            stable = new_n_cells == n_cells or new_n_cells == s.n_points
+            if bound is not None:
+                best, first = bound
+                k = len(trace)
+                # a trace greater than a prefix of the best entry stays
+                # greater, and one unequal to a prefix of the first entry
+                # stays unequal, however many rounds follow
+                if trace > best[:k] and trace != (first if stable else first[:k]):
+                    return None
+            if stable:
+                return colors, new_n_cells, trace
             n_cells = new_n_cells
 
     # -- leaves ---------------------------------------------------------------
@@ -282,10 +312,27 @@ class _Search:
     LOOKAHEAD_CELLS = 4
     LOOKAHEAD_MEMBERS = 256
 
-    def _child_state(self, colors: np.ndarray, v: int, n_cells: int):
+    def _child_state(self, colors: np.ndarray, v: int, n_cells: int, bound: tuple | None = None):
         child = colors * 2
         child[v] -= 1
-        return self.refine(child, n_cells + 1)
+        return self.refine(child, n_cells + 1, bound)
+
+    def _bound(self, prefix: tuple) -> tuple | None:
+        """The bound for refining a child of the node whose invariant path is
+        ``prefix``: (best entry, first entry), the best path's and the first
+        path's traces at the child's depth, or None if no trace gets the
+        child pruned.  An entry is the empty tuple when the paths part above
+        the child: every trace is then greater than the best path's, or
+        differs from the first path's, whatever it is."""
+        if self.best_key is None:
+            return None
+        depth = len(prefix)
+        best, first = self.best_key[0], self.first_key[0]  # set by the same leaf
+        if prefix < best[:depth]:
+            return None
+        best_entry = best[depth] if len(best) > depth and prefix == best[:depth] else ()
+        first_entry = first[depth] if len(first) > depth and prefix == first[:depth] else ()
+        return best_entry, first_entry
 
     def _choose_cell(self, colors: np.ndarray, n_cells: int, cache: dict, orbits: np.ndarray):
         """Pick the branching point cell: among the few smallest cells, the
@@ -360,9 +407,9 @@ class _Search:
         self.node_count += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Deadline
-        colors, n_cells, inv = state
+        colors, n_cells, trace = state
         depth = len(path)
-        path = path + [inv]
+        path = path + [trace]
         prefix = tuple(path)
         # a node survives if it can still lead to the canonical leaf (invariant
         # prefix not worse than the best path) or if it tracks the first path,
@@ -405,8 +452,11 @@ class _Search:
                 continue
             child_state = cache.pop(v, None)
             if child_state is None:
-                child_state = self._child_state(colors, v, n_cells)
-            self.search(child_state, path, fixed + [v])
+                child_state = self._child_state(colors, v, n_cells, self._bound(prefix))
+            if child_state is None:
+                self.node_count += 1  # aborted: a node pruned on entry
+            else:
+                self.search(child_state, path, fixed + [v])
             explored.append(v)
             explored_orbits.add(int(orbits[v]))
             if self.unwind_to is not None:

@@ -53,14 +53,15 @@ from .reproduce import TARGETS
 from .search import classify_group_cubes, find_ds_block_designs, orbit_cube
 
 
-def _ints(text: str, count: int, argument: str, form: str) -> list[int]:
-    """``count`` comma-separated integers from ``text``, or an
-    InvalidInputError that names the argument and its expected form."""
+def _ints(text: str, count: int | None, argument: str, form: str) -> list[int]:
+    """``count`` (any number if None) comma-separated integers from
+    ``text``, or an InvalidInputError that names the argument and its
+    expected form."""
     try:
         values = [int(x) for x in text.split(",")]
     except ValueError:
         values = []
-    if len(values) != count:
+    if not values or count is not None and len(values) != count:
         raise InvalidInputError(f"{argument}: expected {form}")
     return values
 
@@ -171,8 +172,8 @@ def cmd_design_class(args) -> int:
 
 def cmd_design_switch(args) -> int:
     a = fileio.load_design(args.path)
-    blocks = [int(x) for x in args.blocks.split(",")]
-    points = [int(x) for x in args.points.split(",")]
+    blocks = _ints(args.blocks, None, "--blocks", "comma-separated block indices")
+    points = _ints(args.points, None, "--points", "comma-separated point indices")
     out = switch_blocks(a, blocks, points)
     ok = verify_design(out, out.params)
     print("valid" if ok else "invalid")

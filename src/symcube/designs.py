@@ -177,12 +177,24 @@ def switch_blocks(
     a: IncidenceMatrix, block_indices: Iterable[int], point_set: Iterable[int]
 ) -> IncidenceMatrix:
     """Replace the listed block columns by their symmetric difference with
-    the given point set; validity is the caller's concern."""
+    the given point set; validity is the caller's concern.  Indices must be
+    distinct and in range, else InvalidInputError."""
     bits = a.bits.copy()
-    pts = list(point_set)
-    for j in block_indices:
+    pts = _distinct_indices(point_set, bits.shape[0], "point")
+    for j in _distinct_indices(block_indices, bits.shape[1], "block"):
         bits[pts, j] ^= 1
     return IncidenceMatrix(bits, a.params)
+
+
+def _distinct_indices(indices: Iterable[int], count: int, kind: str) -> list[int]:
+    """``indices`` as a list, if they are distinct and in 0..count-1."""
+    out = list(indices)
+    for x in out:
+        if not 0 <= x < count:
+            raise InvalidInputError(f"{kind} index {x} is out of range 0..{count - 1}")
+    if len(set(out)) != len(out):
+        raise InvalidInputError(f"{kind} indices must be distinct, got {out}")
+    return out
 
 
 def menon_params(m: int) -> DesignParams:

@@ -53,11 +53,11 @@ def _corpus():
 PINNED = {
     "fano design": ("deee4d57b7f6de29c97f0fb824276999a5d202ee706ea29aaf25b7bbf3a93490", 11, 5, 168),
     "D1 design": ("a53c5447f572b10cf02001addd3126f942bf7d3a6a16e20e1c742a9ca1b32b7b", 26, 8, 11520),
-    "D2 design": ("350f261750d1f174ff6509b1015f0bf4776b11cbb4f2fc2b02ac614e375c496b", 28, 9, 768),
-    "D3 design": ("6dc8dc6a413c39a9464451cce5c5a3b3ec975e0cf31e0e56879756ed5d8f8573", 29, 8, 384),
+    "D2 design": ("9f677031f47ea652510d62daefed23d934980be5a8739582e070692dede73c11", 66, 8, 768),
+    "D3 design": ("6caa171de174247d158396c7ae60510c13556257dbbf4f5f3aa98e3fbd8cec23", 35, 7, 384),
     "fano cube colored": ("59d0972401833b5e902c408af66676c3f1ce74254afe9debbcb1133b54414690", 10, 4, 147),
     "fano cube uncolored": ("5d2cb67b2a937a74200203c9765869146deab1f859f33a9dbd601be85b4ceb9c", 15, 6, 882),
-    "C3 uncolored": ("909f8552d594b0150bb1f7fef081a445fcbcd3da0cfd80ce4e7a29966e0c8044", 70, 14, 882),
+    "C3 uncolored": ("606994df1237c141aa029e8ebf4f3a3d2c79d94c1f3abf11e758082e8545ffe9", 80, 9, 882),
     "Z2^4 difference cube seeded": (
         "4e14ef37a31d2e880bf721bbc1c3ba171f2e5632f844bbcbdc27d669dc9e24b3", 43, 9, 1105920
     ),
@@ -70,6 +70,88 @@ def test_pinned_certificates(name):
     assert res.complete
     got = (hashlib.sha256(res.certificate).hexdigest(), res.node_count, res.leaf_count, res.aut_order)
     assert got == PINNED[name]
+
+
+ABORT_IMAGES = [f"{name} image {i}" for name in ("D2", "D3", "C3") for i in range(3)]
+
+
+def _abort_case(name):
+    """A corpus entry, or the uncolored labelling of a random paratopy image
+    of a named cube."""
+    if name in PINNED:
+        return _corpus()[name]
+    cube, _, i = name.split()
+    c = named_cube(cube)
+    image = apply_paratopy(c, random_paratopy(random.Random(f"{cube} {i}"), c.n, c.v))
+    return lambda: canonicalize(image.n * image.v, _transversal_blocks(image))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED) + ABORT_IMAGES)
+def test_aborted_refinement_changes_no_result(name, monkeypatch):
+    """Refining a child against the best and first paths' traces only skips
+    work: without the bound the search gives the same certificate,
+    labelling, generators, node and leaf counts."""
+    case = _abort_case(name)
+    aborted = []
+    refine = _Search.refine
+
+    def counted(self, *args):
+        out = refine(self, *args)
+        aborted.append(out is None)
+        return out
+
+    monkeypatch.setattr(_Search, "refine", counted)
+    bounded = case()
+    bounded_aborts = sum(aborted)
+    aborted.clear()
+    monkeypatch.setattr(_Search, "_bound", lambda self, prefix: None)
+    assert case() == bounded
+    assert not any(aborted)
+    if name in ABORT_IMAGES:
+        assert bounded_aborts  # the bound did cut refinements short
+
+
+class TestRefinementBound:
+    """``refine``'s bound (best entry, first entry) on a child of the root
+    of the Fano cube's transversal design, which takes two rounds."""
+
+    def setup_method(self):
+        self.search = _Search(_Structure(*_refinement_structure("fano", "uncolored")))
+        colors, n_cells, _ = self.search.refine(self.search.s.init_colors.copy(), 1)
+        self.child = colors * 2
+        self.child[0] -= 1
+        self.n_cells = n_cells + 1
+        self.colors, _, self.trace = self.search.refine(self.child, self.n_cells)
+        assert len(self.trace) >= 2
+
+    def refine(self, best, first):
+        return self.search.refine(self.child, self.n_cells, (best, first))
+
+    @staticmethod
+    def smaller(entry):
+        """A digest that sorts before ``entry``."""
+        return b"" if entry == bytes(len(entry)) else bytes(len(entry))
+
+    def test_no_abort_when_the_best_entry_is_the_trace(self):
+        for first in ((), self.trace[:1], (b"\xff" * 16,)):
+            out = self.refine(self.trace, first)
+            assert out is not None
+            assert (out[0] == self.colors).all() and out[2] == self.trace
+
+    def test_abort_when_greater_than_best_and_unlike_first(self):
+        t = self.trace
+        smaller_last = t[:-1] + (self.smaller(t[-1]),)
+        for best in ((), t[:1], t[:-1], smaller_last, (self.smaller(t[0]),) + t[1:]):
+            # the first entry parts from the trace in its last round, or
+            # goes on after it
+            for first in ((), t[:-1], t[:-1] + (b"\xff" * 16,), t + t[:1]):
+                assert self.refine(best, first) is None, (best, first)
+
+    def test_no_abort_while_the_first_entry_matches(self):
+        t = self.trace
+        for best in ((), t[:1], (self.smaller(t[0]),)):
+            out = self.refine(best, t)
+            assert out is not None and out[2] == t
 
 
 def _check_invariance(name, images):
@@ -116,15 +198,18 @@ def _dense_ranks(rows):
 def _exact_refine(s, colors, n_cells):
     """Reference refinement without hashing: a block's key is the sorted row
     of its points' colors, a point's its old color followed by the sorted
-    ranks of its blocks' keys."""
+    ranks of its blocks' keys.  Returns the stable colors, their cell count
+    and the number of rounds, the last of which confirms stability."""
     key = np.empty((s.n_points, s.point_degree + 1), dtype=np.int32)
+    rounds = 0
     while True:
+        rounds += 1
         brank, _ = _dense_ranks(void_rows(np.sort(colors[s.B], axis=1)))
         key[:, 0] = colors
         key[:, 1:] = np.sort(brank[s.P], axis=1)
         colors, new_n_cells = _dense_ranks(void_rows(key))
         if new_n_cells == n_cells:
-            return colors, n_cells
+            return colors, n_cells, rounds
         n_cells = new_n_cells
 
 
@@ -160,18 +245,21 @@ def _refinement_structure(name, kind):
 def test_hashed_refinement_matches_exact(name, kind):
     """At every step of random individualization chains, the hashed
     refinement reaches the exact refinement's partition, up to the order of
-    the cells."""
+    the cells, in as many rounds, one per trace entry; only a coloring that
+    turns discrete returns without the round that confirms stability."""
     search = _Search(_Structure(*_refinement_structure(name, kind)))
     s = search.s
     rng = random.Random(f"{name} {kind}")
     for _ in range(24):
         colors, n_cells = s.init_colors.copy(), s.init_cells
         while True:
-            hashed, n_hashed, _ = search.refine(colors, n_cells)
-            exact, n_exact = _exact_refine(s, colors, n_cells)
+            hashed, n_hashed, trace = search.refine(colors, n_cells)
+            exact, n_exact, rounds = _exact_refine(s, colors, n_cells)
             assert n_hashed == n_exact
             # equal partitions: the cell pairs (hashed, exact) are a bijection
             assert len(set(zip(hashed.tolist(), exact.tolist()))) == n_exact
+            turned_discrete = n_cells < s.n_points == n_exact
+            assert len(trace) == rounds - turned_discrete
             if n_hashed == s.n_points:
                 break
             sizes = np.bincount(hashed, minlength=n_hashed)

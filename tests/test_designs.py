@@ -96,6 +96,22 @@ def test_switch_twice_is_identity():
     assert switch_blocks(d1, (), (2, 3)) == d1
 
 
+@pytest.mark.parametrize(
+    "blocks,points,message",
+    [
+        ((7,), (1,), "block index 7 is out of range 0..6"),
+        ((0,), (7,), "point index 7 is out of range 0..6"),
+        ((-1,), (1,), "block index -1 is out of range"),
+        ((0,), (-1,), "point index -1 is out of range"),
+        ((0, 0), (1,), "block indices must be distinct"),
+        ((0,), (1, 1), "point indices must be distinct"),
+    ],
+)
+def test_switch_rejects_bad_indices(fano, blocks, points, message):
+    with pytest.raises(InvalidInputError, match=message):
+        switch_blocks(fano, blocks, points)
+
+
 def test_switched_designs_verify():
     d1, d2, d3 = switched_16_designs()
     p = DesignParams(16, 6, 2)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from symcube import fileio
 from symcube.cli import main
 from symcube.cubes import difference_cube
+from symcube.datafiles import data_dir
 from symcube.equivalence import from_transversal, to_transversal
 from symcube.errors import InvalidInputError
 from symcube.groups import DifferenceSet, make_cyclic
@@ -84,6 +85,29 @@ def test_cli_comma_lists_are_checked(capsys, argv, named, form):
     err = capsys.readouterr().err
     assert named in err and form in err
     assert "unpack" not in err and "invalid literal" not in err
+
+
+@pytest.mark.parametrize(
+    "blocks,points,message",
+    [
+        ("9", "1", "block index 9 is out of range 0..6"),
+        ("0", "7", "point index 7 is out of range 0..6"),
+        ("-1", "1", "block index -1 is out of range"),
+        ("0,0", "1", "block indices must be distinct"),
+        ("0", "2,2", "point indices must be distinct"),
+        ("x", "1", "--blocks: expected comma-separated block indices"),
+        ("0", "1,", "--points: expected comma-separated point indices"),
+    ],
+)
+def test_cli_design_switch_checks_indices(tmp_path, capsys, blocks, points, message):
+    path = data_dir() / "designs" / "fano_a1.design"
+    out = tmp_path / "out.design"
+    argv = ["design", "switch", str(path), "--blocks", blocks, "--points", points, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err and "invalid literal" not in err
+    assert not out.exists()
 
 
 def test_cli_product_spec(capsys):

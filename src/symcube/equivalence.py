@@ -14,6 +14,23 @@ the canonical form with the header (n, v, k, lambda, colored flag).
 ``search.build_seeded_cube_certificate``) return those bytes; the witness and
 automorphism reports read the labelling and generators of the same result.
 
+For a 3-cube the labelling starts from a vertex invariant, not from one
+cell (or one per axis), as nauty does on regular graphs, where refinement
+alone splits nothing (McKay & Piperno, *Practical graph isomorphism II*,
+JSC 2014).  The group cubes are refinement-stable, so without it canon's
+tree did all the work of telling them apart, and its size followed the
+input labels.  The key of point (d, i) comes from the slices S_j of
+direction d: for each j != i, the entry histograms of S_i S_j^T and
+S_i^T S_j, as a sorted pair; the key is the multiset of those pairs.  A
+paratopy permutes slices, permutes the rows or columns of all slices of a
+direction together, and permutes the directions, possibly transposing the
+slices; the histograms ignore the first two, and the sorted pair absorbs the
+transpose, so the key is a paratopy invariant.  The initial colors are the
+dense ranks of the keys, of (axis, key) in colored mode
+(``_point_colors``); other dimensions keep one cell, or one per axis.  The
+certificate is still the relabelled block list, which determines the cube,
+so equal certificates still mean equivalent cubes.
+
 Each ``Cube`` caches its complete unseeded labelling per mode
 (``Cube._labellings``), so ``are_isotopic(c, x)``, ``autotopy_report(c)`` and
 ``cube_certificate(c, "colored")`` label ``c`` once between them.  A cached
@@ -35,7 +52,7 @@ from .cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, verif
 from .designs import DesignParams, IncidenceMatrix, design_class
 from .errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
 from .groups import DifferenceSet, FiniteGroup, automorphism_generators, multipliers as _multipliers
-from .perms import PermGroup, identity as id_perm, inverse as perm_inverse
+from .perms import PermGroup, identity as id_perm, inverse as perm_inverse, void_rows
 
 __all__ = [
     "TransversalRep",
@@ -143,12 +160,82 @@ def validate_transversal(t: TransversalRep) -> None:
         raise NotACubeError("a slice violates the design equation", "lambda-condition")
 
 
-def _point_colors(n: int, v: int, mode: str) -> np.ndarray:
+# product entries per batch of ``_slice_pair_keys``: bounds its temporaries
+# for large v
+_KEY_BATCH = 1 << 16
+
+
+def _dense_ranks(rows: np.ndarray) -> np.ndarray:
+    """Rank of each row of non-negative ints among the distinct rows, in
+    lexicographic order."""
+    return np.unique(void_rows(rows), return_inverse=True)[1].ravel()
+
+
+def _slice_pair_keys(bits: np.ndarray) -> np.ndarray:
+    """The slice-pair key of every transversal point (d, i) of a 3-cube,
+    one row per point in point order (point d*v + i).
+
+    Let S_i be the slices of direction d.  For i != j, take the entry
+    histograms of S_i S_j^T and S_i^T S_j, each contracted over one of the
+    two other axes t, and sort the two histograms; the key of (d, i) is the
+    sorted row of those pairs over j != i, each pair given by its rank among
+    the cube's pairs in lexicographic order, so the keys compare as the
+    multisets of pairs do.  Entry (x, z) of the product contracted over t counts
+    the y with both cells 1, the popcount of the AND of the two rows packed
+    over t, so packing the cube over t once serves both directions left.
+    The pair (j, i) has the pair (i, j) of histograms, since it transposes
+    both products, so only i < j is computed.
+    """
+    v = bits.shape[0]
+    # a row packs into n_words words of the least width that holds it
+    n_bytes = -(-v // 8)
+    width = 8 if n_bytes > 8 else 1 << (n_bytes - 1).bit_length()
+    n_words = -(-n_bytes // width)
+    # rows[w, d, s, i, x]: word w of row x of slice i of direction d,
+    # packed over the axis t = (d + 1 + s) % 3
+    rows = np.empty((n_words, 3, 2, v, v), dtype=f"<u{width}")
+    for t in range(3):
+        padded = np.zeros((v, v, 8 * width * n_words), dtype=np.uint8)
+        padded[..., :v] = np.moveaxis(bits, t, -1)
+        words = np.packbits(padded, axis=-1, bitorder="little").view(f"<u{width}")
+        a, b = (x for x in range(3) if x != t)
+        rows[:, a, (t - a) % 3 - 1] = words.transpose(2, 0, 1)
+        rows[:, b, (t - b) % 3 - 1] = words.transpose(2, 1, 0)
+    rows = rows.reshape(n_words, 6, v, v)
+    first, second = np.triu_indices(v, 1)
+    hist = np.empty((6, len(first), v + 1), dtype=np.intp)
+    span = max(1, _KEY_BATCH // (6 * v * v))
+    for start in range(0, len(first), span):
+        i, j = first[start : start + span], second[start : start + span]
+        prod = np.bitwise_count(rows[:, :, i, :, None] & rows[:, :, j, None, :])
+        entries = prod.sum(axis=0, dtype=np.uint32)
+        # one bincount for the batch: each histogram gets its own v + 1 bins
+        entries += (np.arange(6 * len(i), dtype=np.uint32) * (v + 1)).reshape(6, len(i), 1, 1)
+        counts = np.bincount(entries.ravel(), minlength=6 * len(i) * (v + 1))
+        hist[:, start : start + span] = counts.reshape(6, len(i), v + 1)
+    ranks = np.sort(_dense_ranks(hist.reshape(-1, v + 1)).reshape(3, 2, -1), axis=1)
+    pairs = _dense_ranks(ranks.transpose(0, 2, 1).reshape(-1, 2)).reshape(3, -1)
+    full = np.empty((3, v, v), dtype=np.int64)
+    full[:, first, second] = pairs
+    full[:, second, first] = pairs
+    off_diagonal = ~np.eye(v, dtype=bool)
+    return np.sort(full[:, off_diagonal].reshape(3 * v, v - 1), axis=1)
+
+
+def _point_colors(c: Cube, mode: str) -> np.ndarray:
+    """Initial point colors: for a 3-cube the dense ranks of the slice-pair
+    keys (``_slice_pair_keys``), prefixed by the axis in colored mode;
+    otherwise (n != 3, or no pair of slices) one color, or one per axis in
+    colored mode."""
     if mode == "colored":
-        return np.repeat(np.arange(n), v)
-    if mode == "uncolored":
-        return np.zeros(n * v, dtype=np.int64)
-    raise InvalidInputError(f"unknown mode {mode!r}")
+        axes = np.repeat(np.arange(c.n), c.v)
+    elif mode == "uncolored":
+        axes = np.zeros(c.n * c.v, dtype=np.int64)
+    else:
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if c.n != 3 or c.v < 2:
+        return axes
+    return _dense_ranks(np.column_stack([axes, _slice_pair_keys(c.bits)]))
 
 
 def _canonicalize(
@@ -157,6 +244,21 @@ def _canonicalize(
     """Canonical labelling of the transversal design of c under the point
     colors of ``mode``, seeded with known automorphisms (transversal point
     permutations that preserve those colors).
+
+    For a 3-cube the initial colors are the slice-pair keys
+    (``_slice_pair_keys``), which are paratopy invariants: a value
+    permutation of axis d permutes the slices of direction d, and one of
+    another axis permutes the rows or columns of every such slice together,
+    which keeps every histogram; an axis permutation carries direction d to
+    another and may transpose the slices, which swaps S_i S_j^T and
+    S_i^T S_j, and the sorted pair of histograms absorbs that swap.  So a
+    paratopy maps each point to one with the same key, and an isotopy keeps
+    the axis too.  Seeded autotopies preserve the colors, and canon
+    checks that they do.  The certificate is still the relabelled block
+    list, so equal certificates still mean equivalent cubes; the colors only
+    shrink the search tree and make its size depend less on the input
+    labels.  Cubes with n != 3 keep the plain colors (one cell, or one per
+    axis).
 
     An unseeded labelling that completes is kept on the cube
     (``Cube._labellings``) and returned by every later unseeded call in the
@@ -168,7 +270,7 @@ def _canonicalize(
     res = canonicalize(
         c.n * c.v,
         _transversal_blocks(c),
-        _point_colors(c.n, c.v, mode),
+        _point_colors(c, mode),
         time_budget=time_budget,
         known_automorphisms=seeds,
     )

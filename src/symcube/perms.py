@@ -16,7 +16,6 @@ moves that are not permutations of the whole family.
 from __future__ import annotations
 
 import re
-from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,23 +37,6 @@ def inverse(p: Sequence[int]) -> Perm:
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
-
-
-def perm_order(p: Sequence[int]) -> int:
-    """Order of a permutation (lcm of cycle lengths)."""
-    seen = [False] * len(p)
-    out = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        out = lcm(out, length)
-    return out
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -169,7 +169,7 @@ def _check_invariance(name, images):
             assert cube_certificate(apply_paratopy(c, p), mode) == cert
 
 
-STRESS_CUBES = ["D1", "D2", "D3", "C3"]
+STRESS_CUBES = ["D1", "D2", "D3", "C3", "example52"]
 
 
 @pytest.mark.parametrize("name", STRESS_CUBES)

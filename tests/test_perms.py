@@ -17,7 +17,6 @@ from symcube.perms import (
     orbit_ids,
     orbit_minima,
     parse_cycles,
-    perm_order,
 )
 
 
@@ -62,10 +61,6 @@ def test_cycle_parse_examples():
         parse_cycles("(1,1)", 4)
     with pytest.raises(ValueError):
         parse_cycles("(1,99)", 4)
-
-
-def test_perm_order():
-    assert perm_order((1, 2, 0, 4, 3)) == 6
 
 
 def test_permgroup_versus_bruteforce():

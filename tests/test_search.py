@@ -7,7 +7,14 @@ import pytest
 from symcube import equivalence, groups, search
 from symcube.catalog import elementary_16, reference_catalog
 from symcube.cli import main
-from symcube.cubes import ParatopyElement, group_cube, slice_invariant, verify_cube
+from symcube.cubes import (
+    ParatopyElement,
+    apply_paratopy,
+    group_cube,
+    random_paratopy,
+    slice_invariant,
+    verify_cube,
+)
 from symcube.datafiles import data_dir, frobenius_21, load_group_16
 from symcube.designs import DesignParams, IncidenceMatrix, verify_design
 from symcube.errors import (
@@ -529,3 +536,32 @@ class TestGroupCubeMembership:
         cube = difference_cube(z7, d, 3)
         with pytest.warns(UserWarning):
             assert not is_group_cube(cube, (), reference_complete=False)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize(
+    "make_group, params",
+    [
+        pytest.param(frobenius_21, (21, 5, 1), id="pg21:F21"),
+        pytest.param(lambda: make_cyclic(21), (21, 5, 1), id="pg21:Z21"),
+        pytest.param(lambda: load_group_16(14), (16, 6, 2), id="table1:14"),
+    ],
+)
+def test_orbit_representative_certificates_ignore_labels(make_group, params):
+    """Every class count rests on certificates: a seeded random paratopy
+    image of each design-orbit representative's cube, labelled unseeded,
+    gets the certificate that the classification counts for it."""
+    g, params = make_group(), DesignParams(*params)
+    all_sets = enumerate_difference_sets(g, params.k, params.lam)
+    reps, _ = search._design_orbit_representatives(g, params, all_sets)
+    candidates = [d.elements for d in all_sets]
+    seeds = search._group_cube_seeds(g, 3)
+    rng = random.Random(g.name)
+    certs = set()
+    for rep in reps:
+        cube = group_cube(g, [candidates[i] for i in rep], 3)
+        cert = search.build_seeded_cube_certificate(cube, seeds)
+        image = apply_paratopy(cube, random_paratopy(rng, 3, g.order))
+        assert equivalence.cube_certificate(image).bytes_ == cert
+        certs.add(cert)
+    assert sorted(certs) == classify_group_cubes(g, params).all_certs

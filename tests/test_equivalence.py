@@ -319,6 +319,12 @@ class TestSlicePairColors:
         colored = equivalence._point_colors(c, "colored")
         assert colored.tolist() == [t for t in range(4) for _ in range(7)]
 
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_cubes_without_slice_pairs_keep_the_plain_colors(self, v):
+        c = Cube(np.ones((v, v, v), dtype=np.uint8), DesignParams(v, v, 0))
+        assert equivalence._point_colors(c, "uncolored").tolist() == [0] * (3 * v)
+        assert equivalence._point_colors(c, "colored").tolist() == [0] * v + [1] * v + [2] * v
+
     @pytest.mark.parametrize("name", ["D2", "D3"])
     def test_tree_size_barely_depends_on_the_labels(self, name):
         """Without the slice-pair colors, random paratopy images of D2 and

@@ -26,21 +26,23 @@ above): one digest per round of the cell boundaries, in the sorted order of
 function of the node's ordered partition.  The round that would only confirm
 a discrete coloring is skipped; a discrete coloring is stable.
 
-At each node with more than one non-singleton point cell, a lookahead
-individualizes members of the few smallest of them and branches on the cell
-whose best member splits the coloring the most (``_Search._choose_cell``).
-The tree is pruned four ways:
+Each node branches on its first largest point cell (``_Search._choose_cell``):
+cell sizes and the canonical color order depend only on the node's ordered
+partition, so the choice is label-invariant.  Branching on the first
+smallest cell instead can make the tree of a refinement-stable structure (a
+cube over an elementary abelian group, say) exponentially deep: on seed 1 of
+perfbench's ``equivalence`` and ``classify16`` workloads it did not finish
+one pass within 170 s, against 1-2 s for the largest cell (2-vCPU x86-64
+host).  The tree is pruned four ways:
 
 * invariant-path comparison against the best path found so far, unless the
   node tracks the first path,
-* aborted refinement: a child that the search refines itself is compared
-  round by round with the best and first paths' traces at its depth
-  (``_Search._bound``), and refinement stops once the trace is sure to lose
-  that comparison; the lookahead and the root refine without a bound, so
-  the cell choice stays label-invariant,
+* aborted refinement: every child is compared round by round with the best
+  and first paths' traces at its depth (``_Search._bound``), and refinement
+  stops once the trace is sure to lose that comparison; only the root
+  refines without a bound,
 * orbits of the known automorphisms that fix the node's individualized
-  points (the partition ``perms.orbit_ids``), among the children of a node
-  (the lookahead scores one member per orbit, too),
+  points (the partition ``perms.orbit_ids``), among the children of a node,
 * backjumping: a leaf whose certificate equals a reference leaf yields an
   automorphism mapping its individualized points onto the reference's, so
   the search unwinds to the deepest node the two paths share.
@@ -307,12 +309,7 @@ class _Search:
 
     # -- tree -----------------------------------------------------------------
 
-    # Lookahead bounds for target cell selection (see _choose_cell); both are
-    # functions of cell sizes only, keeping the choice label-invariant.
-    LOOKAHEAD_CELLS = 4
-    LOOKAHEAD_MEMBERS = 256
-
-    def _child_state(self, colors: np.ndarray, v: int, n_cells: int, bound: tuple | None = None):
+    def _child_state(self, colors: np.ndarray, v: int, n_cells: int, bound: tuple | None):
         child = colors * 2
         child[v] -= 1
         return self.refine(child, n_cells + 1, bound)
@@ -334,69 +331,11 @@ class _Search:
         first_entry = first[depth] if len(first) > depth and prefix == first[:depth] else ()
         return best_entry, first_entry
 
-    def _choose_cell(self, colors: np.ndarray, n_cells: int, cache: dict, orbits: np.ndarray):
-        """Pick the branching point cell: among the few smallest cells, the
-        one whose best member splits the partition the most when
-        individualized.
-
-        On refinement-stable structures (cubes over elementary abelian
-        groups, say) the smallest cell can be near-useless to branch on,
-        making the tree exponentially deep, so a lookahead scores up to
-        LOOKAHEAD_CELLS of the smallest cells (at most LOOKAHEAD_MEMBERS
-        members in all, the first cell always) by the cell count their
-        members reach.  A cell's score is the maximum over its members,
-        which depends only on the isomorphism type of the node, keeping the
-        canonical form label-invariant.
-
-        ``orbits`` labels each point by its orbit under the known
-        automorphisms fixing the individualized points; these preserve the
-        node's coloring, so all members of an orbit reach the same count and
-        one member per orbit is scored.  A cell stops being scored once it
-        has won (its running score beats every earlier cell and reaches the
-        cascade level that ends the lookahead).  The child states computed
-        for the winner go to ``cache``; the search builds the others when it
-        visits them.  With one non-singleton cell the choice is forced, and
-        nothing is scored: the search refines only the children it visits.
-        """
+    def _choose_cell(self, colors: np.ndarray, n_cells: int) -> np.ndarray:
+        """The points of the branching cell, the first largest one (see the
+        module docstring)."""
         sizes = np.bincount(colors, minlength=n_cells)
-        eligible = np.flatnonzero(sizes > 1)
-        if len(eligible) == 1:
-            return np.flatnonzero(colors == eligible[0])
-        order = eligible[np.argsort(sizes[eligible], kind="stable")]
-        budget = self.LOOKAHEAD_MEMBERS
-        best_color = int(order[0])
-        best_score = -1
-        best_cache: dict = {}
-        # a member always splits off its own singleton; the other points of a
-        # cell then split by how many blocks they share with it, which on a
-        # symmetric design is one number and on a cube's transversal design
-        # two (none for the member's own class), so scores up to n_cells + 2
-        # are "generic"; a score beyond that signals a real cascade and ends
-        # the lookahead (all stopping criteria depend on cell sizes and scores
-        # only, which are isomorphism-invariant, so the chosen cell is
-        # label-invariant)
-        cascade = n_cells + 3
-        for rank, color in enumerate(order.tolist()):
-            if rank >= self.LOOKAHEAD_CELLS or best_score >= cascade:
-                break
-            cell = np.flatnonzero(colors == color)
-            if rank > 0 and budget - len(cell) < 0:
-                break
-            budget -= len(cell)
-            _, first = np.unique(orbits[cell], return_index=True)
-            states: dict = {}
-            score = -1
-            for v in cell[np.sort(first)].tolist():
-                states[v] = self._child_state(colors, v, n_cells)
-                score = max(score, states[v][1])
-                if score > best_score and score >= cascade:
-                    break
-            if score > best_score:
-                best_score = score
-                best_color = color
-                best_cache = states
-        cache.update(best_cache)
-        return np.flatnonzero(colors == best_color)
+        return np.flatnonzero(colors == np.argmax(sizes))
 
     def _fixing_gens(self, fixed: np.ndarray) -> np.ndarray:
         """The known automorphisms that fix every point in ``fixed``, one
@@ -429,13 +368,12 @@ class _Search:
             self.unwind_to = self.handle_leaf(colors, path, fixed)
             return
         # orbits of the known automorphisms fixing the individualized
-        # points, shared by the lookahead and the sibling pruning below
+        # points, for the sibling pruning below
         fixed_arr = np.asarray(fixed, dtype=np.int64)
         gen_count = len(self.aut)
         usable = self._fixing_gens(fixed_arr)
         orbits = orbit_ids(usable, self.s.n_points)
-        cache: dict = {}
-        cell = self._choose_cell(colors, n_cells, cache, orbits)
+        cell = self._choose_cell(colors, n_cells)
         explored: list[int] = []
         explored_orbits: set[int] = set()
         for v in cell.tolist():
@@ -450,9 +388,7 @@ class _Search:
                     explored_orbits = {int(orbits[x]) for x in explored}
             if int(orbits[v]) in explored_orbits:
                 continue
-            child_state = cache.pop(v, None)
-            if child_state is None:
-                child_state = self._child_state(colors, v, n_cells, self._bound(prefix))
+            child_state = self._child_state(colors, v, n_cells, self._bound(prefix))
             if child_state is None:
                 self.node_count += 1  # aborted: a node pruned on entry
             else:

@@ -133,9 +133,9 @@ def from_transversal(t: TransversalRep, params: DesignParams | None = None) -> C
     return Cube(bits, params)
 
 
-def validate_transversal(t: TransversalRep) -> None:
+def validate_transversal(t: TransversalRep) -> Cube:
     """Check the three representation invariants, raising NotACubeError with
-    the first violated constraint."""
+    the first violated constraint; returns the cube t encodes."""
     v, n, k = t.v, t.n, t.k
     if len(t.blocks) != k * v ** (n - 1):
         raise NotACubeError(
@@ -158,6 +158,7 @@ def validate_transversal(t: TransversalRep) -> None:
             )
     if not verify_cube(cube):
         raise NotACubeError("a slice violates the design equation", "lambda-condition")
+    return cube
 
 
 # product entries per batch of ``_slice_pair_keys``: bounds its temporaries
@@ -303,8 +304,7 @@ def canonical_certificate(t: TransversalRep, mode: str = "uncolored") -> Canonic
     """Certificate of the cube a transversal representation encodes; raises
     NotACubeError (via ``validate_transversal``) if t is not a transversal
     design."""
-    validate_transversal(t)
-    return CanonicalCertificate(_certificate(from_transversal(t), mode), mode)
+    return CanonicalCertificate(_certificate(validate_transversal(t), mode), mode)
 
 
 def _check_shapes(c1: Cube, c2: Cube) -> None:

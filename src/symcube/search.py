@@ -63,7 +63,6 @@ from .equivalence import (
     _difference_cube_autotopies,
     _translation_autotopies,
     cube_certificate,
-    from_transversal,
     paratopy_to_point_perm,
     TransversalRep,
     validate_transversal,
@@ -527,8 +526,7 @@ def orbit_cube(inp: OrbitCubeInput, params: DesignParams | None = None) -> Orbit
         lam = k * (k - 1) // (v - 1)
         params = DesignParams(v, k, lam)
     rep = TransversalRep(n=3, v=v, k=params.k, blocks=tuple(sorted(blocks)))
-    validate_transversal(rep)
-    cube = from_transversal(rep, params)
+    cube = Cube(validate_transversal(rep).bits, params)
     order = PermGroup(inp.generators, 3 * v).order()
     return OrbitCubeResult(
         cube=cube, group_order=order, block_count=len(blocks), orbit_sizes=tuple(orbit_sizes)

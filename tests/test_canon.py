@@ -52,14 +52,14 @@ def _corpus():
 # name -> (sha256 of the certificate, node_count, leaf_count, aut_order)
 PINNED = {
     "fano design": ("deee4d57b7f6de29c97f0fb824276999a5d202ee706ea29aaf25b7bbf3a93490", 11, 5, 168),
-    "D1 design": ("a53c5447f572b10cf02001addd3126f942bf7d3a6a16e20e1c742a9ca1b32b7b", 26, 8, 11520),
-    "D2 design": ("9f677031f47ea652510d62daefed23d934980be5a8739582e070692dede73c11", 66, 8, 768),
-    "D3 design": ("6caa171de174247d158396c7ae60510c13556257dbbf4f5f3aa98e3fbd8cec23", 35, 7, 384),
-    "fano cube colored": ("59d0972401833b5e902c408af66676c3f1ce74254afe9debbcb1133b54414690", 10, 4, 147),
-    "fano cube uncolored": ("5d2cb67b2a937a74200203c9765869146deab1f859f33a9dbd601be85b4ceb9c", 15, 6, 882),
-    "C3 uncolored": ("606994df1237c141aa029e8ebf4f3a3d2c79d94c1f3abf11e758082e8545ffe9", 80, 9, 882),
+    "D1 design": ("0f0d1975b838c34ca567e2a96b5316ae54c5ebbb70cec105ee9a08d4144982d3", 24, 7, 11520),
+    "D2 design": ("40a882c46ad068f565ee29a121e28750251d150bad86ced65f6bb03068882ca2", 68, 7, 768),
+    "D3 design": ("1d15277cf8e6c0a4729fb811e579b53ea57fd2f2b80ca1b6c52536758ce6f6b4", 42, 8, 384),
+    "fano cube colored": ("c29e26cb5249340814ea828d5c89cd02fc46c06e142ac597e620043db9cba65c", 12, 4, 147),
+    "fano cube uncolored": ("167877599dc8467fd771d0f83d3a026ffdb289c471c2f36ac2e77645104fca0b", 17, 6, 882),
+    "C3 uncolored": ("765339660f31c23056745ee69e58158e221a7685747a8087237307077a88e1f2", 261, 8, 882),
     "Z2^4 difference cube seeded": (
-        "4e14ef37a31d2e880bf721bbc1c3ba171f2e5632f844bbcbdc27d669dc9e24b3", 43, 9, 1105920
+        "2afeb9a2130cc56f81bf133ef07d3b2e103a003538b3f45a388b3596c288ca4f", 37, 9, 1105920
     ),
 }
 
@@ -152,6 +152,15 @@ class TestRefinementBound:
         for best in ((), t[:1], (self.smaller(t[0]),)):
             out = self.refine(best, t)
             assert out is not None and out[2] == t
+
+
+def test_branching_cell_is_the_first_largest():
+    """The search branches on the lowest-colored cell among the largest:
+    with cell sizes 1, 3, 2, 3 that is color 1, not the equally large
+    color 3 nor the smallest non-singleton color 2."""
+    search = _Search(_Structure(9, [[p] for p in range(9)], [0] * 9))
+    colors = np.array([3, 1, 2, 0, 1, 3, 2, 3, 1], dtype=np.int32)
+    assert search._choose_cell(colors, 4).tolist() == [1, 4, 8]
 
 
 def _check_invariance(name, images):

@@ -62,7 +62,7 @@ class TestTransversalRep:
         assert from_transversal(to_transversal(fano_cube)) == fano_cube
 
     def test_validate(self, fano_cube):
-        validate_transversal(to_transversal(fano_cube))
+        assert validate_transversal(to_transversal(fano_cube)) == fano_cube
 
     def test_class_partition_recoverability(self, fano_cube):
         # two points lie in the same class iff no block contains both

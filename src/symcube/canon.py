@@ -18,7 +18,7 @@ function of the isomorphism type.  Without a hash collision a round splits
 exactly the cells the multisets split.  A collision can only keep together
 two cells that the multisets would separate: that weakens pruning, not
 correctness, because leaves are compared by their exact relabeled block
-lists and every automorphism is verified.
+sets and every automorphism is verified.
 
 A node's invariant is its refinement trace (as in Traces: McKay & Piperno,
 above): one digest per round of the cell boundaries, in the sorted order of
@@ -48,15 +48,21 @@ host).  The tree is pruned four ways:
   the search unwinds to the deepest node the two paths share.
 
 The canonical form of a structure is the minimum, over explored leaves, of
-the pair (node-invariant sequence, serialized relabeled block list).  Both
+the pair (node-invariant sequence, serialized relabeled block set).  Both
 components are pure functions of the isomorphism type, so two structures are
 isomorphic (respecting initial colors) iff their certificates are equal.
+Blocks are handled as bitsets (``perms.Bitsets``): a block over n points is
+W = ceil(n / 64) uint64 words, point p being bit p % 64 of word p // 64.  A
+leaf's serialized block set is the sorted bitsets of the relabeled blocks,
+m * W little-endian 64-bit words; the certificate is a header of four
+little-endian uint32 (points, blocks, block size, point degree) followed by
+the canonical leaf's words.
 
 Automorphisms are point permutations, kept as the rows of one array.  Those
 discovered as equal-certificate leaves generate the full automorphism group;
-each one, and each seeded one, is verified by looking up its block images in
-the structure's one index of sorted blocks (``perms.RowIndex``), which also
-rejects repeated blocks.  The exact order
+each one, and each seeded one, is verified exactly: the sorted bitsets of
+its block images must equal the structure's sorted block bitsets, which
+also reveal repeated blocks.  The exact order
 (``CanonResult.aut_order``) comes from a stabilizer chain on the point
 action, which is faithful because blocks are pairwise distinct; it is
 computed on first read only.
@@ -74,7 +80,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstructionBugError, InvalidInputError
-from .perms import PermGroup, RowIndex, orbit_ids, void_rows
+from .perms import Bitsets, PermGroup, orbit_ids
 
 __all__ = ["CanonResult", "canonicalize", "design_canonical"]
 
@@ -141,12 +147,18 @@ class _Structure:
         arr = np.sort(arr, axis=1)
         if self.block_size and (arr.min() < 0 or arr.max() >= n_points):
             raise InvalidInputError("block entry out of range")
-        # one lookup of sorted rows for the whole search: it finds the
-        # repeated blocks here and verifies every automorphism later
-        self.index = RowIndex(arr)
-        if (self.index.keys[1:] == self.index.keys[:-1]).any():
-            raise InvalidInputError("repeated blocks are not supported")
+        if (arr[:, 1:] == arr[:, :-1]).any():
+            raise InvalidInputError("a block repeats a point")
         self.B = arr
+        # the blocks' points by position, so a sum over each block adds
+        # whole rows
+        self.block_columns = np.ascontiguousarray(arr.T)
+        # the blocks' sorted bitsets, for the whole search: they reveal the
+        # repeated blocks here and verify every automorphism later
+        self.sets = Bitsets(n_points)
+        self.sorted_blocks = self.sets.sort(self.sets.of(self.block_columns))
+        if (self.sorted_blocks[1:] == self.sorted_blocks[:-1]).all(axis=1).any():
+            raise InvalidInputError("repeated blocks are not supported")
         degs = np.bincount(arr.ravel(), minlength=n_points)
         if (degs != degs[0]).any():
             raise InvalidInputError("points must have uniform degree")
@@ -162,9 +174,10 @@ class _Structure:
 
     def are_automorphisms(self, point_maps: np.ndarray) -> bool:
         """True iff every row of ``point_maps`` (point permutations) maps
-        the blocks onto the blocks; one gather for all rows."""
-        images = point_maps[:, self.B].reshape(len(point_maps) * self.m, self.block_size)
-        return self.index.find(images) is not None
+        the blocks onto the blocks: each row's sorted block-image bitsets
+        equal the sorted block bitsets; one gather for all rows."""
+        images = self.sets.of(point_maps[:, self.block_columns].swapaxes(0, 1))
+        return bool((self.sets.sort(images) == self.sorted_blocks).all())
 
 
 class _Search:
@@ -183,9 +196,6 @@ class _Search:
         # colors stay below 2 * n_points: _child_state doubles at most
         # n_points - 1
         self.color_hash = _mix(np.arange(2 * struct.n_points, dtype=np.uint64), _COLOR_SALT)
-        # the blocks' points by position, so a sum over each block adds
-        # whole rows
-        self.block_columns = np.ascontiguousarray(struct.B.T)
 
     # -- refinement -----------------------------------------------------------
 
@@ -206,7 +216,7 @@ class _Search:
             # a block's key hashes the multiset of its points' colors, a
             # point's the multiset of its blocks' keys; ranking by (old color,
             # point key) makes the new order refine the old one
-            bkey = self.color_hash[colors][self.block_columns].sum(axis=0)
+            bkey = self.color_hash[colors][s.block_columns].sum(axis=0)
             pkey = _mix(bkey, _BLOCK_SALT)[s.P].sum(axis=1)
             order = np.lexsort((pkey, colors))
             sorted_colors = colors[order]
@@ -241,15 +251,10 @@ class _Search:
     # -- leaves ---------------------------------------------------------------
 
     def leaf_certificate(self, colors: np.ndarray) -> bytes:
+        """The relabeled blocks' sorted bitsets, as little-endian words; the
+        leaf's ``colors`` are its point labeling."""
         s = self.s
-        relabeled = np.sort(colors[s.B], axis=1)
-        order = np.argsort(void_rows(relabeled), kind="stable")
-        rows = relabeled[order]
-        enc = np.empty_like(rows)
-        enc[:, 1:] = rows[:, 1:] - rows[:, :-1]
-        enc[0, 0] = rows[0, 0]
-        enc[1:, 0] = rows[1:, 0] - rows[:-1, 0]
-        return enc.astype("<u2").tobytes()
+        return s.sets.sort(s.sets.of(colors[s.block_columns])).astype("<u8", copy=False).tobytes()
 
     def handle_leaf(self, colors: np.ndarray, path: list[bytes], fixed: list[int]) -> int | None:
         """Record the leaf; returns a backjump depth if it yielded an
@@ -405,8 +410,8 @@ class _Search:
 
     def seed_automorphisms(self, point_gens) -> None:
         """Install known automorphisms, given as point permutations that
-        preserve the initial point colors; the block index verifies, in one
-        lookup for all of them, that each maps the blocks onto the blocks."""
+        preserve the initial point colors; one check for all of them
+        verifies that each maps the blocks onto the blocks."""
         s = self.s
         points = np.arange(s.n_points)
         try:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import (
+    DesignClass,
     DesignParams,
     IncidenceMatrix,
     design_class,
@@ -62,11 +63,21 @@ COMPLETE_PARAMS = frozenset(
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A catalogued design class; its automorphism group order is computed
+    on first read only."""
+
     name: str
     params: DesignParams
-    certificate: bytes
-    aut_order: int
+    design: DesignClass  # canon's class of ``matrix``
     matrix: IncidenceMatrix
+
+    @property
+    def certificate(self) -> bytes:
+        return self.design.certificate
+
+    @property
+    def aut_order(self) -> int:
+        return self.design.aut_order
 
 
 def _gf2_rank(bits: np.ndarray) -> int:
@@ -154,16 +165,7 @@ def _build() -> Catalog:
     entries: list[CatalogEntry] = []
 
     def add(name: str, matrix: IncidenceMatrix):
-        cls = design_class(matrix)
-        entries.append(
-            CatalogEntry(
-                name=name,
-                params=matrix.params,
-                certificate=cls.certificate,
-                aut_order=cls.aut_order,
-                matrix=matrix,
-            )
-        )
+        entries.append(CatalogEntry(name, matrix.params, design_class(matrix), matrix))
 
     # unique classes from cyclic difference sets
     add("D0", development(DifferenceSet(make_cyclic(7), (1, 2, 4), (7, 3, 1))))

@@ -94,13 +94,20 @@ class IncidenceMatrix:
 class DesignClass:
     """Canonical certificate of a design up to isomorphism and duality.
 
-    ``aut_order`` is given as an int, or as the design's ``CanonResult``,
-    whose automorphism group order is then computed on first read only.
+    ``aut_order`` is given as an int, or as an object whose own
+    ``aut_order`` is then read on first use only: the design's
+    ``CanonResult`` (Schreier-Sims on first read), or the ``DesignClass`` of
+    a catalog entry.
     """
 
     __slots__ = ("certificate", "name", "_aut")
 
-    def __init__(self, certificate: bytes, aut_order: int | CanonResult, name: str | None = None):
+    def __init__(
+        self,
+        certificate: bytes,
+        aut_order: int | CanonResult | DesignClass,
+        name: str | None = None,
+    ):
         self.certificate = certificate
         self.name = name
         self._aut = aut_order
@@ -157,13 +164,13 @@ def design_class(a: IncidenceMatrix, catalog=None) -> DesignClass:
     completely, whose 2-rank selects one entry.  The entry's certificate,
     automorphism group order and name are returned; they are the values
     canon would give.  Every other input, and every call without a catalog,
-    is canonicalised, and its automorphism group order is computed on first
-    read only.
+    is canonicalised.  Either way the automorphism group order is computed
+    on first read only.
     """
     if catalog is not None:
         entry = catalog.lookup(a)
         if entry is not None:
-            return DesignClass(entry.certificate, entry.aut_order, entry.name)
+            return DesignClass(entry.certificate, entry.design, entry.name)
     res = design_canonical(a.bits)
     res_t = design_canonical(a.bits.T)
     cert = min(res.certificate, res_t.certificate)

@@ -4,13 +4,23 @@ orbit partitions and the actions that point maps induce on set families.
 Permutations on ``{0, ..., n-1}`` are stored as tuples ``p`` with ``p[i]`` the
 image of ``i``.  Composition is ``compose(p, q)[i] = p[q[i]]`` (apply q first).
 The orbit partition (``orbit_ids``) and the induced action on a family of
-sets (``induced_permutations``, through the set lookup ``RowIndex``) work on
-numpy arrays; together they are the orbit-based isomorph rejection shared
-by the difference-set classes, the group-cube design search and the
-canonical labeller.  ``orbit_minima`` composes the two: the least member of
-each orbit of a sorted family, the representatives of the difference-set
-classes.  ``component_ids`` partitions a graph given by its edges, for
-moves that are not permutations of the whole family.
+sets (``induced_permutations``) work on numpy arrays; together they are the
+orbit-based isomorph rejection shared by the difference-set classes, the
+group-cube design search and the canonical labeller.  ``orbit_minima``
+composes the two: the least member of each orbit of a sorted family, the
+representatives of the difference-set classes.  ``component_ids``
+partitions a graph given by its edges, for moves that are not permutations
+of the whole family.
+
+Sets are compared as bitsets (``Bitsets``): a set of points from range(n)
+is W = ceil(n / 64) uint64 words, point p being bit p % 64 of word p // 64,
+as nauty stores vertex sets (McKay & Piperno, *Practical graph isomorphism
+II*, JSC 2014).  Two families are equal iff their sorted bitsets are, so
+``induced_permutations`` and the canonical labeller's automorphism checks
+and leaf certificates sort and compare words instead of looking sets up.
+``RowIndex`` looks sets up by binary search over byte-string keys; its one
+caller is the search for design orbits, which looks up arbitrary images in
+a family of designs (``search._orbits_within_root``).
 """
 
 from __future__ import annotations
@@ -243,6 +253,43 @@ def component_ids(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         ids = pulled
 
 
+class Bitsets:
+    """Sets of points from range(n) as bitsets: W = ceil(n / 64) uint64
+    words per set, point p being bit p % 64 of word p // 64.  A family of
+    m sets is an (..., m, W) array."""
+
+    def __init__(self, n: int):
+        points = np.arange(n)
+        # row p is the bitset of {p}
+        self.table = np.zeros((n, max(1, -(-n // 64))), dtype=np.uint64)
+        self.table[points, points // 64] = np.left_shift(
+            np.uint64(1), (points % 64).astype(np.uint64)
+        )
+
+    def of(self, members: np.ndarray) -> np.ndarray:
+        """The bitsets of sets whose points run along the first axis of
+        ``members`` (an (s, ...) array of distinct points per set), shape
+        (..., W); the sum of distinct bits is their union."""
+        return self.table[members].sum(axis=0)
+
+    @staticmethod
+    def order(sets: np.ndarray) -> np.ndarray:
+        """The indices that sort each family in ``sets`` along its m axis,
+        as the integers whose base-2^64 digits are the words."""
+        if sets.shape[-1] == 1:
+            return np.argsort(sets[..., 0], axis=-1)
+        # lexsort's last key, the most significant word, is its primary key
+        return np.lexsort(np.moveaxis(sets, -1, 0), axis=-1)
+
+    @staticmethod
+    def sort(sets: np.ndarray) -> np.ndarray:
+        """Each family in ``sets`` sorted along its m axis, in the order of
+        ``order``."""
+        if sets.shape[-1] == 1:
+            return np.sort(sets, axis=-2)
+        return np.take_along_axis(sets, Bitsets.order(sets)[..., None], axis=-2)
+
+
 class RowIndex:
     """Positions of sets in a family of distinct sets of equal size, each
     given as a sorted row; the family is not empty."""
@@ -270,18 +317,29 @@ def induced_permutations(
 ) -> list[np.ndarray] | None:
     """The permutations that point maps induce on a family of sets.
 
-    ``rows`` holds distinct sets of equal size, each as a sorted row, and is
-    not empty.  Entry i of the j-th result is the index of the row equal to
-    the image of row i under ``point_maps[j]``.  Returns None if some image
-    is not a row.
+    ``rows`` holds distinct sets of equal size, each as a row, and is not
+    empty.  Entry i of the j-th result (int32) is the index of the row equal
+    to the image of row i under ``point_maps[j]``.  Returns None if some
+    image is not a row.  The maps are taken one at a time: each image family
+    is sorted as bitsets and compared with the sorted family.
     """
-    rows = np.asarray(rows, dtype=np.int32)
-    index = RowIndex(rows)
+    columns = np.asarray(rows, dtype=np.int32).T
     out = []
+    sets = family = family_order = None
     for pm in point_maps:
-        perm = index.find(np.asarray(pm, dtype=np.int32)[rows])
-        if perm is None:
+        pm = np.asarray(pm, dtype=np.int32)
+        if sets is None:
+            sets = Bitsets(len(pm))
+            family = sets.of(columns)
+            family_order = sets.order(family).astype(np.int32)
+            family = family[family_order]
+        image = sets.of(pm[columns])
+        image_order = sets.order(image)
+        if not np.array_equal(image[image_order], family):
             return None
+        # the image of row image_order[j] is row family_order[j]
+        perm = np.empty(len(family_order), dtype=np.int32)
+        perm[image_order] = family_order
         out.append(perm)
     return out
 

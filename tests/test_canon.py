@@ -51,15 +51,15 @@ def _corpus():
 
 # name -> (sha256 of the certificate, node_count, leaf_count, aut_order)
 PINNED = {
-    "fano design": ("deee4d57b7f6de29c97f0fb824276999a5d202ee706ea29aaf25b7bbf3a93490", 11, 5, 168),
-    "D1 design": ("0f0d1975b838c34ca567e2a96b5316ae54c5ebbb70cec105ee9a08d4144982d3", 24, 7, 11520),
-    "D2 design": ("40a882c46ad068f565ee29a121e28750251d150bad86ced65f6bb03068882ca2", 68, 7, 768),
-    "D3 design": ("1d15277cf8e6c0a4729fb811e579b53ea57fd2f2b80ca1b6c52536758ce6f6b4", 42, 8, 384),
-    "fano cube colored": ("c29e26cb5249340814ea828d5c89cd02fc46c06e142ac597e620043db9cba65c", 12, 4, 147),
-    "fano cube uncolored": ("167877599dc8467fd771d0f83d3a026ffdb289c471c2f36ac2e77645104fca0b", 17, 6, 882),
-    "C3 uncolored": ("765339660f31c23056745ee69e58158e221a7685747a8087237307077a88e1f2", 261, 8, 882),
+    "fano design": ("3531a769a753826ada0e45224b2bed8e6e9d1f2ba87fb4a76a73314f7cdfdbd2", 11, 5, 168),
+    "D1 design": ("2f0fd7635d66e72d441c378adc6295e6a96d390c604ea4845b97f18334195e08", 24, 7, 11520),
+    "D2 design": ("41c2858ea633df9ed4cfb1fc4d4635bb56757a7828056f153dbe63616a71a0d4", 68, 7, 768),
+    "D3 design": ("b4556c0a7e77ca2d7571227796c91df2ee54318d803fc882fdc367601edde333", 42, 8, 384),
+    "fano cube colored": ("1368854186fb546bc63954679059ce42bae68e27d8b33f7205f88cf65b87dc3e", 12, 4, 147),
+    "fano cube uncolored": ("bb28e73860ecc6721739f1ebea50374bb3b2aa67b4186d21ee24a1cd995bdd14", 17, 6, 882),
+    "C3 uncolored": ("48b0a53fb8292f11b4a9587b2457da0426891e9107b98983632e3086a98b34bf", 261, 8, 882),
     "Z2^4 difference cube seeded": (
-        "2afeb9a2130cc56f81bf133ef07d3b2e103a003538b3f45a388b3596c288ca4f", 37, 9, 1105920
+        "10d4067e91d9952c46b6c91d9fc06dd1a287578ec97b45bf766f6ec0382333dc", 37, 9, 1105920
     ),
 }
 
@@ -297,6 +297,7 @@ def test_array_and_tuple_blocks_give_equal_results(name, colored):
     [
         pytest.param([(0, 1), (1, 2), (2,)], id="ragged"),
         pytest.param([(0, 1), (1, 2), (2, 0), (1, 0)], id="repeated"),
+        pytest.param([(0, 0), (1, 1), (2, 2)], id="repeated-point"),
         pytest.param([(0, 1), (1, 2), (2, 3)], id="out-of-range"),
         pytest.param([(0, 1), (1, 2), (2, -1)], id="negative"),
         pytest.param([0, 1, 2], id="not-rows"),
@@ -311,6 +312,32 @@ def test_malformed_blocks_raise_in_both_forms(blocks):
     for form in (blocks, arr):
         with pytest.raises(InvalidInputError):
             canonicalize(3, form)
+
+
+class TestMultiWordSets:
+    """PG(2,8), developed from a Singer difference set in Z73: 73 points, so
+    every block is a bitset of two words."""
+
+    def setup_method(self):
+        singer = DifferenceSet(make_cyclic(73), (1, 2, 4, 8, 16, 32, 37, 55, 64), (73, 9, 1))
+        self.bits = development(singer).bits
+        self.res = design_canonical(self.bits)
+
+    def test_certificate_ignores_row_and_column_order(self):
+        rng = np.random.default_rng(73)
+        for _ in range(3):
+            image = self.bits[rng.permutation(73)][:, rng.permutation(73)]
+            assert design_canonical(image).certificate == self.res.certificate
+
+    def test_aut_order_is_that_of_pgaml_3_8(self):
+        assert self.res.aut_order == 49_448_448  # |PGammaL(3,8)|
+
+    def test_transposition_seed_raises(self):
+        blocks = [np.flatnonzero(self.bits[:, j]).tolist() for j in range(73)]
+        swap = list(range(73))
+        swap[0], swap[1] = 1, 0
+        with pytest.raises(ConstructionBugError, match="not an automorphism"):
+            canonicalize(73, blocks, known_automorphisms=[swap])
 
 
 def test_design_canonical_rejects_unequal_block_sizes():
@@ -353,7 +380,7 @@ class TestSeeds:
 
     def test_seeds_are_verified_together(self):
         """One bad seed among good ones, with the blocks as an array: the
-        block index checks every seed in one lookup and still finds it."""
+        sorted block bitsets check every seed at once and still find it."""
         blocks = np.array(self.t.blocks)
         shift = paratopy_to_point_perm(
             ParatopyElement((tuple(range(7)), (1, 2, 3, 4, 5, 6, 0), (6, 0, 1, 2, 3, 4, 5)), (0, 1, 2)),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from named_cubes import named_cube
-from symcube import designs
+from symcube import canon, catalog, designs
 from symcube.catalog import COMPLETE_PARAMS, Catalog, reference_catalog, switched_16_designs
 from symcube.cubes import _parallel_classes, apply_paratopy, random_paratopy
 from symcube.designs import DesignParams, IncidenceMatrix, block_quadruple, design_class
@@ -80,6 +80,26 @@ def test_shortcut_skips_canon(canon_calls):
     for mat, name in ((d1, "D1"), (d2, "D2"), (d3, "D3")):
         assert design_class(mat, reference_catalog()).name == name
     assert canon_calls == []
+
+
+def test_aut_orders_are_computed_on_first_read(monkeypatch):
+    """Building the catalog and naming a design by it compute no |Aut|; the
+    first read computes it once, for the entry and the class alike."""
+    chains = []
+
+    class CountingGroup(canon.PermGroup):
+        def __init__(self, *args):
+            chains.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(canon, "PermGroup", CountingGroup)
+    cat = catalog._build()
+    d1 = switched_16_designs()[0]
+    cls = design_class(d1, cat)
+    assert cls.name == "D1" and chains == []
+    assert cls.aut_order == 11520 and chains == [16]
+    (entry,) = [e for e in cat.entries if e.name == "D1"]
+    assert entry.aut_order == 11520 and chains == [16]
 
 
 def test_incomplete_parameters_reach_canon(canon_calls):

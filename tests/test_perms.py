@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from symcube.perms import (
+    Bitsets,
     PermGroup,
     RowIndex,
     component_ids,
@@ -137,6 +138,58 @@ def test_induced_permutations_match_dict_lookup():
         for pm, induced in zip(maps, perms):
             expected = [index[tuple(sorted(pm[x] for x in row))] for row in rows]
             assert induced.tolist() == expected
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 150])
+def test_bitsets_are_the_sets_as_integers(n):
+    """A set's bitset is the integer sum of 2**p over its points, in
+    base-2**64 digits, and families sort in the order of those integers."""
+    rng = random.Random(n)
+    sets = Bitsets(n)
+    rows = [rng.sample(range(n), min(n, 3)) for _ in range(200)]
+    # two families of 100 sets each, the points of each set along axis 0
+    members = np.array(rows).T.reshape(-1, 2, 100)
+    bits = sets.of(members)
+    assert bits.shape == (2, 100, max(1, -(-n // 64))) and bits.dtype == np.uint64
+
+    def value(words):
+        return sum(int(w) << (64 * i) for i, w in enumerate(words))
+
+    assert [value(b) for b in bits.reshape(200, -1)] == [sum(1 << p for p in r) for r in rows]
+    for family, ordered, order in zip(bits, sets.sort(bits), sets.order(bits)):
+        expected = sorted(value(b) for b in family)
+        assert [value(b) for b in ordered] == expected
+        assert [value(family[i]) for i in order] == expected
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 150])
+def test_induced_permutations_match_dict_lookup_on_words(n):
+    """Universes of one, two and three 64-bit words per set, under the
+    dihedral group of the n-gon."""
+    rng = random.Random(n)
+    gens = [tuple((x + 1) % n for x in range(n)), tuple(-x % n for x in range(n))]
+    rows = _closed_family(rng, gens, n, 3)
+    index = {row: i for i, row in enumerate(rows)}
+    maps = gens + [compose(gens[0], gens[1])]
+    perms = induced_permutations(rows, maps)
+    assert perms is not None
+    for pm, induced in zip(maps, perms):
+        assert induced.dtype == np.int32
+        expected = [index[tuple(sorted(pm[x] for x in row))] for row in rows]
+        assert induced.tolist() == expected
+
+
+def test_induced_permutations_leaving_the_family_in_the_second_word():
+    """The family {0, 64}, {1, 65} over 67 points: swapping 65 and 66 sends
+    {1, 65} to {1, 66}, whose first word is that of {1, 65}, so the only
+    image outside the family differs from it in the second word alone."""
+    rows = [(0, 64), (1, 65)]
+    swap = list(range(67))
+    swap[0], swap[1], swap[64], swap[65] = 1, 0, 65, 64
+    assert induced_permutations(rows, [swap])[0].tolist() == [1, 0]
+    wrong = list(range(67))
+    wrong[65], wrong[66] = 66, 65
+    assert induced_permutations(rows, [swap, wrong]) is None
 
 
 def test_induced_permutations_leaving_the_family():

@@ -56,7 +56,6 @@ from .cubes import (
 )
 from .equivalence import (
     AutomorphismReport,
-    CanonicalCertificate,
     TransversalRep,
     are_isotopic,
     are_paratopic,

@@ -123,12 +123,8 @@ class Catalog:
         entry = self._by_cert.get(certificate)
         return entry.name if entry else None
 
-    def names(self, params: DesignParams | None = None) -> dict[bytes, str]:
-        return {
-            e.certificate: e.name
-            for e in self.entries
-            if params is None or e.params == params
-        }
+    def names(self) -> dict[bytes, str]:
+        return {e.certificate: e.name for e in self.entries}
 
 
 def klein_group():

@@ -247,7 +247,7 @@ def cmd_equiv_pair(args, mode: str) -> int:
     c2 = fileio.load_cube(args.cube2)
     same = are_paratopic(c1, c2) if mode == "uncolored" else are_isotopic(c1, c2)
     print("equivalent" if same else "inequivalent")
-    if same and args.witness and c1.n >= 3:
+    if same and args.witness:
         w = paratopy_witness(c1, c2, mode)
         assert w is not None
         print(f"axis_perm {' '.join(str(x) for x in w.axis_perm)}")
@@ -264,8 +264,7 @@ def cmd_equiv_report(args, mode: str) -> int:
     print(f"generators {len(rep.generators)}")
     print(f"complete {rep.complete}")
     if args.certificate:
-        cert = cube_certificate(c, mode)
-        print(f"certificate {cert.bytes_.hex()}")
+        print(f"certificate {cube_certificate(c, mode).hex()}")
     return 0
 
 

@@ -94,10 +94,9 @@ class IncidenceMatrix:
 class DesignClass:
     """Canonical certificate of a design up to isomorphism and duality.
 
-    ``aut_order`` is given as an int, or as an object whose own
-    ``aut_order`` is then read on first use only: the design's
-    ``CanonResult`` (Schreier-Sims on first read), or the ``DesignClass`` of
-    a catalog entry.
+    ``aut_order`` is an object whose own ``aut_order`` is read on first use
+    only: the design's ``CanonResult`` (Schreier-Sims on first read), or the
+    ``DesignClass`` of a catalog entry.
     """
 
     __slots__ = ("certificate", "name", "_aut")
@@ -105,7 +104,7 @@ class DesignClass:
     def __init__(
         self,
         certificate: bytes,
-        aut_order: int | CanonResult | DesignClass,
+        aut_order: CanonResult | DesignClass,
         name: str | None = None,
     ):
         self.certificate = certificate
@@ -114,8 +113,7 @@ class DesignClass:
 
     @property
     def aut_order(self) -> int:
-        aut = self._aut
-        return aut if isinstance(aut, int) else aut.aut_order
+        return self._aut.aut_order
 
     def __repr__(self) -> str:
         return f"DesignClass(certificate={self.certificate.hex()[:16]}..., name={self.name!r})"

@@ -7,12 +7,15 @@ colored alike decide paratopy; coloring each class separately decides
 isotopy.  Automorphism groups of the structure translate back to autotopy
 and autoparatopy groups of the cube.
 
-Every cube goes through one path: ``_canonicalize`` labels its structure
-(optionally seeded with known automorphisms), and ``_certificate`` prefixes
-the canonical form with the header (n, v, k, lambda, colored flag).
-``cube_certificate``, ``canonical_certificate`` (and the seeded
-``search.build_seeded_cube_certificate``) return those bytes; the witness and
-automorphism reports read the labelling and generators of the same result.
+Every cube, 2-cubes (symmetric designs) included, goes through one path:
+``_canonicalize`` labels its structure (optionally seeded with known
+automorphisms), and ``_certificate`` prefixes the canonical form with the
+header (n, v, k, lambda, colored flag).  A certificate is those bytes:
+``cube_certificate``, ``canonical_certificate`` and the seeded
+``search.build_seeded_cube_certificate`` return them, and equivalence tests
+compare them.  The witness and automorphism reports read the labelling and
+generators of the same result.  For n = 2 the uncolored certificate decides
+isomorphism up to duality, as ``designs.design_class`` does for the design.
 
 For a 3-cube the labelling starts from a vertex invariant, not from one
 cell (or one per axis), as nauty does on regular graphs, where refinement
@@ -49,14 +52,13 @@ import numpy as np
 
 from .canon import CanonResult, canonicalize
 from .cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, verify_cube
-from .designs import DesignParams, IncidenceMatrix, design_class
+from .designs import DesignParams
 from .errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
 from .groups import DifferenceSet, FiniteGroup, automorphism_generators, multipliers as _multipliers
 from .perms import PermGroup, identity as id_perm, inverse as perm_inverse, void_rows
 
 __all__ = [
     "TransversalRep",
-    "CanonicalCertificate",
     "AutomorphismReport",
     "to_transversal",
     "from_transversal",
@@ -91,15 +93,6 @@ class TransversalRep:
 
 
 @dataclass(frozen=True)
-class CanonicalCertificate:
-    bytes_: bytes
-    mode: str  # "colored" or "uncolored"
-
-    def hex(self) -> str:
-        return self.bytes_.hex()
-
-
-@dataclass(frozen=True)
 class AutomorphismReport:
     generators: tuple[ParatopyElement, ...]
     order: int
@@ -117,8 +110,9 @@ def to_transversal(c: Cube) -> TransversalRep:
     )
 
 
-def from_transversal(t: TransversalRep, params: DesignParams | None = None) -> Cube:
-    v, n = t.v, t.n
+def from_transversal(t: TransversalRep) -> Cube:
+    """The cube t encodes, with k from t and lambda = k(k-1)/(v-1)."""
+    v, n, k = t.v, t.n, t.k
     bits = np.zeros((v,) * n, dtype=np.uint8)
     offsets = np.arange(n, dtype=np.int64) * v
     for b in t.blocks:
@@ -126,11 +120,8 @@ def from_transversal(t: TransversalRep, params: DesignParams | None = None) -> C
         if (coords < 0).any() or (coords >= v).any():
             raise NotACubeError("block is not a transversal of the classes", "transversal")
         bits[tuple(int(x) for x in coords)] = 1
-    if params is None:
-        k = t.k
-        lam = k * (k - 1) // (v - 1) if v > 1 else k
-        params = DesignParams(v, k, lam)
-    return Cube(bits, params)
+    lam = k * (k - 1) // (v - 1) if v > 1 else k
+    return Cube(bits, DesignParams(v, k, lam))
 
 
 def validate_transversal(t: TransversalRep) -> Cube:
@@ -294,17 +285,17 @@ def _certificate(
     return head + res.certificate
 
 
-def cube_certificate(c: Cube, mode: str = "uncolored") -> CanonicalCertificate:
+def cube_certificate(c: Cube, mode: str = "uncolored") -> bytes:
     """Certificate of c; equal for two cubes iff they are paratopic
     ("uncolored") or isotopic ("colored")."""
-    return CanonicalCertificate(_certificate(c, mode), mode)
+    return _certificate(c, mode)
 
 
-def canonical_certificate(t: TransversalRep, mode: str = "uncolored") -> CanonicalCertificate:
+def canonical_certificate(t: TransversalRep, mode: str = "uncolored") -> bytes:
     """Certificate of the cube a transversal representation encodes; raises
     NotACubeError (via ``validate_transversal``) if t is not a transversal
     design."""
-    return CanonicalCertificate(_certificate(validate_transversal(t), mode), mode)
+    return _certificate(validate_transversal(t), mode)
 
 
 def _check_shapes(c1: Cube, c2: Cube) -> None:
@@ -314,16 +305,12 @@ def _check_shapes(c1: Cube, c2: Cube) -> None:
 
 def are_paratopic(c1: Cube, c2: Cube) -> bool:
     _check_shapes(c1, c2)
-    if c1.n == 2:
-        a1 = design_class(IncidenceMatrix(c1.bits, c1.params))
-        a2 = design_class(IncidenceMatrix(c2.bits, c2.params))
-        return a1.certificate == a2.certificate
-    return cube_certificate(c1, "uncolored").bytes_ == cube_certificate(c2, "uncolored").bytes_
+    return cube_certificate(c1, "uncolored") == cube_certificate(c2, "uncolored")
 
 
 def are_isotopic(c1: Cube, c2: Cube) -> bool:
     _check_shapes(c1, c2)
-    return cube_certificate(c1, "colored").bytes_ == cube_certificate(c2, "colored").bytes_
+    return cube_certificate(c1, "colored") == cube_certificate(c2, "colored")
 
 
 def paratopy_to_point_perm(w: ParatopyElement, n: int, v: int) -> tuple[int, ...]:
@@ -364,8 +351,6 @@ def paratopy_witness(c1: Cube, c2: Cube, mode: str = "uncolored") -> ParatopyEle
     by applying it before returning.
     """
     _check_shapes(c1, c2)
-    if c1.n < 3:
-        raise InvalidInputError("witness recovery requires dimension >= 3")
     res1 = _canonicalize(c1, mode)
     res2 = _canonicalize(c2, mode)
     if res1.certificate != res2.certificate:

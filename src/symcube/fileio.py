@@ -76,7 +76,7 @@ def _permutation_generators(path, texts: list[str], degree: int) -> list[tuple[i
         if not 1 <= s <= degree:
             raise InvalidInputError(f"{path}: symbol {s} out of range 1..{degree}")
     used = max(symbols, default=0)
-    return [parse_cycles(t, used, one_based=True) for t in texts]
+    return [parse_cycles(t, used) for t in texts]
 
 
 @_input_errors
@@ -133,7 +133,7 @@ def save_group(g: FiniteGroup, path: str | Path, as_table: bool = True) -> None:
     else:
         lines.append(f"permgens {g.order}")
         for a in g.generating_sequence():
-            lines.append(format_cycles(g.table[a], one_based=True))
+            lines.append(format_cycles(g.table[a]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -172,7 +172,7 @@ def save_design(a: IncidenceMatrix, path: str | Path) -> None:
 def save_cube(c: Cube, path: str | Path) -> None:
     p = c.params
     head = f"cube n={c.n} v={c.v} k={p.k} lambda={p.lam}"
-    flat = c.bits.reshape((-1, c.v, c.v)) if c.n > 2 else c.bits.reshape((1, c.v, c.v))
+    flat = c.bits.reshape((-1, c.v, c.v))
     chunks = []
     for block in flat:
         chunks.append("\n".join("".join(str(int(x)) for x in row) for row in block))
@@ -208,7 +208,7 @@ def load_orbit_input(path: str | Path) -> OrbitCubeInput:
     blocks = []
     for ln in lines[1:]:
         if ln.startswith("gen "):
-            gens.append(parse_cycles(ln[4:], 3 * v, one_based=True))
+            gens.append(parse_cycles(ln[4:], 3 * v))
         elif ln.startswith("block "):
             parts = tuple(int(x) - 1 for x in ln.split()[1:])
             if len(parts) != 3:
@@ -222,7 +222,7 @@ def load_orbit_input(path: str | Path) -> OrbitCubeInput:
 def save_orbit_input(inp: OrbitCubeInput, path: str | Path) -> None:
     lines = [f"orbitcube v={inp.v}"]
     for g in inp.generators:
-        lines.append("gen " + format_cycles(g, one_based=True))
+        lines.append("gen " + format_cycles(g))
     for b in inp.base_blocks:
         lines.append("block " + " ".join(str(x + 1) for x in b))
     Path(path).write_text("\n".join(lines) + "\n")

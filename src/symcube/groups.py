@@ -210,10 +210,23 @@ class Multiplier:
 
 # -- constructors --------------------------------------------------------------
 
+# the largest order the constructors build: a Cayley table holds v^2 Python
+# ints, tens of megabytes at v = 1000 and gigabytes at v = 10^4
+MAX_GROUP_ORDER = 1024
+
+
+def _check_group_order(order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise ResourceLimitError(
+            f"group order {order} exceeds the limit of {MAX_GROUP_ORDER} "
+            f"(its Cayley table would hold {order}^2 entries)"
+        )
+
 
 def make_cyclic(v: int) -> FiniteGroup:
     if v < 1:
         raise InvalidInputError("invalid-order: v must be positive")
+    _check_group_order(v)
     table = [[(i + j) % v for j in range(v)] for i in range(v)]
     return FiniteGroup(table, name=f"Z{v}", validate=False)
 
@@ -222,6 +235,7 @@ def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (i, j) has index i*h.order + j."""
     vh = h.order
     order = g.order * vh
+    _check_group_order(order)
     table = [
         [g.table[a1][b1] * vh + h.table[a2][b2] for b1 in range(g.order) for b2 in range(vh)]
         for a1 in range(g.order)
@@ -242,6 +256,7 @@ def make_metacyclic(m: int, c: int, r: int) -> FiniteGroup:
     """
     if m < 1 or c < 1:
         raise InvalidInputError("invalid-order: m and c must be positive")
+    _check_group_order(m * c)
     if pow(r, m, c) != 1 % c:
         raise InvalidInputError("invalid-action: r^m must be 1 mod c")
     if gcd(r, c) != 1:
@@ -273,12 +288,11 @@ def _power_word(i: int, j: int) -> str:
 
 
 def make_from_permutation_generators(
-    gens: Sequence[Perm],
-    max_order: int = 10000,
-    name: str | None = None,
+    gens: Sequence[Perm], name: str | None = None
 ) -> FiniteGroup:
     """Close permutation generators under composition and return the left
-    regular representation of the generated group as a Cayley table."""
+    regular representation of the generated group as a Cayley table;
+    ResourceLimitError once the closure exceeds MAX_GROUP_ORDER elements."""
     if not gens:
         return make_cyclic(1)
     degree = len(gens[0])
@@ -294,10 +308,7 @@ def make_from_permutation_generators(
         for g in gens:
             q = tuple(g[x] for x in p)
             if q not in elements:
-                if len(elements) >= max_order:
-                    raise ResourceLimitError(
-                        f"closure-too-large: exceeded {max_order} elements"
-                    )
+                _check_group_order(len(elements) + 1)
                 elements[q] = len(order_list)
                 order_list.append(q)
                 queue.append(q)

@@ -3,6 +3,9 @@ orbit partitions and the actions that point maps induce on set families.
 
 Permutations on ``{0, ..., n-1}`` are stored as tuples ``p`` with ``p[i]`` the
 image of ``i``.  Composition is ``compose(p, q)[i] = p[q[i]]`` (apply q first).
+Cycle notation, as group and orbit-input files write it, is 1-based:
+``parse_cycles`` reads ``(1,2)`` as the tuple ``(1, 0, ...)`` and
+``format_cycles`` writes it back.
 The orbit partition (``orbit_ids``) and the induced action on a family of
 sets (``induced_permutations``) work on numpy arrays; together they are the
 orbit-based isomorph rejection shared by the difference-set classes, the
@@ -52,8 +55,9 @@ def inverse(p: Sequence[int]) -> Perm:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int, one_based: bool = True) -> Perm:
-    """Parse disjoint-cycle notation like ``(1,16)(4,5)`` into a permutation.
+def parse_cycles(text: str, degree: int) -> Perm:
+    """Parse disjoint-cycle notation like ``(1,16)(4,5)`` on the symbols
+    1..degree into a (0-based) permutation.
 
     Symbols may be separated by commas or spaces.  Raises ValueError on
     out-of-range or repeated symbols.
@@ -63,19 +67,18 @@ def parse_cycles(text: str, degree: int, one_based: bool = True) -> Perm:
         return identity(degree)
     if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", stripped):
         raise ValueError(f"malformed cycle notation: {text!r}")
-    offset = 1 if one_based else 0
     image = list(range(degree))
     seen: set[int] = set()
     for cyc in _CYCLE_RE.findall(stripped):
         symbols = [s for s in re.split(r"[,\s]+", cyc.strip()) if s]
-        points = [int(s) - offset for s in symbols]
+        points = [int(s) - 1 for s in symbols]
         if not points:
             continue
         for x in points:
             if not 0 <= x < degree:
-                raise ValueError(f"symbol {x + offset} out of range 1..{degree}")
+                raise ValueError(f"symbol {x + 1} out of range 1..{degree}")
             if x in seen:
-                raise ValueError(f"symbol {x + offset} repeated in {text!r}")
+                raise ValueError(f"symbol {x + 1} repeated in {text!r}")
             seen.add(x)
         for a, b in zip(points, points[1:]):
             image[a] = b
@@ -83,9 +86,9 @@ def parse_cycles(text: str, degree: int, one_based: bool = True) -> Perm:
     return tuple(image)
 
 
-def format_cycles(p: Sequence[int], one_based: bool = True) -> str:
-    """Disjoint-cycle string; identity renders as ``()``."""
-    offset = 1 if one_based else 0
+def format_cycles(p: Sequence[int]) -> str:
+    """Disjoint-cycle string on the symbols 1..len(p); identity renders as
+    ``()``."""
     seen = [False] * len(p)
     parts = []
     for i in range(len(p)):
@@ -99,7 +102,7 @@ def format_cycles(p: Sequence[int], one_based: bool = True) -> str:
             seen[j] = True
             cyc.append(j)
             j = p[j]
-        parts.append("(" + ",".join(str(x + offset) for x in cyc) + ")")
+        parts.append("(" + ",".join(str(x + 1) for x in cyc) + ")")
     return "".join(parts) if parts else "()"
 
 

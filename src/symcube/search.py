@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, Sequence
@@ -346,25 +345,25 @@ def build_seeded_cube_certificate(
 
 
 def _difference_cube_certificate(
-    g: FiniteGroup, rep: DifferenceSet, n: int, time_budget: float | None = None
+    g: FiniteGroup, rep: DifferenceSet, time_budget: float | None = None
 ) -> bytes:
-    """Certificate of the difference n-cube of rep, seeded with its
+    """Certificate of the difference 3-cube of rep, seeded with its
     theoretical autotopies (which the canonicalizer verifies as seeds)."""
-    seeds = [paratopy_to_point_perm(w, n, g.order) for w in _difference_cube_autotopies(g, rep, n)]
-    return build_seeded_cube_certificate(difference_cube(g, rep, n), seeds, time_budget)
+    seeds = [paratopy_to_point_perm(w, 3, g.order) for w in _difference_cube_autotopies(g, rep, 3)]
+    return build_seeded_cube_certificate(difference_cube(g, rep, 3), seeds, time_budget)
 
 
 def difference_cube_reference(
-    groups: Sequence[FiniteGroup], params: DesignParams, n: int = 3
+    groups: Sequence[FiniteGroup], params: DesignParams
 ) -> dict[bytes, tuple[str, tuple[int, ...]]]:
-    """Certificates of the difference n-cubes from every difference-set
+    """Certificates of the difference 3-cubes from every difference-set
     class of the given groups: cert -> (group name, class representative)."""
     for g in groups:
         _check_order(g, params)
     out: dict[bytes, tuple[str, tuple[int, ...]]] = {}
     for g in groups:
         for rep in difference_sets_up_to_equivalence(g, params.k, params.lam):
-            cert = _difference_cube_certificate(g, rep, n)
+            cert = _difference_cube_certificate(g, rep)
             out.setdefault(cert, (g.name or f"order{g.order}", rep.elements))
     return out
 
@@ -422,7 +421,7 @@ def classify_group_cubes(
     tds = len(all_sets)
     classes = difference_sets_up_to_equivalence(g, params.k, params.lam, all_sets)
     nds = len(classes)
-    own_dc_certs = {_difference_cube_certificate(g, rep, 3, remaining()) for rep in classes}
+    own_dc_certs = {_difference_cube_certificate(g, rep, remaining()) for rep in classes}
     if reference is None:
         reference = own_dc_certs
     dev_names = set()
@@ -498,9 +497,13 @@ class OrbitCubeResult:
     orbit_sizes: tuple[int, ...]
 
 
-def orbit_cube(inp: OrbitCubeInput, params: DesignParams | None = None) -> OrbitCubeResult:
+def orbit_cube(inp: OrbitCubeInput) -> OrbitCubeResult:
     """Close the base blocks under the generated group, validate the union
-    as a transversal representation, and convert it to a cube."""
+    as a transversal representation, and convert it to a cube.
+
+    The union must hold k v^2 blocks for an integer k, which fixes the
+    parameters (v, k, k(k-1)/(v-1)); ``validate_transversal`` checks the
+    rest and returns the cube with those parameters."""
     v = inp.v
     blocks: set[tuple[int, ...]] = set()
     orbit_sizes = []
@@ -516,35 +519,29 @@ def orbit_cube(inp: OrbitCubeInput, params: DesignParams | None = None) -> Orbit
                     queue.append(img)
         orbit_sizes.append(len(orbit))
         blocks |= orbit
-    if params is None:
-        k_num = len(blocks)
-        if k_num % (v * v) != 0:
-            raise NotACubeError(
-                f"total block count {k_num} is not a multiple of v^2", "block-count"
-            )
-        k = k_num // (v * v)
-        lam = k * (k - 1) // (v - 1)
-        params = DesignParams(v, k, lam)
-    rep = TransversalRep(n=3, v=v, k=params.k, blocks=tuple(sorted(blocks)))
-    cube = Cube(validate_transversal(rep).bits, params)
+    if len(blocks) % (v * v) != 0:
+        raise NotACubeError(
+            f"total block count {len(blocks)} is not a multiple of v^2", "block-count"
+        )
+    rep = TransversalRep(n=3, v=v, k=len(blocks) // (v * v), blocks=tuple(sorted(blocks)))
+    cube = validate_transversal(rep)
     order = PermGroup(inp.generators, 3 * v).order()
     return OrbitCubeResult(
         cube=cube, group_order=order, block_count=len(blocks), orbit_sizes=tuple(orbit_sizes)
     )
 
 
-def is_group_cube(
-    c: Cube,
-    reference_certs: Iterable[bytes],
-    reference_complete: bool = True,
-) -> bool:
+def is_group_cube(c: Cube, reference_certs: Iterable[bytes]) -> bool:
     """Whether c is equivalent to a group cube, via the reference list of
     group-cube certificates.
 
     A shortcut handles the decidedly-negative case first: a 3-cube from the
     group construction has all slices isomorphic to one design in the two
     directions that vary the block axis, so a cube with mixed design classes
-    in all three directions is not equivalent to any group cube.
+    in all three directions is not equivalent to any group cube.  That
+    answer needs no reference.  Past the shortcut, the answer is membership
+    of c's uncolored certificate in ``reference_certs``, so a negative
+    answer there is sound only if the reference is complete.
     """
     if c.n == 3:
         inv = slice_invariant(c)
@@ -554,12 +551,4 @@ def is_group_cube(
             sum(not m for m in mixed) == 2 and len(uniform_certs) != 1
         ):
             return False
-    cert = cube_certificate(c, "uncolored").bytes_
-    member = cert in set(reference_certs)
-    if not member and not reference_complete:
-        warnings.warn(
-            "cube certificate not found, but the reference list is not "
-            "certified complete; the negative answer may be unsound",
-            stacklevel=2,
-        )
-    return member
+    return cube_certificate(c, "uncolored") in set(reference_certs)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symcube import equivalence
-from symcube.catalog import elementary_16, switched_16_designs
+from symcube.catalog import elementary_16, reference_catalog, switched_16_designs
 from symcube.cubes import (
     Cube,
     ParatopyElement,
@@ -14,7 +14,7 @@ from symcube.cubes import (
     group_cube,
     random_paratopy,
 )
-from symcube.designs import DesignParams
+from symcube.designs import DesignParams, IncidenceMatrix, design_class
 from symcube.equivalence import (
     TransversalRep,
     are_isotopic,
@@ -82,7 +82,7 @@ class TestCertificates:
         c = difference_cube(z3, DifferenceSet(z3, (1, 2), (3, 2, 1)), 3)
         rng = random.Random(21)
         for mode in ("uncolored", "colored"):
-            base = cube_certificate(c, mode).bytes_
+            base = cube_certificate(c, mode)
             for _ in range(200):
                 img = apply_paratopy(c, random_paratopy(rng, 3, 3)) if mode == "uncolored" else c
                 if mode == "colored":
@@ -90,18 +90,18 @@ class TestCertificates:
                     p = random_paratopy(rng, 3, 3)
                     p = type(p)(p.perms, (0, 1, 2))
                     img = apply_paratopy(c, p)
-                assert cube_certificate(img, mode).bytes_ == base
+                assert cube_certificate(img, mode) == base
 
     def test_stability_fano(self, fano_cube):
         rng = random.Random(22)
-        base = cube_certificate(fano_cube, "uncolored").bytes_
+        base = cube_certificate(fano_cube, "uncolored")
         for _ in range(40):
             img = apply_paratopy(fano_cube, random_paratopy(rng, 3, 7))
-            assert cube_certificate(img, "uncolored").bytes_ == base
+            assert cube_certificate(img, "uncolored") == base
 
     def test_transversal_certificate_matches_cube(self, fano_cube):
-        a = cube_certificate(fano_cube, "uncolored").bytes_
-        b = canonical_certificate(to_transversal(fano_cube), "uncolored").bytes_
+        a = cube_certificate(fano_cube, "uncolored")
+        b = canonical_certificate(to_transversal(fano_cube), "uncolored")
         assert a == b
 
     @pytest.mark.parametrize(
@@ -116,9 +116,9 @@ class TestCertificates:
         # seeded or not, from the cube or from its transversal: the same bytes
         c = difference_cube(g, DifferenceSet(g, elements, params), 3)
         seeds = _group_cube_seeds(g, 3)
-        base = cube_certificate(c).bytes_
+        base = cube_certificate(c)
         assert build_seeded_cube_certificate(c, seeds) == base
-        assert canonical_certificate(to_transversal(c)).bytes_ == base
+        assert canonical_certificate(to_transversal(c)) == base
 
     def test_non_transversal_has_no_certificate(self, fano_cube):
         t = to_transversal(fano_cube)
@@ -133,8 +133,8 @@ class TestCertificates:
             canonical_certificate(within_class)
 
     def test_mode_separation(self, fano_cube):
-        a = cube_certificate(fano_cube, "uncolored").bytes_
-        b = cube_certificate(fano_cube, "colored").bytes_
+        a = cube_certificate(fano_cube, "uncolored")
+        b = cube_certificate(fano_cube, "colored")
         assert a != b
 
 
@@ -179,6 +179,42 @@ class TestEquivalenceDecisions:
         small = difference_cube(z3, DifferenceSet(z3, (1, 2), (3, 2, 1)), 3)
         with pytest.raises(Exception):
             are_paratopic(fano_cube, small)
+
+
+class TestTwoCubes:
+    """A 2-cube is a symmetric design, and paratopy is isomorphism up to
+    duality, which ``design_class`` decides on its own path."""
+
+    @pytest.fixture(scope="class")
+    def cubes(self):
+        """The catalog designs (D1-D3 are the three (16,6,2) designs), their
+        transposes and a seeded paratopy image of each, as 2-cubes."""
+        rng = random.Random(19)
+        out = []
+        for entry in reference_catalog().entries:
+            for bits in (entry.matrix.bits, entry.matrix.bits.T):
+                c = Cube(bits, entry.params)
+                out += [c, apply_paratopy(c, random_paratopy(rng, 2, c.v))]
+        return out
+
+    def test_paratopy_matches_design_class(self, cubes):
+        oracle = [design_class(IncidenceMatrix(c.bits, c.params)).certificate for c in cubes]
+        outcomes = set()
+        for (a, cert_a), (b, cert_b) in itertools.combinations(zip(cubes, oracle), 2):
+            if a.params == b.params:
+                assert are_paratopic(a, b) == (cert_a == cert_b)
+                outcomes.add(cert_a == cert_b)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_witness(self, seed):
+        rng = random.Random(seed)
+        d1, d2, _ = switched_16_designs()
+        c = Cube(d1.bits, d1.params)
+        image = apply_paratopy(c, random_paratopy(rng, 2, 16))
+        w = paratopy_witness(c, image)
+        assert w is not None and apply_paratopy(c, w) == image
+        assert paratopy_witness(c, Cube(d2.bits, d2.params)) is None
 
 
 class TestReports:
@@ -241,7 +277,7 @@ class TestLabellingCache:
 
     def test_seeded_certificate_is_not_cached(self, calls):
         c, _ = self._cube_and_isotope()
-        plain = cube_certificate(c, "uncolored").bytes_
+        plain = cube_certificate(c, "uncolored")
         seeds = _group_cube_seeds(make_cyclic(7), 3)
         assert build_seeded_cube_certificate(c, seeds) == plain
         assert build_seeded_cube_certificate(c, seeds) == plain
@@ -411,8 +447,8 @@ class TestBruteForceOracle:
         maps_iso, maps_par = _cell_maps(v, 3)
         brute_iso = [_brute_canon(c.bits, maps_iso) for c in cubes]
         brute_par = [_brute_canon(c.bits, maps_par) for c in cubes]
-        cert_iso = [cube_certificate(c, "colored").bytes_ for c in cubes]
-        cert_par = [cube_certificate(c, "uncolored").bytes_ for c in cubes]
+        cert_iso = [cube_certificate(c, "colored") for c in cubes]
+        cert_par = [cube_certificate(c, "uncolored") for c in cubes]
         for i in range(len(cubes)):
             for j in range(i + 1, len(cubes)):
                 assert (brute_iso[i] == brute_iso[j]) == (cert_iso[i] == cert_iso[j])

@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 
@@ -6,11 +7,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symcube import fileio
 from symcube.cli import main
-from symcube.cubes import difference_cube
+from symcube.catalog import switched_16_designs
+from symcube.cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, random_paratopy
 from symcube.datafiles import data_dir
 from symcube.equivalence import from_transversal, to_transversal
 from symcube.errors import InvalidInputError
-from symcube.groups import DifferenceSet, make_cyclic
+from symcube.groups import MAX_GROUP_ORDER, DifferenceSet, make_cyclic
 
 LOADERS = {
     "group": fileio.load_group,
@@ -115,13 +117,38 @@ def test_cli_product_spec(capsys):
     assert "order 16 abelian True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spec", ["cyclic:100000", "product:cyclic:64,cyclic:64"])
+def test_cli_group_above_the_order_bound_exits_2_at_once(capsys, spec):
+    start = time.perf_counter()
+    assert main(["group", "make", spec]) == 2
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert f"exceeds the limit of {MAX_GROUP_ORDER}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_paratopy_witness_of_2_cubes(tmp_path, capsys):
+    d1 = switched_16_designs()[0]
+    c1 = Cube(d1.bits, d1.params)
+    c2 = apply_paratopy(c1, ParatopyElement(random_paratopy(random.Random(5), 2, 16).perms, (1, 0)))
+    fileio.save_cube(c1, tmp_path / "a.cube")
+    fileio.save_cube(c2, tmp_path / "b.cube")
+    assert fileio.load_cube(tmp_path / "b.cube") == c2
+    assert main(["equiv", "paratopic", str(tmp_path / "a.cube"), str(tmp_path / "b.cube"), "--witness"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "equivalent"
+    assert [line.split()[0] for line in out[1:]] == ["axis_perm", "perm0", "perm1"]
+    axes, *perms = (tuple(int(x) for x in line.split()[1:]) for line in out[1:])
+    assert apply_paratopy(c1, ParatopyElement(tuple(perms), axes)) == c2
+
+
 def test_cube_and_transversal_roundtrip(tmp_path):
     z7 = make_cyclic(7)
     c = difference_cube(z7, DifferenceSet(z7, (1, 2, 4), (7, 3, 1)), 3)
     fileio.save_cube(c, tmp_path / "c.cube")
     back = fileio.load_cube(tmp_path / "c.cube")
     assert back == c
-    assert from_transversal(to_transversal(back), back.params) == c
+    assert from_transversal(to_transversal(back)) == c
 
 
 def test_group_table_must_match_header_order(tmp_path, capsys):

@@ -101,11 +101,24 @@ class TestConstructors:
         dihedral = make_from_permutation_generators([(1, 2, 3, 0), (2, 1, 0, 3)])
         assert dihedral.order == 8 and not dihedral.is_abelian()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_cyclic(groups.MAX_GROUP_ORDER + 1),
+            lambda: make_metacyclic(2, groups.MAX_GROUP_ORDER // 2 + 1, 1),
+            lambda: make_direct_product(make_cyclic(33), make_cyclic(32)),
+        ],
+        ids=["cyclic", "metacyclic", "product"],
+    )
+    def test_constructors_bound_the_order(self, build):
+        with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+            build()
+
     def test_from_permutation_generators_limits(self):
-        with pytest.raises(ResourceLimitError):
-            make_from_permutation_generators(
-                [tuple(list(range(1, 11)) + [0])], max_order=5
-            )
+        # S_8 (order 40320) from an 8-cycle and a transposition
+        s8 = [tuple(list(range(1, 8)) + [0]), (1, 0, 2, 3, 4, 5, 6, 7)]
+        with pytest.raises(ResourceLimitError, match="exceeds the limit"):
+            make_from_permutation_generators(s8)
         assert make_from_permutation_generators([]).order == 1
 
 

@@ -1,6 +1,8 @@
-"""Source hygiene checks on the package modules, using the stdlib ``ast`` only."""
+"""Source hygiene checks on the package modules and their declared numpy
+floor, using the stdlib only."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -88,3 +90,17 @@ def test_no_function_local_imports():
             if (path.name, func, module) not in ALLOWED_LOCAL_IMPORTS:
                 found.append(f"{path.name}:{line} {func}() imports {module}")
     assert not found, "imports inside functions: " + "; ".join(found)
+
+
+def test_numpy_floor_has_bitwise_count():
+    """``np.bitwise_count`` first appeared in numpy 2.0, so a package that
+    calls it must declare at least that (read with a regex: Python 3.10 has
+    no ``tomllib``)."""
+    callers = [p.name for p in MODULES if "np.bitwise_count" in p.read_text()]
+    pyproject = (SRC.parent.parent / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=(\d+)(?:\.(\d+))?', pyproject)
+    assert floor, "pyproject.toml declares no numpy floor"
+    version = (int(floor[1]), int(floor[2] or 0))
+    assert not callers or version >= (2, 0), (
+        f"{', '.join(callers)} call np.bitwise_count, but the floor is numpy {version}"
+    )

@@ -457,7 +457,7 @@ class TestOrbitCube:
 
     def test_not_a_group_cube(self, bundled):
         res = orbit_cube(bundled)
-        assert not is_group_cube(res.cube, (), reference_complete=False)
+        assert not is_group_cube(res.cube, ())
 
     def test_generator_set_invariance(self, bundled):
         # replace the generators by another generating set of the same group
@@ -476,7 +476,7 @@ class TestOrbitCube:
         res2 = orbit_cube(OrbitCubeInput(16, alt, bundled.base_blocks))
         assert res2.group_order == 384
         assert (
-            cube_certificate(res1.cube).bytes_ == cube_certificate(res2.cube).bytes_
+            cube_certificate(res1.cube) == cube_certificate(res2.cube)
         )
 
     def test_trivial_group_orbit(self):
@@ -514,7 +514,7 @@ class TestGroupCubeMembership:
         c3 = group_cube(f21, nondev.columns_as_sets(), 3)
         from symcube.equivalence import cube_certificate
 
-        refs = set(ref.keys()) | {cube_certificate(c3).bytes_}
+        refs = set(ref.keys()) | {cube_certificate(c3)}
         assert is_group_cube(c3, refs)
 
     def test_difference_cube_is_group_cube(self):
@@ -526,16 +526,6 @@ class TestGroupCubeMembership:
         cube = difference_cube(z7, d, 3)
         ref = difference_cube_reference([z7], DesignParams(7, 3, 1))
         assert is_group_cube(cube, ref.keys())
-
-    def test_incomplete_reference_warns(self):
-        from symcube.cubes import difference_cube
-        from symcube.groups import DifferenceSet
-
-        z7 = make_cyclic(7)
-        d = DifferenceSet(z7, (1, 2, 4), (7, 3, 1))
-        cube = difference_cube(z7, d, 3)
-        with pytest.warns(UserWarning):
-            assert not is_group_cube(cube, (), reference_complete=False)
 
 
 @pytest.mark.extended
@@ -562,6 +552,6 @@ def test_orbit_representative_certificates_ignore_labels(make_group, params):
         cube = group_cube(g, [candidates[i] for i in rep], 3)
         cert = search.build_seeded_cube_certificate(cube, seeds)
         image = apply_paratopy(cube, random_paratopy(rng, 3, g.order))
-        assert equivalence.cube_certificate(image).bytes_ == cert
+        assert equivalence.cube_certificate(image) == cert
         certs.add(cert)
     assert sorted(certs) == classify_group_cubes(g, params).all_certs

@@ -12,11 +12,10 @@ checkout it belongs to, importing the program from that checkout's
 ``src/``.  Every measurement is one fresh child
 process with one thread per numeric library; the wall time is taken around
 the child, the peak RSS from the child's own resource usage (``os.wait4``),
-so the tool's own memory never counts.  A measurement whose first run takes
-less than ``REPEAT_UNDER_S`` is run twice more: ``wall_s`` is then the
-median of the three samples listed in ``wall_samples_s``, and
-``peak_rss_mb`` their maximum.  Nothing else should load the host while it
-runs.
+so the tool's own memory never counts.  Every measurement is run
+``SAMPLES`` times: ``wall_s`` is the median of the samples listed in
+``wall_samples_s``, and ``peak_rss_mb`` their maximum.  Nothing else should
+load the host while it runs.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FAST = ["fano", "small-unique", "hadamard16", "menon-family", "example52", "pg21", "diffcubes27"]
-REPEAT_UNDER_S = 5.0  # single runs this short are mostly noise
+SAMPLES = 3  # one run of prop51 or of the suite can be 25% off the next
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
@@ -69,15 +68,11 @@ def measure(name: str, argv: list[str]) -> dict:
 
 
 def measure_repeated(name: str, argv: list[str]) -> dict:
-    """``measure``, repeated twice more when the first run is shorter than
-    REPEAT_UNDER_S; the median wall time, the samples, the largest peak RSS
-    and the first failing exit code."""
-    first = measure(name, argv)
-    if first["wall_s"] >= REPEAT_UNDER_S:
-        return first
-    samples = [first] + [measure(name, argv) for _ in range(2)]
+    """``measure`` run SAMPLES times; the median wall time, the samples, the
+    largest peak RSS and the first failing exit code."""
+    samples = [measure(name, argv) for _ in range(SAMPLES)]
     return dict(
-        first,
+        samples[0],
         exit=next((r["exit"] for r in samples if r["exit"] != 0), 0),
         wall_s=statistics.median(r["wall_s"] for r in samples),
         wall_samples_s=[r["wall_s"] for r in samples],

@@ -127,7 +127,7 @@ def write_f21_design():
 
 
 def write_orbit_input():
-    gens = tuple(parse_cycles(s, 48, one_based=True) for s in ORBIT_GENERATORS)
+    gens = tuple(parse_cycles(s, 48) for s in ORBIT_GENERATORS)
     base = tuple((a - 1, b - 1, c - 1) for (a, b, c) in ORBIT_BASE_BLOCKS)
     inp = OrbitCubeInput(v=16, generators=gens, base_blocks=base)
     (DATA / "orbit").mkdir(parents=True, exist_ok=True)

@@ -216,7 +216,7 @@ def main():
         name = f"16#{gid}:{STRUCTURES[gid]}"
         lines = [f"group {name} order 16", "permgens 16"]
         for perm in regular_generators(g):
-            lines.append(format_cycles(perm, one_based=True))
+            lines.append(format_cycles(perm))
         path = OUT_DIR / f"id{gid:02d}.group"
         path.write_text("\n".join(lines) + "\n")
         print(f"wrote {path.name}: {STRUCTURES[gid]} Nds={nds} Tds={tds}")

@@ -16,6 +16,7 @@ through one view, the cube with the two slice axes moved last.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -273,23 +274,20 @@ class SliceInvariant:
 
     def rendered(self, names: dict | None = None) -> str:
         """Human-readable form like ``{ {D1^16}^1, {D2^16}^2 }``."""
+        names = names or {}
+
+        def label(ident) -> str:
+            if ident in names:
+                return names[ident]
+            return ident.hex()[:8] if isinstance(ident, bytes) else str(ident)
+
         rendered_inner = []
         for inner in self.classes:
-            counts: dict = {}
-            for ident in inner:
-                counts[ident] = counts.get(ident, 0) + 1
-            parts = []
-            for ident in sorted(counts, key=lambda s: (names.get(s, "") if names else "", s)):
-                label = names.get(ident, ident.hex()[:8] if isinstance(ident, bytes) else str(ident)) if names else (
-                    ident.hex()[:8] if isinstance(ident, bytes) else str(ident)
-                )
-                parts.append(f"{label}^{counts[ident]}")
-            rendered_inner.append("{" + ",".join(parts) + "}")
-        outer: dict = {}
-        for s in rendered_inner:
-            outer[s] = outer.get(s, 0) + 1
-        body = ", ".join(f"{s}^{m}" for s, m in sorted(outer.items()))
-        return "{ " + body + " }"
+            counts = Counter(inner)
+            order = sorted(counts, key=lambda s: (names.get(s, ""), s))
+            rendered_inner.append("{" + ",".join(f"{label(s)}^{counts[s]}" for s in order) + "}")
+        outer = Counter(rendered_inner)
+        return "{ " + ", ".join(f"{s}^{m}" for s, m in sorted(outer.items())) + " }"
 
 
 @lru_cache(maxsize=65536)

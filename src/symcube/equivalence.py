@@ -88,9 +88,6 @@ class TransversalRep:
     def n_points(self) -> int:
         return self.n * self.v
 
-    def classes(self) -> list[range]:
-        return [range(t * self.v, (t + 1) * self.v) for t in range(self.n)]
-
 
 @dataclass(frozen=True)
 class AutomorphismReport:
@@ -110,46 +107,50 @@ def to_transversal(c: Cube) -> TransversalRep:
     )
 
 
+def _cube(bits: np.ndarray, k: int) -> Cube:
+    """The cube of ``bits`` with the parameters (v, k, k(k-1)/(v-1))."""
+    v = bits.shape[0]
+    return Cube(bits, DesignParams(v, k, k * (k - 1) // (v - 1) if v > 1 else k))
+
+
+def _verified(c: Cube) -> Cube:
+    """c, or NotACubeError unless ``verify_cube`` holds: every slice is a
+    design with c's parameters, so every line along every axis has k ones."""
+    if not verify_cube(c):
+        raise NotACubeError("a slice violates the design equation", "lambda-condition")
+    return c
+
+
 def from_transversal(t: TransversalRep) -> Cube:
-    """The cube t encodes, with k from t and lambda = k(k-1)/(v-1)."""
-    v, n, k = t.v, t.n, t.k
+    """The cube t encodes, with k from t and lambda = k(k-1)/(v-1).  Each
+    block, sorted, must take its i-th point from class i (else NotACubeError),
+    and its points modulo v are then its cell."""
+    v, n = t.v, t.n
+    try:
+        blocks = np.sort(np.array(t.blocks, dtype=np.int64).reshape(len(t.blocks), n), axis=1)
+    except ValueError:
+        raise NotACubeError(f"a block does not have {n} points", "transversal") from None
+    if not (blocks // v == np.arange(n)).all():
+        raise NotACubeError("a block is not a transversal of the classes", "transversal")
     bits = np.zeros((v,) * n, dtype=np.uint8)
-    offsets = np.arange(n, dtype=np.int64) * v
-    for b in t.blocks:
-        coords = np.sort(np.asarray(b)) - offsets
-        if (coords < 0).any() or (coords >= v).any():
-            raise NotACubeError("block is not a transversal of the classes", "transversal")
-        bits[tuple(int(x) for x in coords)] = 1
-    lam = k * (k - 1) // (v - 1) if v > 1 else k
-    return Cube(bits, DesignParams(v, k, lam))
+    bits[tuple((blocks % v).T)] = 1
+    return _cube(bits, t.k)
 
 
 def validate_transversal(t: TransversalRep) -> Cube:
-    """Check the three representation invariants, raising NotACubeError with
-    the first violated constraint; returns the cube t encodes."""
+    """The cube t encodes, or NotACubeError naming the first violated
+    constraint: k v^(n-1) blocks, each a transversal, none repeated (fewer
+    1-cells than blocks), and every slice a design (``_verified``)."""
     v, n, k = t.v, t.n, t.k
     if len(t.blocks) != k * v ** (n - 1):
         raise NotACubeError(
             f"block count {len(t.blocks)} differs from k*v^(n-1) = {k * v ** (n - 1)}",
             "block-count",
         )
-    if len(set(t.blocks)) != len(t.blocks):
-        raise NotACubeError("repeated block", "block-count")
-    for b in t.blocks:
-        klass = sorted(x // v for x in b)
-        if klass != list(range(n)):
-            raise NotACubeError(f"block {b} is not a transversal", "transversal")
     cube = from_transversal(t)
-    bits = cube.bits.astype(np.int64)
-    for axis in range(n):
-        sums = bits.sum(axis=axis)
-        if not (sums == k).all():
-            raise NotACubeError(
-                f"orthogonal-array strength fails on axes without {axis}", "oa-strength"
-            )
-    if not verify_cube(cube):
-        raise NotACubeError("a slice violates the design equation", "lambda-condition")
-    return cube
+    if int(cube.bits.sum()) != len(t.blocks):
+        raise NotACubeError("repeated block", "block-count")
+    return _verified(cube)
 
 
 # product entries per batch of ``_slice_pair_keys``: bounds its temporaries
@@ -316,31 +317,18 @@ def are_isotopic(c1: Cube, c2: Cube) -> bool:
 def paratopy_to_point_perm(w: ParatopyElement, n: int, v: int) -> tuple[int, ...]:
     """The permutation of the n*v transversal points induced by a paratopy:
     point (t, x) maps to (gamma^{-1}(t), alpha_{gamma^{-1}(t)}(x))."""
-    gamma_inv = perm_inverse(w.axis_perm)
-    out = [0] * (n * v)
-    for t in range(n):
-        t2 = gamma_inv[t]
-        alpha = w.perms[t2]
-        for x in range(v):
-            out[t * v + x] = t2 * v + alpha[x]
-    return tuple(out)
+    gamma_inv = np.asarray(perm_inverse(w.axis_perm))
+    perms = np.asarray(w.perms, dtype=np.int64).reshape(n, v)
+    return tuple((gamma_inv[:, None] * v + perms[gamma_inv]).ravel().tolist())
 
 
 def _witness_from_point_map(n: int, v: int, point_map: np.ndarray) -> ParatopyElement:
     """Translate a class-respecting point bijection into a paratopy."""
-    tau = [-1] * n
-    value_maps = [[-1] * v for _ in range(n)]
-    for t in range(n):
-        for i in range(v):
-            img = int(point_map[t * v + i])
-            t2, i2 = divmod(img, v)
-            if tau[t] == -1:
-                tau[t] = t2
-            elif tau[t] != t2:
-                raise ConstructionBugError("point map does not respect classes")
-            value_maps[t][i] = i2
-    gamma = perm_inverse(tuple(tau))
-    perms = tuple(tuple(value_maps[gamma[s]]) for s in range(n))
+    classes, values = np.divmod(np.asarray(point_map).reshape(n, v), v)
+    if (classes != classes[:, :1]).any():
+        raise ConstructionBugError("point map does not respect classes")
+    gamma = perm_inverse(classes[:, 0].tolist())
+    perms = tuple(map(tuple, values[list(gamma)].tolist()))
     return ParatopyElement(perms, gamma)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .cubes import MAX_CELLS, Cube
 from .designs import DesignParams, IncidenceMatrix
 from .errors import InvalidInputError
-from .groups import DifferenceSet, FiniteGroup, make_from_permutation_generators
+from .groups import DifferenceSet, FiniteGroup, _check_group_order, make_from_permutation_generators
 from .perms import format_cycles, parse_cycles
 from .search import OrbitCubeInput
 
@@ -87,6 +87,7 @@ def load_group(path: str | Path) -> FiniteGroup:
         raise InvalidInputError(f"{path}: bad header {lines[0]!r}")
     name = head[1]
     v = int(head[3])
+    _check_group_order(v)  # before the table, whose checks take O(v^3) steps
     pos = 1
     labels = None
     if pos < len(lines) and lines[pos].startswith("labels "):

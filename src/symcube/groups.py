@@ -18,6 +18,7 @@ find them.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
@@ -486,7 +487,7 @@ _BATCH_PAIRS = 1 << 16
 
 
 def enumerate_difference_sets(
-    g: FiniteGroup, k: int, lam: int, max_nodes: int = 50_000_000
+    g: FiniteGroup, k: int, lam: int, max_nodes: int = 50_000_000, time_budget: float | None = None
 ) -> list[DifferenceSet]:
     """All (v,k,lam) difference sets, in lexicographic order of element tuples.
 
@@ -498,7 +499,9 @@ def enumerate_difference_sets(
     split into runs that are searched to the end one after another, which
     keeps that order.  A row is pruned once some non-identity element occurs
     more than ``lam`` times as a difference.  ``max_nodes`` bounds the
-    (prefix, element) pairs tried, the nodes of that depth-first search.
+    (prefix, element) pairs tried, the nodes of that depth-first search;
+    ``time_budget`` (seconds) bounds the wall clock, read between batches.
+    Either raises ResourceLimitError when exceeded.
     """
     v = g.order
     if not 0 <= k <= v:
@@ -513,6 +516,7 @@ def enumerate_difference_sets(
     batches = [(np.zeros((1, 0), dtype), np.zeros((1, v), np.min_scalar_type(k)))]
     found = []
     nodes = 0
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
     while batches:
         prefixes, counts = batches.pop()
         level = prefixes.shape[1]
@@ -529,6 +533,9 @@ def enumerate_difference_sets(
         nodes += total
         if nodes > max_nodes:
             raise ResourceLimitError("enumeration budget exceeded")
+        # as in the design search, the first 4096 nodes do not read the clock
+        if deadline is not None and nodes > 4096 and time.monotonic() > deadline:
+            raise ResourceLimitError("difference-set enumeration time budget exceeded")
         parent = np.repeat(np.arange(len(prefixes)), width)
         x = (np.arange(total) + np.repeat(start - np.cumsum(width) + width, width)).astype(dtype)
         prefixes = np.column_stack([prefixes[parent], x])

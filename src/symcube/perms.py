@@ -9,7 +9,8 @@ Cycle notation, as group and orbit-input files write it, is 1-based:
 The orbit partition (``orbit_ids``) and the induced action on a family of
 sets (``induced_permutations``) work on numpy arrays; together they are the
 orbit-based isomorph rejection shared by the difference-set classes, the
-group-cube design search and the canonical labeller.  ``orbit_minima``
+group-cube design search and the canonical labeller, and ``orbit_ids`` is
+also the orbit closure of ``search.orbit_cube``, on cells.  ``orbit_minima``
 composes the two: the least member of each orbit of a sorted family, the
 representatives of the difference-set classes.  ``component_ids``
 partitions a graph given by its edges, for moves that are not permutations
@@ -23,7 +24,8 @@ II*, JSC 2014).  Two families are equal iff their sorted bitsets are, so
 and leaf certificates sort and compare words instead of looking sets up.
 ``RowIndex`` looks sets up by binary search over byte-string keys; its one
 caller is the search for design orbits, which looks up arbitrary images in
-a family of designs (``search._orbits_within_root``).
+a family of designs (``search._orbits_within_root``); lookups built on
+``np.unique(axis=0)`` measured 5-12 times slower on such families.
 """
 
 from __future__ import annotations

@@ -59,12 +59,12 @@ from .cubes import Cube, difference_cube, group_cube, slice_invariant
 from .designs import DesignParams, design_class, development
 from .equivalence import (
     _certificate,
+    _cube,
     _difference_cube_autotopies,
     _translation_autotopies,
+    _verified,
     cube_certificate,
     paratopy_to_point_perm,
-    TransversalRep,
-    validate_transversal,
 )
 from .errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
 from .groups import (
@@ -131,12 +131,15 @@ def find_ds_block_designs(
     With ``collect``, each solution is passed to it as a sorted tuple of
     candidate indices instead of being accumulated (for streaming callers).
     With ``root`` (a candidate index), only the designs that contain that
-    candidate are found.
+    candidate are found.  ``time_budget`` (seconds) bounds the enumeration
+    of the candidates, when they are not given, and the search together;
+    ResourceLimitError is raised when it runs out.
     """
     _check_order(g, params)
     v, k, lam = params.v, params.k, params.lam
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
     if candidates is None:
-        candidates = enumerate_difference_sets(g, k, lam)
+        candidates = enumerate_difference_sets(g, k, lam, time_budget=time_budget)
     blocks = [tuple(d.elements) for d in candidates]
     member = np.zeros((len(blocks), v), dtype=np.int32)
     for i, b in enumerate(blocks):
@@ -147,7 +150,6 @@ def find_ds_block_designs(
     through = _bitmasks(member.T.astype(bool))
     found: list[tuple[int, ...]] = []
     emit = collect if collect is not None else found.append
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
     nodes = itertools.count(1)
 
     # need[x]: how many more chosen blocks must contain point x
@@ -407,8 +409,9 @@ def classify_group_cubes(
     equivalent to a difference cube over *any* group count as difference
     cubes); when omitted, this group's own difference cubes are used.
 
-    ``time_budget`` (seconds) bounds the design search and the cube
-    labellings together; ResourceLimitError is raised when it runs out.
+    ``time_budget`` (seconds) bounds the difference-set enumeration, the
+    design search and the cube labellings together; ResourceLimitError is
+    raised when it runs out.
     """
     _check_order(g, params)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
@@ -417,7 +420,7 @@ def classify_group_cubes(
         return deadline - time.monotonic() if deadline is not None else None
 
     catalog = reference_catalog()
-    all_sets = enumerate_difference_sets(g, params.k, params.lam)
+    all_sets = enumerate_difference_sets(g, params.k, params.lam, time_budget=remaining())
     tds = len(all_sets)
     classes = difference_sets_up_to_equivalence(g, params.k, params.lam, all_sets)
     nds = len(classes)
@@ -498,36 +501,33 @@ class OrbitCubeResult:
 
 
 def orbit_cube(inp: OrbitCubeInput) -> OrbitCubeResult:
-    """Close the base blocks under the generated group, validate the union
-    as a transversal representation, and convert it to a cube.
+    """The cube whose 1-cells are the orbits of the base blocks' cells.
 
-    The union must hold k v^2 blocks for an integer k, which fixes the
-    parameters (v, k, k(k-1)/(v-1)); ``validate_transversal`` checks the
-    rest and returns the cube with those parameters."""
+    A generator p preserves the classes, so it maps the cell (x, y, z) of
+    the block {x, v+y, 2v+z} to (p(x), p(v+y)-v, p(2v+z)-2v), a permutation
+    of the v^3 cells; ``orbit_ids`` closes all cells under them at once.
+    The union must hold k v^2 cells for an integer k, which fixes the
+    parameters (v, k, k(k-1)/(v-1)), and NotACubeError is raised unless
+    every slice is a design with them."""
     v = inp.v
-    blocks: set[tuple[int, ...]] = set()
-    orbit_sizes = []
-    for base in inp.base_blocks:
-        orbit = {tuple(sorted(base))}
-        queue = [tuple(sorted(base))]
-        while queue:
-            cur = queue.pop()
-            for p in inp.generators:
-                img = tuple(sorted(p[x] for x in cur))
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        orbit_sizes.append(len(orbit))
-        blocks |= orbit
-    if len(blocks) % (v * v) != 0:
+    # p[g, t, x]: generator g's image of the point t*v + x, as a value of axis t
+    p = np.asarray(inp.generators, dtype=np.int32).reshape(-1, 3, v) % v
+    cells = (p[:, 0, :, None, None] * v + p[:, 1, None, :, None]) * v + p[:, 2, None, None, :]
+    ids = orbit_ids(cells.reshape(len(p), v**3), v**3)
+    base = np.sort(np.asarray(inp.base_blocks, dtype=np.int64).reshape(-1, 3), axis=1) % v
+    base_ids = ids[np.ravel_multi_index(base.T, (v, v, v))]
+    bits = np.isin(ids, base_ids).reshape(v, v, v)
+    block_count = int(bits.sum())
+    if block_count % (v * v) != 0:
         raise NotACubeError(
-            f"total block count {len(blocks)} is not a multiple of v^2", "block-count"
+            f"total block count {block_count} is not a multiple of v^2", "block-count"
         )
-    rep = TransversalRep(n=3, v=v, k=len(blocks) // (v * v), blocks=tuple(sorted(blocks)))
-    cube = validate_transversal(rep)
-    order = PermGroup(inp.generators, 3 * v).order()
+    cube = _verified(_cube(bits, block_count // (v * v)))
     return OrbitCubeResult(
-        cube=cube, group_order=order, block_count=len(blocks), orbit_sizes=tuple(orbit_sizes)
+        cube=cube,
+        group_order=PermGroup(inp.generators, 3 * v).order(),
+        block_count=block_count,
+        orbit_sizes=tuple(np.bincount(ids)[base_ids].tolist()),
     )
 
 

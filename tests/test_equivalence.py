@@ -64,6 +64,29 @@ class TestTransversalRep:
     def test_validate(self, fano_cube):
         assert validate_transversal(to_transversal(fano_cube)) == fano_cube
 
+    def test_block_out_of_class_order_is_accepted(self, fano_cube):
+        t = to_transversal(fano_cube)
+        x, y, z = t.blocks[0]
+        shuffled = TransversalRep(t.n, t.v, t.k, ((z, x, y),) + t.blocks[1:])
+        assert validate_transversal(shuffled) == fano_cube
+
+    def test_block_repeated_in_another_order_is_rejected(self, fano_cube):
+        t = to_transversal(fano_cube)
+        repeated = TransversalRep(t.n, t.v, t.k, t.blocks[:-1] + (t.blocks[0][::-1],))
+        with pytest.raises(NotACubeError) as info:
+            validate_transversal(repeated)
+        assert info.value.constraint == "block-count"
+
+    def test_strength_failure_is_rejected(self, fano_cube):
+        # move the 1-cell (x, y, z) to a 0-cell (x, y, z') of the same line:
+        # the lines through (x, *, z) and (x, *, z') then hold k -+ 1 ones
+        t = to_transversal(fano_cube)
+        x, y, z = t.blocks[0]
+        free = next(w for w in range(2 * t.v, 3 * t.v) if (x, y, w) not in set(t.blocks))
+        moved = TransversalRep(t.n, t.v, t.k, ((x, y, free),) + t.blocks[1:])
+        with pytest.raises(NotACubeError):
+            validate_transversal(moved)
+
     def test_class_partition_recoverability(self, fano_cube):
         # two points lie in the same class iff no block contains both
         t = to_transversal(fano_cube)

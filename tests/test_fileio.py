@@ -11,7 +11,7 @@ from symcube.catalog import switched_16_designs
 from symcube.cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, random_paratopy
 from symcube.datafiles import data_dir
 from symcube.equivalence import from_transversal, to_transversal
-from symcube.errors import InvalidInputError
+from symcube.errors import InvalidInputError, ResourceLimitError
 from symcube.groups import MAX_GROUP_ORDER, DifferenceSet, make_cyclic
 
 LOADERS = {
@@ -125,6 +125,15 @@ def test_cli_group_above_the_order_bound_exits_2_at_once(capsys, spec):
     err = capsys.readouterr().err
     assert f"exceeds the limit of {MAX_GROUP_ORDER}" in err
     assert "Traceback" not in err
+
+
+def test_group_file_above_the_order_bound_is_rejected_before_its_table(tmp_path, capsys):
+    path = tmp_path / "big.group"
+    path.write_text(f"group Z order {MAX_GROUP_ORDER + 1}\ntable\n0\n")
+    with pytest.raises(ResourceLimitError, match=f"exceeds the limit of {MAX_GROUP_ORDER}"):
+        fileio.load_group(path)
+    assert main(["group", "validate", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_paratopy_witness_of_2_cubes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -565,6 +566,16 @@ def test_node_budget_matches_depth_first_search(monkeypatch, batch_pairs, max_no
         else:
             with pytest.raises(ResourceLimitError):
                 enumerate_sets(z2_4(), 6, 2, max_nodes=max_nodes)
+
+
+def test_time_budget_bounds_the_enumeration():
+    # the full (31,15,7) enumeration passes the 50M-node cap after about 40 s
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="time budget"):
+        enumerate_difference_sets(make_cyclic(31), 15, 7, time_budget=0.3)
+    assert time.perf_counter() - start < 3
+    # the clock is first read past 4096 nodes, so a tiny search finishes
+    assert len(enumerate_difference_sets(make_cyclic(7), 3, 1, time_budget=0)) == 14
 
 
 # (7,-2,1) and (2,3,6) satisfy lambda(v-1) = k(k-1)

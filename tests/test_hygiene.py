@@ -2,6 +2,7 @@
 floor, using the stdlib only."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -104,3 +105,30 @@ def test_numpy_floor_has_bitwise_count():
     assert not callers or version >= (2, 0), (
         f"{', '.join(callers)} call np.bitwise_count, but the floor is numpy {version}"
     )
+
+
+def _benchmark_bindings() -> tuple[list, tuple]:
+    """``FUNCTIONS`` and ``PERM_METHODS`` of the benchmark's layer table,
+    read from its source without importing it."""
+    path = SRC.parent.parent / "perfbench" / "layers.py"
+    values = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "PERM_METHODS"):
+                    values[target.id] = ast.literal_eval(node.value)
+    return values["FUNCTIONS"], values["PERM_METHODS"]
+
+
+def test_benchmark_traces_only_names_the_package_has():
+    """The benchmark wraps these functions by name, so deleting or renaming
+    one must fail here rather than in the benchmark."""
+    functions, perm_methods = _benchmark_bindings()
+    missing = [
+        f"{module}.{name}"
+        for module, name, _layer in functions
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    perm_group = importlib.import_module("symcube.perms").PermGroup
+    missing += [f"PermGroup.{name}" for name in perm_methods if not hasattr(perm_group, name)]
+    assert not missing, "the benchmark traces missing names: " + ", ".join(missing)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from symcube.cli import main
 from symcube.cubes import (
     ParatopyElement,
     apply_paratopy,
+    difference_cube,
     group_cube,
     random_paratopy,
     slice_invariant,
@@ -24,13 +26,16 @@ from symcube.errors import (
     ResourceLimitError,
 )
 from symcube.fileio import load_design, load_orbit_input
+from symcube.equivalence import paratopy_to_point_perm, theoretical_autotopies, to_transversal
 from symcube.groups import (
+    DifferenceSet,
     FiniteGroup,
+    difference_sets_up_to_equivalence,
     enumerate_difference_sets,
     is_difference_set,
     make_cyclic,
 )
-from symcube.perms import PermGroup, induced_permutations, orbit_minima
+from symcube.perms import PermGroup, compose, induced_permutations, inverse, orbit_minima
 from symcube.search import (
     OrbitCubeInput,
     classify_group_cubes,
@@ -350,6 +355,32 @@ class TestClassification:
         assert "time budget" in capsys.readouterr().err
 
 
+# Z31 has (31,15,7) difference sets (the quadratic residues), but a full
+# enumeration passes the 50M-node cap after about 40 s
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classify_group_cubes(make_cyclic(31), DesignParams(31, 15, 7), time_budget=0.3),
+        lambda: find_ds_block_designs(make_cyclic(31), DesignParams(31, 15, 7), time_budget=0.3),
+    ],
+    ids=["classify", "designs"],
+)
+def test_budget_bounds_the_difference_set_enumeration(call):
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="enumeration time budget"):
+        call()
+    assert time.perf_counter() - start < 3
+
+
+def test_cli_classify_budget_bounds_the_enumeration(capsys):
+    start = time.perf_counter()
+    argv = ["search", "classify", "cyclic:31", "31,15,7", "--time-budget", "0.5"]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 3
+    err = capsys.readouterr().err
+    assert "time budget" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("params", [(0, 0, 0), (16, 6, 2)], ids=["0,0,0", "16,6,2"])
 @pytest.mark.parametrize(
     "call",
@@ -439,10 +470,79 @@ class TestWorkDoneOnce:
             difference_cube_reference([make_cyclic(7)], DesignParams(7, 3, 1))
 
 
+def alternate_generators(generators):
+    """Another generating set of the group of Example 5.2's three
+    generators."""
+    g1, g2, g3 = generators
+    return (compose(g1, g2), compose(g2, compose(g3, g3)), g3, compose(inverse(g1), g3))
+
+
+def tuple_orbit(block, generators):
+    """Oracle for ``orbit_cube``: the orbit of a block, closed by a search
+    over sorted block tuples kept in a set."""
+    orbit = {tuple(sorted(block))}
+    queue = list(orbit)
+    while queue:
+        cur = queue.pop()
+        for p in generators:
+            img = tuple(sorted(p[x] for x in cur))
+            if img not in orbit:
+                orbit.add(img)
+                queue.append(img)
+    return orbit
+
+
+def tuple_orbit_cube(inp):
+    """Oracle for ``orbit_cube``: the bits of the union of the base blocks'
+    orbits (a sorted block {x, v+y, 2v+z} is the cell (x, y, z)) and the
+    orbit sizes."""
+    orbits = [tuple_orbit(b, inp.generators) for b in inp.base_blocks]
+    bits = np.zeros((inp.v,) * 3, dtype=np.uint8)
+    for block in set().union(*orbits):
+        bits[tuple(x % inp.v for x in block)] = 1
+    return bits, tuple(len(o) for o in orbits)
+
+
+def difference_cube_orbit_input(g, d):
+    """The difference 3-cube of d as an orbit input: its theoretical
+    autotopies as point maps and one base block per orbit of its blocks."""
+    gens = tuple(paratopy_to_point_perm(w, 3, g.order) for w in theoretical_autotopies(g, d, 3))
+    base, covered = [], set()
+    for block in to_transversal(difference_cube(g, d, 3)).blocks:
+        if block not in covered:
+            base.append(block)
+            covered |= tuple_orbit(block, gens)
+    return OrbitCubeInput(g.order, gens, tuple(base))
+
+
 class TestOrbitCube:
     @pytest.fixture(scope="class")
     def bundled(self):
         return load_orbit_input(data_dir() / "orbit" / "ngc_example.orbit")
+
+    @pytest.mark.parametrize("alternate", [False, True], ids=["given", "alternate"])
+    def test_example52_matches_tuple_orbit_oracle(self, bundled, alternate):
+        gens = alternate_generators(bundled.generators) if alternate else bundled.generators
+        inp = OrbitCubeInput(16, gens, bundled.base_blocks)
+        bits, sizes = tuple_orbit_cube(inp)
+        res = orbit_cube(inp)
+        assert np.array_equal(res.cube.bits, bits)
+        assert res.orbit_sizes == sizes == (96, 192, 192, 192, 192, 96, 192, 96, 192, 96)
+
+    @pytest.mark.parametrize("case", ["Z7", "F21"])
+    def test_difference_cube_from_its_autotopies(self, case):
+        if case == "Z7":
+            g = make_cyclic(7)
+            d = DifferenceSet(g, (1, 2, 4), (7, 3, 1))
+        else:
+            g = frobenius_21()
+            d = difference_sets_up_to_equivalence(g, 5, 1)[0]
+        inp = difference_cube_orbit_input(g, d)
+        bits, sizes = tuple_orbit_cube(inp)
+        res = orbit_cube(inp)
+        assert res.cube == difference_cube(g, d, 3)
+        assert np.array_equal(res.cube.bits, bits)
+        assert res.orbit_sizes == sizes and sum(sizes) == res.block_count
 
     def test_published_instance(self, bundled):
         res = orbit_cube(bundled)
@@ -462,15 +562,8 @@ class TestOrbitCube:
     def test_generator_set_invariance(self, bundled):
         # replace the generators by another generating set of the same group
         from symcube.equivalence import cube_certificate
-        from symcube.perms import PermGroup, compose, inverse
 
-        g1, g2, g3 = bundled.generators
-        alt = (
-            compose(g1, g2),
-            compose(g2, compose(g3, g3)),
-            g3,
-            compose(inverse(g1), g3),
-        )
+        alt = alternate_generators(bundled.generators)
         assert PermGroup(alt, 48).order() == 384
         res1 = orbit_cube(bundled)
         res2 = orbit_cube(OrbitCubeInput(16, alt, bundled.base_blocks))

@@ -29,7 +29,7 @@ from .canon import canonicalize
 from .catalog import reference_catalog
 from .designs import DesignParams, IncidenceMatrix, design_class, verify_design
 from .errors import ConstructionBugError, InvalidInputError
-from .groups import DifferenceSet, FiniteGroup, is_difference_set
+from .groups import DifferenceSet, FiniteGroup, _difference_set_rows
 from .perms import Perm, compose as perm_compose, identity as id_perm, inverse as perm_inverse
 
 __all__ = [
@@ -222,9 +222,16 @@ def group_cube(g: FiniteGroup, blocks: Sequence[Iterable[int]], n: int) -> Cube:
         raise InvalidInputError(f"invalid-input: need {v} blocks, got {len(block_sets)}")
     k = len(block_sets[0])
     lam = k * (k - 1) // (v - 1) if v > 1 else k
-    for idx, b in enumerate(block_sets):
-        if not is_difference_set(g, b, lam):
-            raise InvalidInputError(f"invalid-input: block {idx} is not a difference set")
+    # a block of another size than the first, or with a point outside the
+    # group, is no difference set of a symmetric design on g; the others
+    # are checked in one batch
+    ok = np.array([len(b) == k and all(0 <= x < v for x in b) for b in block_sets])
+    rows = [sorted(b) for b, fits in zip(block_sets, ok) if fits]
+    ok[ok] = _difference_set_rows(g, np.array(rows, np.int64).reshape(len(rows), k), lam)
+    if not ok.all():
+        raise InvalidInputError(
+            f"invalid-input: block {np.flatnonzero(~ok)[0]} is not a difference set"
+        )
     mat = np.zeros((v, v), dtype=np.uint8)
     for j, b in enumerate(block_sets):
         mat[list(b), j] = 1

@@ -108,8 +108,14 @@ def to_transversal(c: Cube) -> TransversalRep:
 
 
 def _cube(bits: np.ndarray, k: int) -> Cube:
-    """The cube of ``bits`` with the parameters (v, k, k(k-1)/(v-1))."""
+    """The cube of ``bits`` with the parameters (v, k, k(k-1)/(v-1)), or
+    NotACubeError when k(k-1)/(v-1) is not an integer: then no design of
+    order v has blocks of size k."""
     v = bits.shape[0]
+    if v > 1 and k * (k - 1) % (v - 1):
+        raise NotACubeError(
+            f"lambda = k(k-1)/(v-1) = {k * (k - 1)}/{v - 1} is not an integer", "lambda-condition"
+        )
     return Cube(bits, DesignParams(v, k, k * (k - 1) // (v - 1) if v > 1 else k))
 
 

@@ -6,14 +6,17 @@ immutable tuples; ``table[i][j]`` is the index of the product of elements
 image of element ``i``.  Aut(G) is one read-only |Aut| x v array per group
 table, enumerated once per process and cached (``automorphism_group``); its
 generators, the multipliers of a difference set and the orbit moves of the
-difference-set classes are all derived from that array.
+difference-set classes are all derived from that array.  The generators of
+Aut(G) are chosen once per group table too, and cached next to the array.
 
 Aut(G), isomorphisms and difference sets come from level-wise searches over
 numpy batches of partial solutions (tuples of generator images, sorted
 subsets).  Each level extends every surviving row by each of its candidates
 in increasing order, surviving rows outer and candidates inner, so the rows
 stay in lexicographic order: the order in which a depth-first search would
-find them.
+find them.  The difference sets an enumeration finds are verified together,
+by one batch count of their differences (``_difference_set_rows``), and not
+again one by one as ``DifferenceSet`` verifies a set from any other source.
 """
 
 from __future__ import annotations
@@ -195,10 +198,6 @@ class DifferenceSet:
     def lam(self) -> int:
         return self.params[2]
 
-    def translate(self, a: int) -> "DifferenceSet":
-        t = self.group.table
-        return DifferenceSet(self.group, tuple(t[a][x] for x in self.elements), self.params)
-
 
 @dataclass(frozen=True)
 class Multiplier:
@@ -337,10 +336,13 @@ def _isomorphism_search(
     g1..gm.  Level l extends every surviving tuple of images of g1..g(l-1) by
     each target element of the order of gl, survivors outer and candidates
     inner, so the rows stay in the lexicographic order of their generator
-    images, the order of a depth-first search.  A row survives when the map
-    that its images induce on <g1..gl> along one BFS tree respects every
-    Cayley edge x*gj of that subgroup and is injective there; at the last
-    level the subgroup is the source, and the map an isomorphism.  For the
+    images, the order of a depth-first search.  A row's images induce a map
+    on <g1..gl> along the tree of a BFS over the Cayley edges x -> x*gj, so
+    the tree edges hold by construction; the row survives when every
+    non-tree edge that the BFS meets holds too, which makes the map a
+    homomorphism on the subgroup, and when its kernel is trivial (no
+    element but 0 maps to 0), which makes it injective.  At the last level
+    the subgroup is the source, and the map an isomorphism.  For the
     first isomorphism only, the survivors of each level are searched in
     runs of ``_ISO_RUN`` rows, one run to the end before the next, and the
     search stops at the first complete map.
@@ -354,8 +356,11 @@ def _isomorphism_search(
     tgt_orders = np.array([target.element_order(x) for x in range(v)])
     if sorted(src_orders) != sorted(tgt_orders.tolist()):
         return none
-    src_table = np.array(source.table, dtype)
-    tgt_table = np.array(target.table, dtype)
+    # the target table flattened and scaled: a map holds v * (image of x)
+    # per row, so the image of x*g is one gather, scaled[map + image of g],
+    # at an index below v^2
+    wide = np.min_scalar_type(v * v - 1)
+    scaled = (np.array(target.table, wide) * v).ravel()
     gens = source.generating_sequence()
     if not gens:
         return np.zeros((1, v), dtype)  # the trivial group
@@ -367,19 +372,24 @@ def _isomorphism_search(
         cands = np.flatnonzero(tgt_orders == src_orders[gens[level - 1]]).astype(dtype)
         n = images.shape[1]
         images = np.vstack([np.repeat(images, len(cands), axis=1), np.tile(cands, n)])
-        maps = np.zeros((v, images.shape[1]), dtype)  # maps[x] holds the image of x per row
+        maps = np.zeros((v, images.shape[1]), wide)  # maps[x]: v * image of x, per row
+        ok = np.ones(images.shape[1], bool)
         members = [0]
-        for x in members:  # BFS over <gens[:level]>, one gather per new element
+        found = [False] * v
+        found[0] = True
+        for x in members:  # BFS over <gens[:level]>
             for j, g in enumerate(gens[:level]):
                 y = source.table[x][g]
-                if y not in members:
+                image = scaled[maps[x] + images[j]]
+                if found[y]:
+                    ok &= maps[y] == image  # a non-tree edge
+                else:  # a tree edge, which holds by construction
+                    found[y] = True
                     members.append(y)
-                    maps[y] = tgt_table[maps[x], images[j]]
-        ok = np.ones(images.shape[1], bool)
-        for j, g in enumerate(gens[:level]):
-            ok &= (maps[src_table[members, g]] == tgt_table[maps[members], images[j]]).all(axis=0)
-        induced = np.sort(maps[members], axis=0)
-        ok &= (induced[1:] != induced[:-1]).all(axis=0)
+                    maps[y] = image
+        # each surviving map is a homomorphism on the subgroup, so it is
+        # injective iff only the identity maps to the identity 0
+        ok &= (maps[members[1:]] != 0).all(axis=0)
         return images[:, ok], maps[:, ok]
 
     runs = [np.zeros((0, 1), dtype)]  # a stack: the next run to search is last
@@ -387,9 +397,9 @@ def _isomorphism_search(
         images, maps = extend(runs.pop())
         if len(images) == len(gens):
             if find_all:
-                return np.ascontiguousarray(maps.T)
+                return np.ascontiguousarray(maps.T // v, dtype)
             if maps.shape[1]:
-                return np.ascontiguousarray(maps.T[:1])
+                return np.ascontiguousarray(maps.T[:1] // v, dtype)
         elif find_all:
             runs.append(images)
         else:
@@ -400,6 +410,7 @@ def _isomorphism_search(
 # keyed by table (FiniteGroup hashes and compares by it); the entries are
 # read-only and live for the process, which holds few distinct tables
 _AUT_CACHE: dict[FiniteGroup, np.ndarray] = {}
+_AUT_GENS_CACHE: dict[FiniteGroup, tuple[Perm, ...]] = {}
 
 
 def automorphism_group(g: FiniteGroup) -> np.ndarray:
@@ -427,13 +438,26 @@ def automorphism_generators(
     g: FiniteGroup, auts: np.ndarray | Sequence[Sequence[int]] | None = None
 ) -> list[Perm]:
     """A small generating subset of Aut(g), or of the group whose elements
-    are the rows ``auts``, chosen greedily in row order by group order."""
-    if auts is None:
-        auts = automorphism_group(g)
-    target = len(auts)
+    are the rows ``auts``, chosen greedily in row order by group order.
+
+    The generators of Aut(g) itself (``auts`` omitted) are chosen once per
+    group table and cached; each call returns a fresh list of them, which
+    the caller may extend."""
+    if auts is not None:
+        return _greedy_generators(auts, g.order)
+    gens = _AUT_GENS_CACHE.get(g)
+    if gens is None:
+        gens = _AUT_GENS_CACHE[g] = tuple(_greedy_generators(automorphism_group(g), g.order))
+    return list(gens)
+
+
+def _greedy_generators(rows: np.ndarray | Sequence[Sequence[int]], degree: int) -> list[Perm]:
+    """The rows, in order, that are not in the group generated by the rows
+    before them, up to the first that completes the group of all rows."""
+    target = len(rows)
     chosen: list[Perm] = []
-    group = PermGroup([], g.order)
-    for row in np.asarray(auts):
+    group = PermGroup([], degree)
+    for row in np.asarray(rows):
         a = tuple(row.tolist())
         if a in group:
             continue
@@ -451,34 +475,50 @@ def is_difference_set(
     g: FiniteGroup, subset: Iterable[int], lam: int, check_right: bool = __debug__
 ) -> bool:
     """True iff every non-identity element is a left difference d1^{-1} d2
-    of exactly ``lam`` ordered pairs from the subset.
+    of exactly ``lam`` ordered pairs from the subset, whose members are
+    distinct elements of g: the one-row case of ``_difference_set_rows``.
 
     With ``check_right`` (on by default under __debug__), also recomputes the
     right-difference counts and asserts agreement.
     """
     elems = list(subset)
+    if any(not 0 <= x < g.order for x in elems):
+        return False  # checked here, where a Python int may exceed any dtype
+    return bool(_difference_set_rows(g, np.array([elems], np.intp), lam, check_right)[0])
+
+
+def _difference_set_rows(
+    g: FiniteGroup, rows: np.ndarray, lam: int, check_right: bool = __debug__
+) -> np.ndarray:
+    """Whether each row of ``rows``, an m x k array of elements of g, is a
+    difference set: its k entries are distinct, and every non-identity
+    element is a left difference d1^{-1} d2 of exactly ``lam`` ordered pairs
+    of them.  The counts of all rows are one ``bincount``.
+
+    With ``check_right`` (on by default under __debug__), also counts the
+    right differences d1 d2^{-1} and raises ConstructionBugError unless
+    they give the same answer for every row.
+    """
     v = g.order
-    if any(not 0 <= x < v for x in elems) or len(set(elems)) != len(elems):
-        return False
-    inverses = [g.inv(x) for x in elems]
-    counts = [0] * v
-    for i1 in inverses:
-        row = g.table[i1]
-        for d2 in elems:
-            counts[row[d2]] += 1
-    ok = all(counts[x] == lam for x in range(1, v))
-    if check_right:
-        rcounts = [0] * v
-        for d1 in elems:
-            row = g.table[d1]
-            for i2 in inverses:
-                rcounts[row[i2]] += 1
-        rok = all(rcounts[x] == lam for x in range(1, v))
-        if ok != rok:
-            raise ConstructionBugError(
-                "left and right difference counts disagree"
-            )
-    return ok
+    m = len(rows)
+    rows = rows.astype(np.intp)
+    ordered = np.sort(rows, axis=1)
+    ok = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    table = np.array(g.table, np.intp).ravel()
+    inv = np.array([g.inv(x) for x in range(v)], np.intp)[rows]
+    offsets = np.arange(m)[:, None, None] * v
+
+    def exact(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        # the products left[i] * right[j]; in a group those with i = j are
+        # the identity, whose count is not read
+        products = offsets + table[left[:, :, None] * v + right[:, None, :]]
+        counts = np.bincount(products.ravel(), minlength=m * v).reshape(m, v)
+        return ok & (counts[:, 1:] == lam).all(axis=1)
+
+    left = exact(inv, rows)
+    if check_right and not np.array_equal(left, exact(rows, inv)):
+        raise ConstructionBugError("left and right difference counts disagree")
+    return left
 
 
 # most (prefix, element) pairs expanded at once; a larger level is split
@@ -548,10 +588,22 @@ def enumerate_difference_sets(
             counts[rows, table[inv[x], y]] += 1
         keep = (counts[:, 1:] <= lam).all(axis=1)
         batches.append((prefixes[keep], counts[keep]))
-    return [
-        DifferenceSet(g, tuple(row), (v, k, lam))
-        for row in np.concatenate(found).tolist()
-    ]
+    rows = np.concatenate(found)
+    if not _difference_set_rows(g, rows, lam).all():
+        raise ConstructionBugError("the enumeration found a set that is not a difference set")
+    return [_checked_difference_set(g, tuple(row), (v, k, lam)) for row in rows.tolist()]
+
+
+def _checked_difference_set(
+    g: FiniteGroup, elements: tuple[int, ...], params: tuple[int, int, int]
+) -> DifferenceSet:
+    """The DifferenceSet of sorted ``elements`` already checked to be one,
+    built without the constructor's check."""
+    ds = object.__new__(DifferenceSet)
+    object.__setattr__(ds, "group", g)
+    object.__setattr__(ds, "elements", elements)
+    object.__setattr__(ds, "params", params)
+    return ds
 
 
 def difference_sets_up_to_equivalence(

@@ -31,6 +31,7 @@ a family of designs (``search._orbits_within_root``); lookups built on
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,9 @@ def identity(n: int) -> Perm:
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     """p after q."""
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    # itemgetter takes at least one item, and with one returns it bare
     return tuple(p[x] for x in q)
 
 
@@ -115,7 +119,10 @@ class PermGroup:
     the group at a level are those plus every deeper level's (deeper strong
     generators fix all shallower base points).  Adding a generator reprocesses
     all Schreier generators along the affected path, so the chain is always a
-    verified strong generating set and ``order`` is exact.
+    verified strong generating set and ``order`` is exact.  Each level keeps
+    the inverse of every coset representative next to it, built with the
+    tree, so sifting and the Schreier generators compose with stored inverses
+    instead of inverting a representative at every step.
     """
 
     def __init__(self, generators: Iterable[Sequence[int]] = (), degree: int = 0):
@@ -124,6 +131,7 @@ class PermGroup:
         self.basepoint: int | None = None
         self.gens: list[Perm] = []  # generators moving this level's base point
         self.tree: dict[int, Perm] = {}  # orbit point -> coset representative
+        self.tree_inv: dict[int, Perm] = {}  # orbit point -> its representative's inverse
         self.stab: PermGroup | None = None
         for g in generators:
             self.add_generator(tuple(g))
@@ -142,7 +150,7 @@ class PermGroup:
             return self.stab.sift(p)
         if b not in self.tree:
             return p
-        return self.stab.sift(compose(inverse(self.tree[b]), p))
+        return self.stab.sift(compose(self.tree_inv[b], p))
 
     def add_generator(self, g: Sequence[int]) -> None:
         g = tuple(g)
@@ -166,24 +174,25 @@ class PermGroup:
     def _rebuild_tree(self) -> None:
         assert self.basepoint is not None
         gens = self.generators()
+        gens_inv = [inverse(g) for g in gens]
         self.tree = {self.basepoint: self._identity}
+        self.tree_inv = {self.basepoint: self._identity}
         queue = [self.basepoint]
         while queue:
             a = queue.pop(0)
-            rep = self.tree[a]
-            for g in gens:
+            rep, rep_inv = self.tree[a], self.tree_inv[a]
+            for g, g_inv in zip(gens, gens_inv):
                 b = g[a]
                 if b not in self.tree:
                     self.tree[b] = compose(g, rep)
+                    self.tree_inv[b] = compose(rep_inv, g_inv)
                     queue.append(b)
 
     def _close_schreier(self) -> None:
         assert self.stab is not None
         for gen in self.generators():
             for a in sorted(self.tree):
-                rep = self.tree[a]
-                to_base = inverse(self.tree[gen[a]])
-                schreier = compose(to_base, compose(gen, rep))
+                schreier = compose(self.tree_inv[gen[a]], compose(gen, self.tree[a]))
                 if schreier != self._identity:
                     residue = self.stab.sift(schreier)
                     if residue != self._identity:

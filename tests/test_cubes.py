@@ -145,6 +145,26 @@ class TestConstructions:
         with pytest.raises(InvalidInputError):
             group_cube(z7, blocks, 3)
 
+    @pytest.mark.parametrize(
+        "bad,block",
+        [
+            (0, {0, 1, 2}),
+            (3, {0, 1, 2}),
+            (6, {0, 1, 2}),
+            (3, {0, 1}),
+            (5, {1, 2, 7}),
+            (5, {1, 2, 10**30}),
+        ],
+        ids=["first", "middle", "last", "size", "range", "beyond-int64"],
+    )
+    def test_group_cube_names_the_bad_block(self, bad, block):
+        z7 = make_cyclic(7)
+        # the translates g_i^{-1} D of D = {1, 2, 4}, one replaced
+        blocks = [frozenset((x - i) % 7 for x in (1, 2, 4)) for i in range(7)]
+        blocks[bad] = frozenset(block)
+        with pytest.raises(InvalidInputError, match=f"block {bad} is not a difference set"):
+            group_cube(z7, blocks, 3)
+
     def test_group_cube_from_nondevelopment_not_totally_symmetric(self):
         g16 = elementary_16()
         _, d2m, _ = switched_16_designs()

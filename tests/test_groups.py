@@ -13,6 +13,7 @@ from symcube.errors import ConstructionBugError, InvalidInputError, ResourceLimi
 from symcube.groups import (
     DifferenceSet,
     FiniteGroup,
+    automorphism_generators,
     automorphism_group,
     difference_sets_up_to_equivalence,
     enumerate_difference_sets,
@@ -24,6 +25,7 @@ from symcube.groups import (
     make_metacyclic,
     multipliers,
 )
+from symcube.perms import PermGroup
 
 
 def klein():
@@ -591,3 +593,123 @@ def test_cli_rejects_negative_block_size(capsys, command):
     captured = capsys.readouterr()
     assert "k = -2" in captured.err and "v = 7" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def loop_is_difference_set(g, subset, lam):
+    """Oracle for the batch check: the left differences of all ordered pairs
+    of distinct elements, counted one by one."""
+    if any(not 0 <= x < g.order for x in subset) or len(set(subset)) != len(subset):
+        return False
+    counts = [0] * g.order
+    for d1, d2 in itertools.permutations(subset, 2):
+        counts[g.table[g.inv(d1)][d2]] += 1
+    return all(c == lam for c in counts[1:])
+
+
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]]
+
+
+def greedy_generators(rows, degree):
+    """Oracle for the cached generators of Aut(G): the rows, in order, that
+    a PermGroup does not yet contain, until it has all rows' order."""
+    chosen = []
+    group = PermGroup([], degree)
+    for row in np.asarray(rows):
+        a = tuple(row.tolist())
+        if a in group:
+            continue
+        group.add_generator(a)
+        chosen.append(a)
+        if group.order() == len(rows):
+            break
+    return chosen
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [
+        pytest.param(lambda gid=gid: relabelled(load_group_16(gid), gid), id=f"id16:{gid}-relabelled")
+        for gid in range(1, 15)
+    ]
+    + [
+        pytest.param(frobenius_21, id="F21"),
+        pytest.param(lambda: make_direct_product(make_cyclic(2), frobenius_21()), id="Z2xF21"),
+    ],
+)
+def test_cached_generators_match_greedy_scan(monkeypatch, make_group):
+    monkeypatch.setattr(groups, "_AUT_GENS_CACHE", {})
+    g = make_group()
+    expected = greedy_generators(automorphism_group(g), g.order)
+    first = automorphism_generators(g)
+    assert first == expected and all(type(a) is tuple for a in first)
+    assert set(groups._AUT_GENS_CACHE) == {g}
+    second = automorphism_generators(g)
+    assert second == expected and second is not first
+
+
+def test_extending_the_generators_changes_no_later_result():
+    g = frobenius_21()
+    gens = automorphism_generators(g)
+    expected = list(gens)
+    gens.append(tuple(g.table[1]))
+    assert automorphism_generators(g) == expected
+
+
+def test_explicit_rows_are_not_cached(monkeypatch):
+    monkeypatch.setattr(groups, "_AUT_GENS_CACHE", {})
+    z7 = make_cyclic(7)
+    squares = [(0, 2, 4, 6, 1, 3, 5), (0, 4, 1, 5, 2, 6, 3)]  # x -> 2x, x -> 4x
+    assert automorphism_generators(z7, [tuple(range(7))] + squares) == squares[:1]
+    assert groups._AUT_GENS_CACHE == {}
+    # in row order, x -> 2x of order 3 comes first and x -> 3x completes Aut(Z7)
+    assert automorphism_generators(z7) == [squares[0], (0, 3, 6, 2, 5, 1, 4)]
+
+
+class TestBatchDifferenceSetCheck:
+    @pytest.mark.parametrize(
+        "make_group,k,lam",
+        [(lambda: load_group_16(9), 6, 2), (frobenius_21, 5, 1), (lambda: make_cyclic(13), 4, 1)],
+        ids=["id16:9", "F21", "Z13"],
+    )
+    def test_rows_match_a_loop_over_pairs(self, make_group, k, lam):
+        g = make_group()
+        rng = random.Random(g.order)
+        rows = [d.elements for d in enumerate_difference_sets(g, k, lam)[:30]]
+        rows += [tuple(rng.sample(range(g.order), k)) for _ in range(60)]
+        rows.append((1, 1) + rows[0][2:])
+        outside = [rows[0][:-1] + (g.order,), (-1,) + rows[0][1:]]
+        for l in (lam, lam + 1):
+            expected = [loop_is_difference_set(g, r, l) for r in rows]
+            assert groups._difference_set_rows(g, np.array(rows), l).tolist() == expected
+            assert [is_difference_set(g, r, l) for r in rows + outside] == expected + [False] * 2
+
+    def test_enumeration_raises_on_a_corrupted_row(self, monkeypatch):
+        check = groups._difference_set_rows
+
+        def corrupting(g, rows, lam):
+            rows = rows.copy()
+            rows[5, 0] = rows[5, 1]  # a repeated element
+            return check(g, rows, lam)
+
+        monkeypatch.setattr(groups, "_difference_set_rows", corrupting)
+        with pytest.raises(ConstructionBugError, match="not a difference set"):
+            enumerate_difference_sets(z2_4(), 6, 2)
+
+    def test_left_and_right_counts_disagree_on_a_loop(self):
+        # a Latin square with identity 0 that is no group; the inverse of x
+        # is the y with x*y = 0.  Over the ordered pairs of {3, 4}, the left
+        # products inv(d1)*d2 are 1, 2, 3, 4, each once, and the right
+        # products d1*inv(d2) are 0, 0, 2, 4
+        loop = FiniteGroup(LOOP_5, validate=False)
+        rows = np.array([[3, 4]])
+        assert groups._difference_set_rows(loop, rows, 1, check_right=False).tolist() == [True]
+        with pytest.raises(ConstructionBugError, match="disagree"):
+            groups._difference_set_rows(loop, rows, 1, check_right=True)
+
+    def test_enumerated_sets_equal_validated_ones(self):
+        for g, k, lam in ((z2_4(), 6, 2), (frobenius_21(), 5, 1), (make_cyclic(7), 3, 1)):
+            for d in enumerate_difference_sets(g, k, lam):
+                validated = DifferenceSet(g, d.elements, (g.order, k, lam))
+                assert d == validated and hash(d) == hash(validated)
+                assert d.group is g and d.params == (g.order, k, lam)
+                assert all(type(x) is int for x in d.elements)

@@ -45,6 +45,13 @@ def test_compose_inverse_laws():
         assert inverse(compose(p, q)) == compose(inverse(q), inverse(p))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_compose_returns_tuples_at_small_degrees(n):
+    p = tuple(range(n))[::-1]
+    assert compose(p, p) == identity(n) and type(compose(p, p)) is tuple
+    assert compose(list(p), list(p)) == identity(n)
+
+
 def test_cycle_roundtrip():
     rng = random.Random(1)
     for _ in range(50):

@@ -25,8 +25,14 @@ from symcube.errors import (
     NotACubeError,
     ResourceLimitError,
 )
-from symcube.fileio import load_design, load_orbit_input
-from symcube.equivalence import paratopy_to_point_perm, theoretical_autotopies, to_transversal
+from symcube.fileio import load_design, load_orbit_input, save_orbit_input
+from symcube.equivalence import (
+    TransversalRep,
+    paratopy_to_point_perm,
+    theoretical_autotopies,
+    to_transversal,
+    validate_transversal,
+)
 from symcube.groups import (
     DifferenceSet,
     FiniteGroup,
@@ -35,7 +41,7 @@ from symcube.groups import (
     is_difference_set,
     make_cyclic,
 )
-from symcube.perms import PermGroup, compose, induced_permutations, inverse, orbit_minima
+from symcube.perms import PermGroup, compose, identity, induced_permutations, inverse, orbit_minima
 from symcube.search import (
     OrbitCubeInput,
     classify_group_cubes,
@@ -595,6 +601,34 @@ class TestOrbitCube:
     def test_partial_orbit_rejected(self, bundled):
         with pytest.raises(NotACubeError):
             orbit_cube(OrbitCubeInput(16, bundled.generators, bundled.base_blocks[:3]))
+
+
+# the 32 cells of two shifted Latin squares of order 4, z = x + y and
+# z = x + y + 1 (mod 4), as blocks {x, 4+y, 8+z}: 2 v^2 blocks, so k = 2,
+# but k(k-1)/(v-1) = 2/3 is no lambda
+TWO_LATIN_SQUARES = tuple(
+    (x, 4 + y, 8 + (x + y + s) % 4) for x in range(4) for y in range(4) for s in (0, 1)
+)
+
+
+class TestNonIntegralLambda:
+    def test_orbit_cube(self):
+        with pytest.raises(NotACubeError, match="not an integer") as err:
+            orbit_cube(OrbitCubeInput(4, (identity(12),), TWO_LATIN_SQUARES))
+        assert err.value.constraint == "lambda-condition"
+
+    def test_validate_transversal(self):
+        with pytest.raises(NotACubeError, match="not an integer") as err:
+            validate_transversal(TransversalRep(3, 4, 2, TWO_LATIN_SQUARES))
+        assert err.value.constraint == "lambda-condition"
+
+    def test_cli_orbit_cube(self, tmp_path, capsys):
+        path = tmp_path / "latin.orbit"
+        save_orbit_input(OrbitCubeInput(4, (identity(12),), TWO_LATIN_SQUARES), path)
+        assert main(["search", "orbit-cube", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "k(k-1)/(v-1) = 2/3 is not an integer" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 class TestGroupCubeMembership:

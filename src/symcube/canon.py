@@ -79,7 +79,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionBugError, InvalidInputError
+from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError
 from .perms import Bitsets, PermGroup, orbit_ids
 
 __all__ = ["CanonResult", "canonicalize", "design_canonical"]
@@ -90,7 +90,6 @@ class CanonResult:
     certificate: bytes
     point_labeling: tuple[int, ...]  # point -> canonical point id
     aut_point_gens: list[tuple[int, ...]]
-    complete: bool = True
     leaf_count: int = 0
     node_count: int = 0
 
@@ -120,10 +119,6 @@ def _mix(x: np.ndarray, salt: np.uint64) -> np.ndarray:
     z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
-
-
-class _Deadline(Exception):
-    pass
 
 
 class _Structure:
@@ -350,7 +345,7 @@ class _Search:
     def search(self, state, path: list[bytes], fixed: list[int]) -> None:
         self.node_count += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Deadline
+            raise ResourceLimitError("canonical labelling time budget exceeded")
         colors, n_cells, trace = state
         depth = len(path)
         path = path + [trace]
@@ -427,21 +422,7 @@ class _Search:
         self.aut = maps[(maps != points).any(axis=1)]
 
     def run(self) -> CanonResult:
-        complete = True
-        try:
-            self.search(self.refine(self.s.init_colors.copy(), self.s.init_cells), [], [])
-        except _Deadline:
-            complete = False
-        point_gens = [tuple(g) for g in self.aut.tolist()]
-        if not complete:
-            return CanonResult(
-                certificate=b"",
-                point_labeling=(),
-                aut_point_gens=point_gens,
-                complete=False,
-                leaf_count=self.leaf_count,
-                node_count=self.node_count,
-            )
+        self.search(self.refine(self.s.init_colors.copy(), self.s.init_cells), [], [])
         assert self.best_key is not None and self.best_labeling is not None
         head = struct.pack(
             "<4I", self.s.n_points, self.s.m, self.s.block_size, self.s.point_degree
@@ -449,8 +430,7 @@ class _Search:
         return CanonResult(
             certificate=head + self.best_key[1],
             point_labeling=tuple(int(x) for x in self.best_labeling),
-            aut_point_gens=point_gens,
-            complete=True,
+            aut_point_gens=[tuple(g) for g in self.aut.tolist()],
             leaf_count=self.leaf_count,
             node_count=self.node_count,
         )
@@ -471,10 +451,8 @@ def canonicalize(
     that any isomorphism must preserve; omit it to allow arbitrary point
     permutations.
     ``known_automorphisms`` (point permutations) seed the orbit pruning; each
-    is verified against the structure.  With a ``time_budget`` (seconds), a
-    partial result flagged ``complete=False`` is returned when the budget
-    runs out; its certificate is empty and only the discovered automorphisms
-    are meaningful.
+    is verified against the structure.  A labelling either completes or, once
+    its ``time_budget`` (seconds) has passed, raises ``ResourceLimitError``.
     """
     if point_colors is None:
         point_colors = np.zeros(n_points, dtype=np.int64)

@@ -262,7 +262,6 @@ def cmd_equiv_report(args, mode: str) -> int:
     kind = "autotopy" if mode == "colored" else "autoparatopy"
     print(f"{kind}_order {rep.order}")
     print(f"generators {len(rep.generators)}")
-    print(f"complete {rep.complete}")
     if args.certificate:
         print(f"certificate {cube_certificate(c, mode).hex()}")
     return 0

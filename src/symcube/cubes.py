@@ -57,8 +57,8 @@ MAX_CELLS = 1 << 28
 class Cube:
     """Immutable n-dimensional 0/1 array tagged with design parameters.
 
-    ``_labellings`` belongs to ``equivalence._canonicalize``: the complete
-    unseeded canonical labelling of the cube, per point-coloring mode.
+    ``_labellings`` belongs to ``equivalence._canonicalize``: the unseeded
+    canonical labelling of the cube, per point-coloring mode.
     """
 
     __slots__ = ("bits", "params", "_labellings")

@@ -34,12 +34,12 @@ dense ranks of the keys, of (axis, key) in colored mode
 certificate is still the relabelled block list, which determines the cube,
 so equal certificates still mean equivalent cubes.
 
-Each ``Cube`` caches its complete unseeded labelling per mode
-(``Cube._labellings``), so ``are_isotopic(c, x)``, ``autotopy_report(c)`` and
-``cube_certificate(c, "colored")`` label ``c`` once between them.  A cached
-labelling is returned at once, whatever the ``time_budget`` of the later
-call; a labelling cut short by its budget is not cached, so the next call
-labels the cube again.  Seeded labellings neither read nor fill the cache.
+Each ``Cube`` caches its unseeded labelling per mode (``Cube._labellings``),
+so ``are_isotopic(c, x)``, ``autotopy_report(c)`` and
+``cube_certificate(c, "colored")`` label ``c`` once between them.  Seeded
+labellings neither read nor fill the cache.  A labelling either completes
+or raises ``ResourceLimitError`` once its ``time_budget`` has passed, so the
+cache only ever holds complete ones.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 from .canon import CanonResult, canonicalize
 from .cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, verify_cube
 from .designs import DesignParams
-from .errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
+from .errors import ConstructionBugError, InvalidInputError, NotACubeError
 from .groups import DifferenceSet, FiniteGroup, automorphism_generators, multipliers as _multipliers
 from .perms import PermGroup, identity as id_perm, inverse as perm_inverse, void_rows
 
@@ -93,7 +93,6 @@ class TransversalRep:
 class AutomorphismReport:
     generators: tuple[ParatopyElement, ...]
     order: int
-    complete: bool = True
 
 
 def _transversal_blocks(c: Cube) -> np.ndarray:
@@ -259,10 +258,9 @@ def _canonicalize(
     labels.  Cubes with n != 3 keep the plain colors (one cell, or one per
     axis).
 
-    An unseeded labelling that completes is kept on the cube
-    (``Cube._labellings``) and returned by every later unseeded call in the
-    same mode, whatever its ``time_budget``; an incomplete one is not kept.
-    Seeded calls neither read nor fill it.
+    An unseeded labelling is kept on the cube (``Cube._labellings``) and
+    returned by every later unseeded call in the same mode, whatever its
+    ``time_budget``.  Seeded calls neither read nor fill it.
     """
     if not seeds and mode in c._labellings:
         return c._labellings[mode]
@@ -273,7 +271,7 @@ def _canonicalize(
         time_budget=time_budget,
         known_automorphisms=seeds,
     )
-    if not seeds and res.complete:
+    if not seeds:
         c._labellings[mode] = res
     return res
 
@@ -286,10 +284,7 @@ def _certificate(
     head = struct.pack(
         "<5I", c.n, c.v, c.params.k, c.params.lam, 0 if mode == "uncolored" else 1
     )
-    res = _canonicalize(c, mode, seeds, time_budget)
-    if not res.complete:
-        raise ResourceLimitError("canonical labelling time budget exceeded")
-    return head + res.certificate
+    return head + _canonicalize(c, mode, seeds, time_budget).certificate
 
 
 def cube_certificate(c: Cube, mode: str = "uncolored") -> bytes:
@@ -360,32 +355,27 @@ def paratopy_witness(c1: Cube, c2: Cube, mode: str = "uncolored") -> ParatopyEle
     return w
 
 
-def _report(c: Cube, mode: str, time_budget: float | None) -> AutomorphismReport:
-    res = _canonicalize(c, mode, time_budget=time_budget)
+def _report(c: Cube, mode: str) -> AutomorphismReport:
+    res = _canonicalize(c, mode)
     gens = []
     for g in res.aut_point_gens:
         w = _witness_from_point_map(c.n, c.v, np.asarray(g))
         if apply_paratopy(c, w) != c:
             raise ConstructionBugError("automorphism generator does not fix the cube")
         gens.append(w)
-    return AutomorphismReport(tuple(gens), res.aut_order, complete=res.complete)
+    return AutomorphismReport(tuple(gens), res.aut_order)
 
 
-def autotopy_report(c: Cube, time_budget: float | None = None) -> AutomorphismReport:
-    """Generators and exact order of the autotopy group Atop(C).
-
-    With a time budget, a partial report flagged incomplete may be returned;
-    its order is then the order of the subgroup found so far.  The report
-    reads c's cached colored labelling when an earlier unseeded call (an
-    isotopy test, a certificate, a report) completed one, and then ignores
-    the budget; a labelling cut short by the budget is not cached.
-    """
-    return _report(c, "colored", time_budget)
+def autotopy_report(c: Cube) -> AutomorphismReport:
+    """Generators and exact order of the autotopy group Atop(C).  The
+    report reads c's cached colored labelling when an earlier unseeded call
+    (an isotopy test, a certificate, a report) made one."""
+    return _report(c, "colored")
 
 
-def autoparatopy_report(c: Cube, time_budget: float | None = None) -> AutomorphismReport:
+def autoparatopy_report(c: Cube) -> AutomorphismReport:
     """Generators and exact order of the autoparatopy group Apar(C)."""
-    return _report(c, "uncolored", time_budget)
+    return _report(c, "uncolored")
 
 
 # -- the theoretical autotopy subgroup of difference cubes ---------------------

@@ -471,33 +471,25 @@ def _greedy_generators(rows: np.ndarray | Sequence[Sequence[int]], degree: int) 
 # -- difference sets ---------------------------------------------------------------
 
 
-def is_difference_set(
-    g: FiniteGroup, subset: Iterable[int], lam: int, check_right: bool = __debug__
-) -> bool:
+def is_difference_set(g: FiniteGroup, subset: Iterable[int], lam: int) -> bool:
     """True iff every non-identity element is a left difference d1^{-1} d2
     of exactly ``lam`` ordered pairs from the subset, whose members are
-    distinct elements of g: the one-row case of ``_difference_set_rows``.
-
-    With ``check_right`` (on by default under __debug__), also recomputes the
-    right-difference counts and asserts agreement.
-    """
+    distinct elements of g: the one-row case of ``_difference_set_rows``."""
     elems = list(subset)
     if any(not 0 <= x < g.order for x in elems):
         return False  # checked here, where a Python int may exceed any dtype
-    return bool(_difference_set_rows(g, np.array([elems], np.intp), lam, check_right)[0])
+    return bool(_difference_set_rows(g, np.array([elems], np.intp), lam)[0])
 
 
-def _difference_set_rows(
-    g: FiniteGroup, rows: np.ndarray, lam: int, check_right: bool = __debug__
-) -> np.ndarray:
+def _difference_set_rows(g: FiniteGroup, rows: np.ndarray, lam: int) -> np.ndarray:
     """Whether each row of ``rows``, an m x k array of elements of g, is a
     difference set: its k entries are distinct, and every non-identity
     element is a left difference d1^{-1} d2 of exactly ``lam`` ordered pairs
     of them.  The counts of all rows are one ``bincount``.
 
-    With ``check_right`` (on by default under __debug__), also counts the
-    right differences d1 d2^{-1} and raises ConstructionBugError unless
-    they give the same answer for every row.
+    Under __debug__ it also counts the right differences d1 d2^{-1} and
+    raises ConstructionBugError unless they give the same answer for every
+    row.
     """
     v = g.order
     m = len(rows)
@@ -516,7 +508,7 @@ def _difference_set_rows(
         return ok & (counts[:, 1:] == lam).all(axis=1)
 
     left = exact(inv, rows)
-    if check_right and not np.array_equal(left, exact(rows, inv)):
+    if __debug__ and not np.array_equal(left, exact(rows, inv)):
         raise ConstructionBugError("left and right difference counts disagree")
     return left
 

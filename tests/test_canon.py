@@ -14,7 +14,7 @@ from symcube.equivalence import (
     paratopy_to_point_perm,
     to_transversal,
 )
-from symcube.errors import ConstructionBugError, InvalidInputError
+from symcube.errors import ConstructionBugError, InvalidInputError, ResourceLimitError
 from symcube.groups import DifferenceSet, make_cyclic
 from symcube.perms import void_rows
 from symcube.search import _group_cube_seeds
@@ -67,7 +67,6 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(_corpus()))
 def test_pinned_certificates(name):
     res = _corpus()[name]()
-    assert res.complete
     got = (hashlib.sha256(res.certificate).hexdigest(), res.node_count, res.leaf_count, res.aut_order)
     assert got == PINNED[name]
 
@@ -366,6 +365,12 @@ class TestSeeds:
         assert seeded.certificate == plain.certificate
         assert seeded.aut_order == plain.aut_order
 
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_labelling_over_budget_raises(self, seeded):
+        seeds = [self.axis_swap] if seeded else ()
+        with pytest.raises(ResourceLimitError, match="labelling"):
+            canonicalize(self.t.n_points, self.t.blocks, time_budget=-1.0, known_automorphisms=seeds)
+
     def test_seed_must_preserve_colors(self):
         with pytest.raises(ConstructionBugError, match="colors"):
             canonicalize(
@@ -387,7 +392,7 @@ class TestSeeds:
             3,
             7,
         )
-        assert canonicalize(self.t.n_points, blocks, self.colors, known_automorphisms=[shift]).complete
+        canonicalize(self.t.n_points, blocks, self.colors, known_automorphisms=[shift])
         swap = list(range(self.t.n_points))
         swap[0], swap[1] = 1, 0
         with pytest.raises(ConstructionBugError, match="not an automorphism"):

@@ -31,7 +31,7 @@ from symcube.equivalence import (
     to_transversal,
     validate_transversal,
 )
-from symcube.errors import NotACubeError
+from symcube.errors import NotACubeError, ResourceLimitError
 from symcube.groups import DifferenceSet, difference_sets_up_to_equivalence, make_cyclic
 from symcube.datafiles import data_dir, frobenius_21
 from symcube.fileio import load_design
@@ -244,7 +244,6 @@ class TestReports:
     def test_fano_autotopy_group(self, fano_cube):
         rep = autotopy_report(fano_cube)
         assert rep.order == 147  # 7^2 * |Mult| with |Mult| = 3
-        assert rep.complete
         for w in rep.generators:
             assert apply_paratopy(fano_cube, w) == fano_cube
 
@@ -255,17 +254,10 @@ class TestReports:
         assert apar // atop == 6  # totally symmetric: full S_3 on axes
         assert apar // atop <= 6
 
-    def test_incomplete_report_flag(self):
-        g16 = elementary_16()
-        d = DifferenceSet(g16, (1, 2, 3, 4, 8, 12), (16, 6, 2))
-        c = difference_cube(g16, d, 3)
-        rep = autotopy_report(c, time_budget=1e-9)
-        assert not rep.complete
-
 
 class TestLabellingCache:
-    """Each cube keeps its complete unseeded labelling per mode, so the
-    isotopy test, the autotopy report and the certificate label it once."""
+    """Each cube keeps its unseeded labelling per mode, so the isotopy
+    test, the autotopy report and the certificate label it once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -308,17 +300,17 @@ class TestLabellingCache:
         cube_certificate(c, "uncolored")
         assert len(calls) == 3
 
-    def test_incomplete_labelling_is_not_cached(self, calls):
+    def test_labelling_over_budget_caches_nothing(self, calls):
         c, _ = self._cube_and_isotope()
-        assert not autotopy_report(c, time_budget=-1.0).complete
-        assert not calls[-1].complete
-        rep = autotopy_report(c, time_budget=-1.0)
-        assert not rep.complete and len(calls) == 2
-        rep = autotopy_report(c)
-        assert rep.complete and rep.order == 147 and len(calls) == 3
-        # a complete labelling answers later budgeted calls
-        assert autotopy_report(c, time_budget=-1.0).complete
-        assert len(calls) == 3
+        # a labelling either completes or raises: nothing partial is kept
+        with pytest.raises(ResourceLimitError, match="labelling"):
+            build_seeded_cube_certificate(c, (), time_budget=-1.0)
+        assert not c._labellings
+        assert autotopy_report(c).order == 147
+        assert len(calls) == 1
+        cert = build_seeded_cube_certificate(c)
+        assert cube_certificate(c, "uncolored") == cert
+        assert len(calls) == 2
 
 
 def _reference_colors(c, mode):

@@ -661,6 +661,8 @@ class TestGroupCubeMembership:
     [
         pytest.param(frobenius_21, (21, 5, 1), id="pg21:F21"),
         pytest.param(lambda: make_cyclic(21), (21, 5, 1), id="pg21:Z21"),
+        pytest.param(lambda: load_group_16(5), (16, 6, 2), id="table1:5"),
+        pytest.param(lambda: load_group_16(6), (16, 6, 2), id="table1:6"),
         pytest.param(lambda: load_group_16(14), (16, 6, 2), id="table1:14"),
     ],
 )

@@ -6,10 +6,10 @@ root of the checkout.
 
     python3 tools/bench_reproduce.py <label> [--extended]
 
-``--extended`` adds ``prop51`` (80 to 100 s on a 2-vCPU host with Python
-3.11.7 and numpy 2.4.6).  Run it from any directory: it measures the
-checkout it belongs to, importing the program from that checkout's
-``src/``.  Every measurement is one fresh child
+``--extended`` adds ``prop51`` (11.5 to 13.3 s a sample on a 2-vCPU host
+with Python 3.11.7 and numpy 2.4.6).  Run it from any directory: it
+measures the checkout it belongs to, importing the program from that
+checkout's ``src/``.  Every measurement is one fresh child
 process with one thread per numeric library; the wall time is taken around
 the child, the peak RSS from the child's own resource usage (``os.wait4``),
 so the tool's own memory never counts.  Every measurement is run

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,13 +64,17 @@ COMPLETE_PARAMS = frozenset(
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A catalogued design class; its automorphism group order is computed
-    on first read only."""
+    """A catalogued design class; canon labels it, and its automorphism
+    group order is computed, on first read only."""
 
     name: str
     params: DesignParams
-    design: DesignClass  # canon's class of ``matrix``
     matrix: IncidenceMatrix
+
+    @cached_property
+    def design(self) -> DesignClass:
+        """Canon's class of ``matrix``."""
+        return design_class(self.matrix)
 
     @property
     def certificate(self) -> bytes:
@@ -95,9 +100,11 @@ def _gf2_rank(bits: np.ndarray) -> int:
 
 
 class Catalog:
+    """The entries, indexed by parameters and 2-rank when built and by
+    certificate on first read, which labels every entry."""
+
     def __init__(self, entries: list[CatalogEntry]):
         self.entries = entries
-        self._by_cert = {e.certificate: e for e in entries}
         self._by_rank: dict[tuple[DesignParams, int], CatalogEntry] = {}
         for e in entries:
             if e.params in COMPLETE_PARAMS:
@@ -119,12 +126,16 @@ class Catalog:
             return None
         return self._by_rank.get((params, _gf2_rank(a.bits)))
 
+    @cached_property
+    def _by_cert(self) -> dict[bytes, CatalogEntry]:
+        return {e.certificate: e for e in self.entries}
+
     def name_for(self, certificate: bytes) -> str | None:
         entry = self._by_cert.get(certificate)
         return entry.name if entry else None
 
     def names(self) -> dict[bytes, str]:
-        return {e.certificate: e.name for e in self.entries}
+        return {cert: e.name for cert, e in self._by_cert.items()}
 
 
 def klein_group():
@@ -161,7 +172,7 @@ def _build() -> Catalog:
     entries: list[CatalogEntry] = []
 
     def add(name: str, matrix: IncidenceMatrix):
-        entries.append(CatalogEntry(name, matrix.params, design_class(matrix), matrix))
+        entries.append(CatalogEntry(name, matrix.params, matrix))
 
     # unique classes from cyclic difference sets
     add("D0", development(DifferenceSet(make_cyclic(7), (1, 2, 4), (7, 3, 1))))

@@ -57,11 +57,12 @@ MAX_CELLS = 1 << 28
 class Cube:
     """Immutable n-dimensional 0/1 array tagged with design parameters.
 
-    ``_labellings`` belongs to ``equivalence._canonicalize``: the unseeded
-    canonical labelling of the cube, per point-coloring mode.
+    ``_labellings`` and ``_pair_keys`` belong to ``equivalence``: the
+    unseeded canonical labelling of the cube, per point-coloring mode, and
+    the slice-pair keys that every labelling of a 3-cube starts from.
     """
 
-    __slots__ = ("bits", "params", "_labellings")
+    __slots__ = ("bits", "params", "_labellings", "_pair_keys")
 
     def __init__(self, bits: np.ndarray, params: DesignParams):
         arr = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8))
@@ -77,6 +78,7 @@ class Cube:
         self.bits = arr
         self.params = params
         self._labellings: dict = {}
+        self._pair_keys: np.ndarray | None = None
 
     @property
     def n(self) -> int:

@@ -8,13 +8,16 @@ here are exact integer identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .canon import CanonResult, design_canonical
 from .errors import ConstructionBugError, InvalidInputError
 from .groups import DifferenceSet, is_difference_set, make_direct_product
+
+if TYPE_CHECKING:
+    from .catalog import CatalogEntry
 
 __all__ = [
     "DesignParams",
@@ -94,22 +97,30 @@ class IncidenceMatrix:
 class DesignClass:
     """Canonical certificate of a design up to isomorphism and duality.
 
-    ``aut_order`` is an object whose own ``aut_order`` is read on first use
-    only: the design's ``CanonResult`` (Schreier-Sims on first read), or the
-    ``DesignClass`` of a catalog entry.
+    ``certificate`` is the bytes or a catalog entry, whose own
+    ``certificate`` is read on first use only (canon labels the entry on
+    its first read).  ``aut_order`` is an object whose own ``aut_order`` is
+    read on first use only: the design's ``CanonResult`` (Schreier-Sims on
+    first read), or a catalog entry.
     """
 
-    __slots__ = ("certificate", "name", "_aut")
+    __slots__ = ("_certificate", "name", "_aut")
 
     def __init__(
         self,
-        certificate: bytes,
-        aut_order: CanonResult | DesignClass,
+        certificate: bytes | CatalogEntry,
+        aut_order: CanonResult | CatalogEntry,
         name: str | None = None,
     ):
-        self.certificate = certificate
+        self._certificate = certificate
         self.name = name
         self._aut = aut_order
+
+    @property
+    def certificate(self) -> bytes:
+        if not isinstance(self._certificate, bytes):
+            self._certificate = self._certificate.certificate
+        return self._certificate
 
     @property
     def aut_order(self) -> int:
@@ -161,14 +172,15 @@ def design_class(a: IncidenceMatrix, catalog=None) -> DesignClass:
     the design: a verified design of a parameter set the catalog holds
     completely, whose 2-rank selects one entry.  The entry's certificate,
     automorphism group order and name are returned; they are the values
-    canon would give.  Every other input, and every call without a catalog,
-    is canonicalised.  Either way the automorphism group order is computed
-    on first read only.
+    canon would give, and the entry is labelled only when its certificate or
+    group order is first read.  Every other input, and every call without a
+    catalog, is canonicalised.  Either way the automorphism group order is
+    computed on first read only.
     """
     if catalog is not None:
         entry = catalog.lookup(a)
         if entry is not None:
-            return DesignClass(entry.certificate, entry.design, entry.name)
+            return DesignClass(entry, entry, entry.name)
     res = design_canonical(a.bits)
     res_t = design_canonical(a.bits.T)
     cert = min(res.certificate, res_t.certificate)

@@ -37,7 +37,9 @@ so equal certificates still mean equivalent cubes.
 Each ``Cube`` caches its unseeded labelling per mode (``Cube._labellings``),
 so ``are_isotopic(c, x)``, ``autotopy_report(c)`` and
 ``cube_certificate(c, "colored")`` label ``c`` once between them.  Seeded
-labellings neither read nor fill the cache.  A labelling either completes
+labellings neither read nor fill that cache.  The slice-pair keys are
+cached on the cube too (``Cube._pair_keys``): its uncolored, colored and
+seeded labellings all start from them.  A labelling either completes
 or raises ``ResourceLimitError`` once its ``time_budget`` has passed, so the
 cache only ever holds complete ones.
 """
@@ -233,7 +235,9 @@ def _point_colors(c: Cube, mode: str) -> np.ndarray:
         raise InvalidInputError(f"unknown mode {mode!r}")
     if c.n != 3 or c.v < 2:
         return axes
-    return _dense_ranks(np.column_stack([axes, _slice_pair_keys(c.bits)]))
+    if c._pair_keys is None:
+        c._pair_keys = _slice_pair_keys(c.bits)
+    return _dense_ranks(np.column_stack([axes, c._pair_keys]))
 
 
 def _canonicalize(

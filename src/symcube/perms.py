@@ -8,9 +8,11 @@ Cycle notation, as group and orbit-input files write it, is 1-based:
 ``format_cycles`` writes it back.
 The orbit partition (``orbit_ids``) and the induced action on a family of
 sets (``induced_permutations``) work on numpy arrays; together they are the
-orbit-based isomorph rejection shared by the difference-set classes, the
-group-cube design search and the canonical labeller, and ``orbit_ids`` is
-also the orbit closure of ``search.orbit_cube``, on cells.  ``orbit_minima``
+orbit-based isomorph rejection of the difference-set classes and of the
+group-cube design search, which induces the action of the generators of its
+design moves once and composes every other move from theirs.  The
+canonical labeller partitions its points with ``orbit_ids``, which is also
+the orbit closure of ``search.orbit_cube``, on cells.  ``orbit_minima``
 composes the two: the least member of each orbit of a sorted family, the
 representatives of the difference-set classes.  ``component_ids``
 partitions a graph given by its edges, for moves that are not permutations

@@ -42,15 +42,24 @@ design.  M is transitive on O, so each b in O lies in equally many designs
 of a design orbit; counting the pairs (D, b) with b in D and O then gives
 the number of designs as the sum over the orbits O of |O| times the sum of
 1/|D and O| over S_m.
+
+The moves act on candidate indices.  The generators' candidate
+permutations are computed once, by ``induced_permutations``; each inverse
+transporter t_b^-1 and each sifted Schreier generator is composed from them
+along the BFS tree, and their point maps serve only the order check in
+Schreier-Sims.  The rerooting and stabiliser edges are looked up in S_m in
+chunks of a fixed number of moves (``_EDGE_CHUNK``), so the temporaries do
+not grow with S_m.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -208,75 +217,114 @@ def _design_moves(g: FiniteGroup) -> list[Perm]:
     return maps
 
 
+class _RootMoves(NamedTuple):
+    """The moves of the search rooted at the candidate m: the M-orbit O of
+    m in BFS order, and candidate permutations (rows, in the dtype of the
+    generators' moves) with the point maps that induce them."""
+
+    orbit: np.ndarray
+    back: np.ndarray  # row r: t_b^-1, for the transporter t_b: m -> b = orbit[r]
+    stab: np.ndarray  # generators of Stab_M(m)
+    back_maps: list[Perm]
+    stab_maps: list[Perm]
+
+
 def _rerooting_and_stabiliser(
-    m: int, maps: Sequence[Perm], moves: Sequence[np.ndarray], group_order: int
-) -> tuple[dict[int, Perm], list[Perm]]:
+    m: int, maps: Sequence[Perm], moves: np.ndarray, group_order: int
+) -> _RootMoves:
     """For each candidate b in the M-orbit of the candidate m, the inverse
-    of a transporter m -> b (found by BFS over the point maps ``maps``,
-    which act on the candidates as ``moves``); and generators of Stab_M(m),
-    sifted from the Schreier generators until the order is |M| / |orbit|."""
-    degree = len(maps[0])
-    transporter = {m: identity(degree)}
+    of a transporter m -> b, found by BFS over the point maps ``maps``
+    (which act on the candidates as the rows of ``moves``); and generators
+    of Stab_M(m), sifted from the Schreier generators until the order is
+    |M| / |orbit|.  The candidate permutations are composed from ``moves``
+    along the BFS tree; the point maps serve the order check."""
+    n, dtype, degree = moves.shape[1], moves.dtype, len(maps[0])
+    row = {m: 0}  # candidate b -> its row in the orbit
     orbit = [m]
+    tree: list[tuple[int, int]] = []  # the row of orbit[r]'s parent, and the map to it
     for b in orbit:
-        for p, move in zip(maps, moves):
+        for j, move in enumerate(moves):
             c = int(move[b])
-            if c not in transporter:
-                transporter[c] = compose(p, transporter[b])
+            if c not in row:
+                row[c] = len(orbit)
                 orbit.append(c)
-    back = {b: inverse(t) for b, t in transporter.items()}
+                tree.append((row[b], j))
+    inv_moves = np.argsort(moves, axis=1).astype(dtype)
+    forward = [identity(degree)]
+    back = np.empty((len(orbit), n), dtype=dtype)
+    back[0] = np.arange(n)
+    for r, (q, j) in enumerate(tree, 1):
+        forward.append(compose(maps[j], forward[q]))
+        back[r] = back[q][inv_moves[j]]  # t_c^-1 = t_b^-1 p^-1
+    back_maps = [inverse(t) for t in forward]
     stab = PermGroup((), degree)
-    gens: list[Perm] = []
-    for b in orbit:
-        for p, move in zip(maps, moves):
-            if stab.order() * len(orbit) == group_order:
-                return back, gens
-            schreier = compose(back[int(move[b])], compose(p, transporter[b]))
-            if schreier not in stab:
-                stab.add_generator(schreier)
-                gens.append(schreier)
+    stab_maps: list[Perm] = []
+    stab_rows: list[np.ndarray] = []
+    for b, (p, move) in itertools.product(orbit, zip(maps, moves)):
+        if stab.order() * len(orbit) == group_order:
+            break
+        c = int(move[b])
+        schreier = compose(back_maps[row[c]], compose(p, forward[row[b]]))
+        if schreier not in stab:
+            stab.add_generator(schreier)
+            stab_maps.append(schreier)
+            # t_c^-1 p t_b, with t_b the inverse of the row of t_b^-1
+            stab_rows.append(back[row[c]][move[np.argsort(back[row[b]])]])
     if stab.order() * len(orbit) != group_order:
         raise ConstructionBugError(
             f"stabiliser order {stab.order()} is not |M|/|orbit| = {group_order}/{len(orbit)}"
         )
-    return back, gens
+    stab_perms = np.array(stab_rows, dtype=dtype).reshape(-1, n)
+    return _RootMoves(np.array(orbit), back, stab_perms, back_maps, stab_maps)
+
+
+# rerooting or stabiliser moves looked up per ``RowIndex.find`` call in
+# ``_orbits_within_root``: bounds its temporaries on large roots
+_EDGE_CHUNK = 2048
 
 
 def _orbits_within_root(
-    rows: np.ndarray,
     designs: np.ndarray,
     m: int,
     orbit_min: np.ndarray,
     maps: Sequence[Perm],
-    moves: Sequence[np.ndarray],
+    moves: np.ndarray,
     group_order: int,
 ) -> tuple[list[tuple[int, ...]], int]:
     """The least design of each design orbit that meets S_m, and the number
     of designs in those orbits.  ``designs`` is S_m as sorted rows of indices
-    into the candidates ``rows``, in increasing order; ``orbit_min`` labels
-    each candidate by the least index of its M-orbit."""
-    back, stab_gens = _rerooting_and_stabiliser(m, maps, moves, group_order)
-    orbit = list(back)
-    cand_moves = induced_permutations(rows, list(back.values()) + stab_gens)
-    if cand_moves is None:
-        raise ConstructionBugError("candidate set is not closed under the design moves")
-    reroot = np.stack(cand_moves[: len(orbit)])
-    slot = np.full(len(rows), -1)
-    slot[orbit] = np.arange(len(orbit))
-    # the edges of the move graph on S_m: one rerooting move for each block
-    # of O in a design, one move per stabiliser generator
+    into the candidates, in increasing order; ``orbit_min`` labels each
+    candidate by the least index of its M-orbit."""
+    root = _rerooting_and_stabiliser(m, maps, moves, group_order)
+    slot = np.full(len(orbit_min), -1, dtype=np.int32)
+    slot[root.orbit] = np.arange(len(root.orbit))
     index = RowIndex(designs)
     n = len(designs)
     in_orbit = orbit_min[designs] == m
-    src, col = np.nonzero(in_orbit)
-    dst = [index.find(reroot[slot[designs[src, col]][:, None], designs[src]])]
-    dst += [index.find(perm[designs]) for perm in cand_moves[len(orbit) :]]
-    if any(d is None for d in dst):
-        raise ConstructionBugError("a rerooting or stabiliser move left S_m")
-    src = np.concatenate([src] + [np.arange(n)] * len(stab_gens))
+    cells = np.flatnonzero(in_orbit)  # design * v + position, for each block of O
+    src = (cells // designs.shape[1]).astype(np.int32)
+    reroot = slot[designs.ravel()[cells]]
+
+    # the edges of the move graph on S_m: one rerooting move for each block
+    # of O in a design, then one move per stabiliser generator
+    def images() -> Iterable[np.ndarray]:
+        for start in range(0, len(src), _EDGE_CHUNK):
+            chunk = slice(start, start + _EDGE_CHUNK)
+            yield root.back[reroot[chunk, None], designs[src[chunk]]]
+        for perm in root.stab:
+            for start in range(0, n, _EDGE_CHUNK):
+                yield perm[designs[start : start + _EDGE_CHUNK]]
+
+    dst = []
+    for chunk in images():
+        found = index.find(chunk.astype(np.int32))
+        if found is None:
+            raise ConstructionBugError("a rerooting or stabiliser move left S_m")
+        dst.append(found)
+    src = np.concatenate([src] + [np.arange(n, dtype=np.int32)] * len(root.stab))
     ids = component_ids(n, src, np.concatenate(dst))
     sizes, counts = np.unique(in_orbit.sum(axis=1), return_counts=True)
-    weighted = sum(Fraction(len(orbit) * int(c), int(s)) for s, c in zip(sizes, counts))
+    weighted = sum(Fraction(len(root.orbit) * int(c), int(s)) for s, c in zip(sizes, counts))
     if weighted.denominator != 1:
         raise ConstructionBugError(f"weighted design count {weighted} is not an integer")
     return [tuple(d) for d in designs[ids == np.arange(n)].tolist()], int(weighted)
@@ -300,6 +348,8 @@ def _design_orbit_representatives(
     moves = induced_permutations(rows, maps)
     if moves is None:
         raise ConstructionBugError("candidate set is not closed under the design moves")
+    # the narrowest dtype that holds a candidate index, for every move
+    moves = np.stack(moves).astype(np.min_scalar_type(len(rows) - 1))
     orbit_min = orbit_ids(moves, len(rows))
     group_order = PermGroup(maps, g.order).order()
     reps: list[tuple[int, ...]] = []
@@ -308,20 +358,21 @@ def _design_orbit_representatives(
         remaining = deadline - time.monotonic() if deadline is not None else None
         if remaining is not None and remaining <= 0:
             raise ResourceLimitError("design search time budget exceeded")
-        keep = np.flatnonzero(orbit_min >= m)  # m is the least index kept
-        found: list[tuple[int, ...]] = []
+        keep = np.flatnonzero(orbit_min >= m).astype(moves.dtype)  # m is the least index kept
+        found = array.array("i")  # the designs' indices into keep, flat
         find_ds_block_designs(
             g,
             params,
             [candidates[i] for i in keep],
             time_budget=remaining,
-            collect=found.append,
+            collect=found.extend,
             root=0,
         )
         if found:
-            designs = keep[np.array(sorted(found))]
+            designs = keep[np.frombuffer(found, dtype=np.intc).reshape(-1, params.v)]
+            designs = designs[np.lexsort(designs.T[::-1])]
             root_reps, root_count = _orbits_within_root(
-                rows, designs, m, orbit_min, maps, moves, group_order
+                designs, m, orbit_min, maps, moves, group_order
             )
             reps += root_reps
             count += root_count

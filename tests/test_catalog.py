@@ -14,6 +14,8 @@ from symcube.catalog import COMPLETE_PARAMS, Catalog, reference_catalog, switche
 from symcube.cubes import _parallel_classes, apply_paratopy, random_paratopy
 from symcube.designs import DesignParams, IncidenceMatrix, block_quadruple, design_class
 from symcube.errors import ConstructionBugError
+from symcube.groups import make_cyclic
+from symcube.search import classify_group_cubes
 
 
 def _assert_shortcut_matches_canon(a: IncidenceMatrix):
@@ -35,7 +37,9 @@ def _slices_of_images(name: str, count: int, seed: int):
 
 @pytest.fixture
 def canon_calls(monkeypatch):
-    """The number of design_canonical calls made through design_class."""
+    """The design_canonical calls made through design_class, counted once
+    the catalog is labelled."""
+    reference_catalog().names()  # labels every entry, before counting
     calls = []
     original = designs.design_canonical
 
@@ -80,6 +84,28 @@ def test_shortcut_skips_canon(canon_calls):
     for mat, name in ((d1, "D1"), (d2, "D2"), (d3, "D3")):
         assert design_class(mat, reference_catalog()).name == name
     assert canon_calls == []
+
+
+def test_entries_are_labelled_on_first_read(canon_calls):
+    """Building a catalog and naming a design by it run no canon; reading
+    the certificate labels that entry, and the names label every entry."""
+    cat = catalog._build()
+    d1 = switched_16_designs()[0]
+    cls = design_class(d1, cat)
+    assert cls.name == "D1" and canon_calls == []
+    (entry,) = [e for e in cat.entries if e.name == "D1"]
+    assert cls.certificate == entry.certificate and canon_calls == [(16, 16)] * 2
+    names = cat.names()
+    assert len(canon_calls) == 16 and names[entry.certificate] == "D1"
+    assert len(set(names)) == 8 and design_class(d1).certificate == entry.certificate
+
+
+def test_classification_labels_no_catalog_entry(canon_calls, monkeypatch):
+    monkeypatch.setattr(catalog, "_CATALOG", None)
+    cls = classify_group_cubes(make_cyclic(7), DesignParams(7, 3, 1))
+    assert cls.dev_classes == ["D0"]
+    assert canon_calls == []
+    assert not any("design" in vars(e) for e in reference_catalog().entries)
 
 
 def test_aut_orders_are_computed_on_first_read(monkeypatch):

@@ -312,6 +312,26 @@ class TestLabellingCache:
         assert cube_certificate(c, "uncolored") == cert
         assert len(calls) == 2
 
+    def test_one_slice_pair_key_per_cube(self, monkeypatch):
+        keyed = []
+        keys = equivalence._slice_pair_keys
+
+        def counting(bits):
+            keyed.append(bits)
+            return keys(bits)
+
+        monkeypatch.setattr(equivalence, "_slice_pair_keys", counting)
+        c, isotope = self._cube_and_isotope()
+        ident = tuple(range(7))
+        image = apply_paratopy(isotope, ParatopyElement((ident, ident, ident), (2, 0, 1)))
+        assert paratopy_witness(c, image) is not None
+        assert are_isotopic(c, isotope)
+        # the uncolored and colored labellings of c share its keys, and a
+        # seeded one reads them too
+        assert sum(bits is c.bits for bits in keyed) == 1 and len(keyed) == 3
+        build_seeded_cube_certificate(c, _group_cube_seeds(make_cyclic(7), 3))
+        assert len(keyed) == 3
+
 
 def _reference_colors(c, mode):
     """The slice-pair colors of a 3-cube from their definition, one slice

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,19 +301,58 @@ class TestRootedDesignOrbits:
         g = frobenius_21()
         cands = enumerate_difference_sets(g, 5, 1)
         maps = search._design_moves(g)
-        moves = induced_permutations([d.elements for d in cands], maps)
+        moves = np.stack(induced_permutations([d.elements for d in cands], maps))
         order = PermGroup(maps, g.order).order()
 
-        def moves_of(point_map):
-            return induced_permutations([d.elements for d in cands], [point_map])[0]
-
-        back, gens = search._rerooting_and_stabiliser(0, maps, moves, order)
-        assert sorted(back) == list(range(len(cands)))  # one orbit
-        assert all(moves_of(back[b])[b] == 0 for b in back)
-        assert all(moves_of(s)[0] == 0 for s in gens)
-        assert PermGroup(gens, g.order).order() * len(cands) == order
+        root = search._rerooting_and_stabiliser(0, maps, moves, order)
+        assert sorted(root.orbit.tolist()) == list(range(len(cands)))  # one orbit
+        # the inverse transporters take b to m, the generators fix m
+        assert root.back[np.arange(len(root.orbit)), root.orbit].tolist() == [0] * len(cands)
+        assert root.stab[:, 0].tolist() == [0] * len(root.stab_maps)
+        assert PermGroup(root.stab_maps, g.order).order() * len(cands) == order
         with pytest.raises(ConstructionBugError, match="stabiliser order"):
             search._rerooting_and_stabiliser(0, maps, moves, 2 * order)
+
+    @pytest.mark.parametrize(
+        "make_group,params",
+        [
+            pytest.param(lambda: load_group_16(12), (16, 6, 2), id="id16:12"),
+            pytest.param(lambda: load_group_16(14), (16, 6, 2), id="id16:14"),
+            pytest.param(frobenius_21, (21, 5, 1), id="F21"),
+        ],
+    )
+    def test_composed_moves_match_induced_permutations(self, make_group, params):
+        # each candidate permutation composed along the BFS tree is the one
+        # its point map induces, at every root of the search
+        g = make_group()
+        cands = enumerate_difference_sets(g, params[1], params[2])
+        rows = [d.elements for d in cands]
+        maps = search._design_moves(g)
+        moves = np.stack(induced_permutations(rows, maps)).astype(np.uint16)
+        order = PermGroup(maps, g.order).order()
+        minima = orbit_minima(rows, maps)
+        for m in minima.tolist():
+            root = search._rerooting_and_stabiliser(m, maps, moves, order)
+            assert root.back.dtype == root.stab.dtype == np.uint16
+            assert len(root.back_maps) == len(root.back) and len(root.stab_maps) == len(root.stab)
+            expected = induced_permutations(rows, root.back_maps + root.stab_maps)
+            assert np.array_equal(np.concatenate([root.back, root.stab]), np.stack(expected))
+
+    def test_dedup_memory_is_bounded(self):
+        # the rerooting edges are looked up in fixed chunks; gathering all
+        # of them at once peaked at 8-9 MB on this row
+        g = load_group_16(14)
+        params = DesignParams(16, 6, 2)
+        cands = enumerate_difference_sets(g, 6, 2)
+        search._design_orbit_representatives(g, params, cands)  # fill the caches
+        tracemalloc.start()
+        try:
+            reps, count = search._design_orbit_representatives(g, params, cands)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(reps), count) == (10, 54208)
+        assert peak < 3_000_000
 
 
 class TestClassification:

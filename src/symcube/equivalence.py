@@ -39,7 +39,9 @@ so ``are_isotopic(c, x)``, ``autotopy_report(c)`` and
 ``cube_certificate(c, "colored")`` label ``c`` once between them.  Seeded
 labellings neither read nor fill that cache.  The slice-pair keys are
 cached on the cube too (``Cube._pair_keys``): its uncolored, colored and
-seeded labellings all start from them.  A labelling either completes
+seeded labellings all start from them.  A seeded labelling of a cube
+without keys computes them only on the orbits of its seeds, and caches
+them once canon has verified the seeds.  A labelling either completes
 or raises ``ResourceLimitError`` once its ``time_budget`` has passed, so the
 cache only ever holds complete ones.
 """
@@ -57,7 +59,7 @@ from .cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, verif
 from .designs import DesignParams
 from .errors import ConstructionBugError, InvalidInputError, NotACubeError
 from .groups import DifferenceSet, FiniteGroup, automorphism_generators, multipliers as _multipliers
-from .perms import PermGroup, identity as id_perm, inverse as perm_inverse, void_rows
+from .perms import PermGroup, identity as id_perm, inverse as perm_inverse, orbit_ids, void_rows
 
 __all__ = [
     "TransversalRep",
@@ -171,7 +173,7 @@ def _dense_ranks(rows: np.ndarray) -> np.ndarray:
     return np.unique(void_rows(rows), return_inverse=True)[1].ravel()
 
 
-def _slice_pair_keys(bits: np.ndarray) -> np.ndarray:
+def _slice_pair_keys(bits: np.ndarray, orbits: np.ndarray | None = None) -> np.ndarray:
     """The slice-pair key of every transversal point (d, i) of a 3-cube,
     one row per point in point order (point d*v + i).
 
@@ -184,9 +186,20 @@ def _slice_pair_keys(bits: np.ndarray) -> np.ndarray:
     the y with both cells 1, the popcount of the AND of the two rows packed
     over t, so packing the cube over t once serves both directions left.
     The pair (j, i) has the pair (i, j) of histograms, since it transposes
-    both products, so only i < j is computed.
+    both products, so each slice pair is computed once.
+
+    ``orbits`` labels each point by the least point of its orbit under
+    autoparatopies of the cube (``perms.orbit_ids`` of verified seeds).
+    Only the slice pairs that hold an orbit's least point are computed, and
+    each orbit takes the key of its least point.  These are the full keys:
+    an autoparatopy maps every slice pair onto one with the same pair of
+    histograms, so every pair of the cube has an equal pair among those
+    computed (the ranks stay the same), and it maps each point onto one with
+    the same key.  Without ``orbits`` every point is its own orbit.
     """
     v = bits.shape[0]
+    points = np.arange(3 * v)
+    reps = points if orbits is None else np.flatnonzero(orbits == points)
     # a row packs into n_words words of the least width that holds it
     n_bytes = -(-v // 8)
     width = 8 if n_bytes > 8 else 1 << (n_bytes - 1).bit_length()
@@ -202,31 +215,45 @@ def _slice_pair_keys(bits: np.ndarray) -> np.ndarray:
         rows[:, a, (t - a) % 3 - 1] = words.transpose(2, 0, 1)
         rows[:, b, (t - b) % 3 - 1] = words.transpose(2, 1, 0)
     rows = rows.reshape(n_words, 6, v, v)
+    # the slice pairs {i, j}, i < j, of direction d that hold a least point
+    is_rep = np.zeros(3 * v, dtype=bool)
+    is_rep[reps] = True
+    is_rep = is_rep.reshape(3, v)
     first, second = np.triu_indices(v, 1)
-    hist = np.empty((6, len(first), v + 1), dtype=np.intp)
-    span = max(1, _KEY_BATCH // (6 * v * v))
-    for start in range(0, len(first), span):
-        i, j = first[start : start + span], second[start : start + span]
-        prod = np.bitwise_count(rows[:, :, i, :, None] & rows[:, :, j, None, :])
+    direction, pair = np.nonzero(is_rep[:, first] | is_rep[:, second])
+    first, second = first[pair], second[pair]
+    # sides[p]: the two packed directions of pair p
+    sides = 2 * direction[:, None] + np.arange(2)
+    hist = np.empty((len(pair), 2, v + 1), dtype=np.intp)
+    span = max(1, _KEY_BATCH // (2 * v * v))
+    for start in range(0, len(pair), span):
+        batch = slice(start, start + span)
+        s, i, j = sides[batch], first[batch, None], second[batch, None]
+        prod = np.bitwise_count(rows[:, s, i, :, None] & rows[:, s, j, None, :])
         entries = prod.sum(axis=0, dtype=np.uint32)
         # one bincount for the batch: each histogram gets its own v + 1 bins
-        entries += (np.arange(6 * len(i), dtype=np.uint32) * (v + 1)).reshape(6, len(i), 1, 1)
-        counts = np.bincount(entries.ravel(), minlength=6 * len(i) * (v + 1))
-        hist[:, start : start + span] = counts.reshape(6, len(i), v + 1)
-    ranks = np.sort(_dense_ranks(hist.reshape(-1, v + 1)).reshape(3, 2, -1), axis=1)
-    pairs = _dense_ranks(ranks.transpose(0, 2, 1).reshape(-1, 2)).reshape(3, -1)
-    full = np.empty((3, v, v), dtype=np.int64)
-    full[:, first, second] = pairs
-    full[:, second, first] = pairs
+        n_hist = 2 * len(s)
+        entries += (np.arange(n_hist, dtype=np.uint32) * (v + 1)).reshape(-1, 2, 1, 1)
+        counts = np.bincount(entries.ravel(), minlength=n_hist * (v + 1))
+        hist[batch] = counts.reshape(-1, 2, v + 1)
+    ranks = np.sort(_dense_ranks(hist.reshape(-1, v + 1)).reshape(-1, 2), axis=1)
+    pairs = _dense_ranks(ranks)
+    full = np.empty((3, v, v), dtype=np.int64)  # read only in the least points' rows
+    full[direction, first, second] = pairs
+    full[direction, second, first] = pairs
     off_diagonal = ~np.eye(v, dtype=bool)
-    return np.sort(full[:, off_diagonal].reshape(3 * v, v - 1), axis=1)
+    keys = np.sort(full.reshape(3 * v, v)[reps][off_diagonal[reps % v]].reshape(-1, v - 1), axis=1)
+    return keys if orbits is None else keys[np.searchsorted(reps, orbits)]
 
 
-def _point_colors(c: Cube, mode: str) -> np.ndarray:
+def _point_colors(c: Cube, mode: str, keys: np.ndarray | None = None) -> np.ndarray:
     """Initial point colors: for a 3-cube the dense ranks of the slice-pair
-    keys (``_slice_pair_keys``), prefixed by the axis in colored mode;
-    otherwise (n != 3, or no pair of slices) one color, or one per axis in
-    colored mode."""
+    keys, prefixed by the axis in colored mode; otherwise (n != 3, or no
+    pair of slices) one color, or one per axis in colored mode.  The keys
+    are ``keys`` if given, else c's own, computed once and cached
+    (``Cube._pair_keys``).  Keys computed on the orbits of autoparatopy
+    seeds are the full keys, since an autoparatopy maps each point onto one
+    with the same key; so they color the points as c's own keys do."""
     if mode == "colored":
         axes = np.repeat(np.arange(c.n), c.v)
     elif mode == "uncolored":
@@ -235,9 +262,22 @@ def _point_colors(c: Cube, mode: str) -> np.ndarray:
         raise InvalidInputError(f"unknown mode {mode!r}")
     if c.n != 3 or c.v < 2:
         return axes
-    if c._pair_keys is None:
-        c._pair_keys = _slice_pair_keys(c.bits)
-    return _dense_ranks(np.column_stack([axes, c._pair_keys]))
+    if keys is None:
+        if c._pair_keys is None:
+            c._pair_keys = _slice_pair_keys(c.bits)
+        keys = c._pair_keys
+    return _dense_ranks(np.column_stack([axes, keys]))
+
+
+def _seed_orbits(seeds: Sequence[Sequence[int]], n_points: int) -> np.ndarray | None:
+    """``perms.orbit_ids`` of the seeds, or None unless they are
+    permutations of range(n_points) (canon then rejects them)."""
+    maps = np.asarray(seeds, dtype=np.int64)
+    if maps.ndim != 2 or maps.shape[1] != n_points:
+        return None
+    if (np.sort(maps, axis=1) != np.arange(n_points)).any():
+        return None
+    return orbit_ids(maps, n_points)
 
 
 def _canonicalize(
@@ -262,19 +302,28 @@ def _canonicalize(
     labels.  Cubes with n != 3 keep the plain colors (one cell, or one per
     axis).
 
+    When c has no keys yet, a seeded labelling computes them on the orbits
+    of its seeds, and keeps them on c only once canon has verified the
+    seeds: keys read off the orbits of a non-automorphism would be wrong.
+
     An unseeded labelling is kept on the cube (``Cube._labellings``) and
     returned by every later unseeded call in the same mode, whatever its
     ``time_budget``.  Seeded calls neither read nor fill it.
     """
     if not seeds and mode in c._labellings:
         return c._labellings[mode]
+    keys = None
+    if seeds and c._pair_keys is None and c.n == 3 and c.v >= 2:
+        keys = _slice_pair_keys(c.bits, _seed_orbits(seeds, 3 * c.v))
     res = canonicalize(
         c.n * c.v,
         _transversal_blocks(c),
-        _point_colors(c, mode),
+        _point_colors(c, mode, keys),
         time_budget=time_budget,
         known_automorphisms=seeds,
     )
+    if keys is not None:
+        c._pair_keys = keys  # canon has verified the seeds they were read from
     if not seeds:
         c._labellings[mode] = res
     return res
@@ -424,8 +473,9 @@ def theoretical_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[Par
     """Generators of the autotopy subgroup G^(n-1) x| Mult(D) of the
     difference cube, as explicit paratopies, each verified here to fix the
     cube.  The seeded difference-cube certificates of ``search`` take the
-    same generators unverified; canon's ``seed_automorphisms`` verifies
-    them there and raises ``ConstructionBugError`` for a non-automorphism."""
+    same generators unverified (with the axis permutations when g is
+    abelian); canon's ``seed_automorphisms`` verifies them there and raises
+    ``ConstructionBugError`` for a non-automorphism."""
     cube = difference_cube(g, d, n)
     out = _difference_cube_autotopies(g, d, n)
     for w in out:

@@ -50,6 +50,33 @@ along the BFS tree, and their point maps serve only the order check in
 Schreier-Sims.  The rerooting and stabiliser edges are looked up in S_m in
 chunks of a fixed number of moves (``_EDGE_CHUNK``), so the temporaries do
 not grow with S_m.
+
+Every cube labelled here is seeded with the automorphisms its construction
+proves (transversal point permutations).  Canon verifies each seed and
+prunes its tree with them, and the slice-pair keys are computed only on
+the points their orbits leave (``equivalence._slice_pair_keys``).  The
+seeds come from three sources:
+
+* Any group cube over G (``_group_cube_seeds``): the copies of G on axes 2
+  and 3 (x -> x a^-1 on axis 2 and y -> a y on axis 3 keep every product
+  xy).  When G is abelian, the swap of axes 2 and 3 is one too, since xy =
+  yx.
+* A difference cube (``_difference_cube_seeds``): its theoretical
+  autotopies G^2 x| Mult(D).  When G is abelian, every axis permutation is
+  one too, since g_i1 g_i2 g_i3 is then symmetric in the axes.  These are
+  added here, not to ``equivalence._difference_cube_autotopies``, whose
+  isotopies ``theoretical_autotopies`` and ``isotopy_group_order`` report.
+* The group cube of a design-orbit representative D
+  (``_stabiliser_seeds``): one seed per generator h of Stab_M(D).  The
+  generators are Schreier generators of D's component in the move graph,
+  sifted until |Stab_M(D)| = |M| / |orbit of D| (``_stabiliser_generators``).
+  Each design move is h = R_c psi or h = R_c psi inv, with c = h(e), psi in
+  Aut(G) and inv the inversion; a left translation x -> a x is R_a after
+  the inner automorphism x -> a x a^-1.  Let h map the block B_i onto
+  B_sigma(i).  Then xy lies in B_i iff h(xy) = psi(x) psi(y) c lies in
+  B_sigma(i), so (i, x, y) -> (sigma(i), psi(x), psi(y) c) fixes the cube.
+  With the inversion, h(xy) = psi(y^-1) psi(x^-1) c, so the seed is
+  (i, x, y) -> (sigma(i), psi(y^-1), psi(x^-1) c), which swaps axes 2 and 3.
 """
 
 from __future__ import annotations
@@ -58,8 +85,7 @@ import array
 import itertools
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -283,6 +309,46 @@ def _rerooting_and_stabiliser(
 _EDGE_CHUNK = 2048
 
 
+def _stabiliser_generators(
+    start: int,
+    order: int,
+    moves_from: Callable[[int], Iterable[tuple[int, Perm]]],
+    degree: int,
+) -> list[Perm]:
+    """Sifted generators of the stabiliser in M, of the given order, of
+    the design ``start`` of S_m: Schreier generators of its component in
+    the move graph, taken along a BFS tree until they reach that order.
+
+    ``moves_from(E)`` gives each edge out of the design E as (F, g): the
+    point map g moves E onto F.  Every h in Stab_M(D) is the product of
+    the edge labels along a closed walk at D (the rerooting argument of the
+    module docstring, applied to h D = D), so the Schreier generators
+    u_F^-1 g u_E of the edges, u_E being the tree path D -> E, generate
+    it."""
+    group = PermGroup((), degree)
+    gens: list[Perm] = []
+    if order == 1:
+        return gens
+    path = {start: identity(degree)}
+    queue = [start]
+    for e in queue:
+        for f, move in moves_from(e):
+            g = compose(move, path[e])
+            if f not in path:
+                path[f] = g
+                queue.append(f)
+                continue
+            h = compose(inverse(path[f]), g)
+            if h not in group:
+                group.add_generator(h)
+                gens.append(h)
+                if group.order() == order:
+                    return gens
+    raise ConstructionBugError(
+        f"stabiliser order {group.order()} of a design is not |M|/|orbit| = {order}"
+    )
+
+
 def _orbits_within_root(
     designs: np.ndarray,
     m: int,
@@ -290,11 +356,12 @@ def _orbits_within_root(
     maps: Sequence[Perm],
     moves: np.ndarray,
     group_order: int,
-) -> tuple[list[tuple[int, ...]], int]:
-    """The least design of each design orbit that meets S_m, and the number
-    of designs in those orbits.  ``designs`` is S_m as sorted rows of indices
-    into the candidates, in increasing order; ``orbit_min`` labels each
-    candidate by the least index of its M-orbit."""
+) -> tuple[list[tuple[int, ...]], int, list[list[Perm]]]:
+    """The least design of each design orbit that meets S_m, the number of
+    designs in those orbits, and sifted generators of each least design's
+    stabiliser in M (point maps).  ``designs`` is S_m as sorted rows of
+    indices into the candidates, in increasing order; ``orbit_min`` labels
+    each candidate by the least index of its M-orbit."""
     root = _rerooting_and_stabiliser(m, maps, moves, group_order)
     slot = np.full(len(orbit_min), -1, dtype=np.int32)
     slot[root.orbit] = np.arange(len(root.orbit))
@@ -321,13 +388,33 @@ def _orbits_within_root(
         if found is None:
             raise ConstructionBugError("a rerooting or stabiliser move left S_m")
         dst.append(found)
+    # the rerooting edges, sorted by design, then n edges per generator
+    dst = np.concatenate(dst)
+    reroot_src = src
     src = np.concatenate([src] + [np.arange(n, dtype=np.int32)] * len(root.stab))
-    ids = component_ids(n, src, np.concatenate(dst))
-    sizes, counts = np.unique(in_orbit.sum(axis=1), return_counts=True)
-    weighted = sum(Fraction(len(root.orbit) * int(c), int(s)) for s, c in zip(sizes, counts))
-    if weighted.denominator != 1:
-        raise ConstructionBugError(f"weighted design count {weighted} is not an integer")
-    return [tuple(d) for d in designs[ids == np.arange(n)].tolist()], int(weighted)
+    ids = component_ids(n, src, dst)
+    reps = np.flatnonzero(ids == np.arange(n))
+    # |orbit of D| = |O| times the sum of 1/|E and O| over the designs E of
+    # D's component, summed in units of 1/unit
+    sizes = in_orbit.sum(axis=1)
+    unit = int(np.lcm.reduce(sizes))
+    weights = np.zeros(n, dtype=np.int64)
+    np.add.at(weights, ids, unit // sizes)
+    orbit_sizes, rest = np.divmod(len(root.orbit) * weights[reps], unit)
+    if rest.any() or (group_order % orbit_sizes).any():
+        raise ConstructionBugError("a design orbit size does not divide |M|")
+
+    def moves_from(e: int) -> Iterable[tuple[int, Perm]]:
+        edges = slice(*np.searchsorted(reroot_src, (e, e + 1)).tolist())
+        yield from zip(dst[edges].tolist(), [root.back_maps[r] for r in reroot[edges].tolist()])
+        for k, move in enumerate(root.stab_maps):
+            yield int(dst[len(reroot_src) + k * n + e]), move
+
+    stabilisers = [
+        _stabiliser_generators(int(r), group_order // int(size), moves_from, len(maps[0]))
+        for r, size in zip(reps, orbit_sizes)
+    ]
+    return [tuple(d) for d in designs[reps].tolist()], int(orbit_sizes.sum()), stabilisers
 
 
 def _design_orbit_representatives(
@@ -335,15 +422,16 @@ def _design_orbit_representatives(
     params: DesignParams,
     candidates: Sequence[DifferenceSet],
     time_budget: float | None = None,
-) -> tuple[list[tuple[int, ...]], int]:
+) -> tuple[list[tuple[int, ...]], int, list[list[Perm]]]:
     """The least design of each orbit of the design moves, as sorted tuples
     of indices into ``candidates`` (all difference sets of g, sorted), in
-    increasing order, and the number of designs; searched through the
+    increasing order; the number of designs; and, for each least design D,
+    sifted generators of Stab_M(D) as point maps.  Searched through the
     candidate-orbit minima as the module docstring describes."""
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     rows = np.array([d.elements for d in candidates], dtype=np.int32)
     if not len(rows):
-        return [], 0
+        return [], 0, []
     maps = _design_moves(g)
     moves = induced_permutations(rows, maps)
     if moves is None:
@@ -352,7 +440,7 @@ def _design_orbit_representatives(
     moves = np.stack(moves).astype(np.min_scalar_type(len(rows) - 1))
     orbit_min = orbit_ids(moves, len(rows))
     group_order = PermGroup(maps, g.order).order()
-    reps: list[tuple[int, ...]] = []
+    reps: list[tuple[tuple[int, ...], list[Perm]]] = []
     count = 0
     for m in np.flatnonzero(orbit_min == np.arange(len(rows))).tolist():
         remaining = deadline - time.monotonic() if deadline is not None else None
@@ -371,21 +459,68 @@ def _design_orbit_representatives(
         if found:
             designs = keep[np.frombuffer(found, dtype=np.intc).reshape(-1, params.v)]
             designs = designs[np.lexsort(designs.T[::-1])]
-            root_reps, root_count = _orbits_within_root(
+            root_reps, root_count, root_stabs = _orbits_within_root(
                 designs, m, orbit_min, maps, moves, group_order
             )
-            reps += root_reps
+            reps += zip(root_reps, root_stabs)
             count += root_count
-    return sorted(reps), count
+    reps.sort(key=lambda rep: rep[0])
+    return [d for d, _ in reps], count, [stab for _, stab in reps]
 
 
 # -- seeded certificates -----------------------------------------------------------
 
 
+def _axis_swaps(n: int, v: int, axes: Iterable[int]) -> list[tuple[int, ...]]:
+    """Transversal point permutations of an n-cube of order v, one for
+    each axis a given, that swap axes a and a + 1 and keep the values."""
+    out = []
+    for a in axes:
+        perm = np.arange(n * v)
+        perm[a * v : (a + 2) * v] = np.roll(perm[a * v : (a + 2) * v], v)
+        out.append(tuple(perm.tolist()))
+    return out
+
+
 def _group_cube_seeds(g: FiniteGroup, n: int) -> list[tuple[int, ...]]:
     """Point permutations of the transversal representation fixing any
-    group cube over g: the embedded copies of G on axes 2..n."""
-    return [paratopy_to_point_perm(w, n, g.order) for w in _translation_autotopies(g, n, start=1)]
+    group cube over g: the embedded copies of G on axes 2..n, and when g is
+    abelian the swaps of adjacent axes among them."""
+    seeds = [paratopy_to_point_perm(w, n, g.order) for w in _translation_autotopies(g, n, start=1)]
+    if g.is_abelian():
+        seeds += _axis_swaps(n, g.order, range(1, n - 1))
+    return seeds
+
+
+def _stabiliser_seeds(
+    g: FiniteGroup, blocks: Sequence[tuple[int, ...]], stabiliser: Iterable[Perm]
+) -> list[tuple[int, ...]]:
+    """Point permutations of the transversal representation fixing the
+    group 3-cube of ``blocks``, one for each design move h that fixes the
+    block set: h = R_c psi, or h = R_c psi inv when it involves the
+    inversion (see the module docstring)."""
+    v = g.order
+    table = np.array(g.table)
+    inv = np.array([g.inv(x) for x in range(v)])
+    block_of = {frozenset(b): i for i, b in enumerate(blocks)}
+    seeds = []
+    for h in stabiliser:
+        h = np.array(h)
+        c = h[g.identity]
+        psi = table[h, inv[c]]  # x -> h(x) c^-1
+        inverted = not (psi[table] == table[psi[:, None], psi]).all()
+        if inverted:
+            psi = psi[inv]  # x -> h(x^-1) c^-1
+        try:
+            sigma = [block_of[frozenset(h[list(b)].tolist())] for b in blocks]
+        except KeyError:
+            raise ConstructionBugError("a stabiliser generator does not fix its design") from None
+        if inverted:  # (i, x, y) -> (sigma(i), psi(y^-1), psi(x^-1) c)
+            second, third = 2 * v + table[psi[inv], c], v + psi[inv]
+        else:  # (i, x, y) -> (sigma(i), psi(x), psi(y) c)
+            second, third = v + psi, 2 * v + table[psi, c]
+        seeds.append(tuple(np.concatenate([sigma, second, third]).tolist()))
+    return seeds
 
 
 def build_seeded_cube_certificate(
@@ -397,13 +532,25 @@ def build_seeded_cube_certificate(
     return _certificate(c, "uncolored", seeds, time_budget)
 
 
+def _difference_cube_seeds(g: FiniteGroup, rep: DifferenceSet) -> list[tuple[int, ...]]:
+    """Point permutations of the transversal representation fixing the
+    difference 3-cube of rep: its theoretical autotopies, unverified, and
+    when g is abelian the axis permutations (g_i1 g_i2 g_i3 is then
+    symmetric in the axes)."""
+    seeds = [paratopy_to_point_perm(w, 3, g.order) for w in _difference_cube_autotopies(g, rep, 3)]
+    if g.is_abelian():
+        seeds += _axis_swaps(3, g.order, (0, 1))
+    return seeds
+
+
 def _difference_cube_certificate(
     g: FiniteGroup, rep: DifferenceSet, time_budget: float | None = None
 ) -> bytes:
-    """Certificate of the difference 3-cube of rep, seeded with its
-    theoretical autotopies (which the canonicalizer verifies as seeds)."""
-    seeds = [paratopy_to_point_perm(w, 3, g.order) for w in _difference_cube_autotopies(g, rep, 3)]
-    return build_seeded_cube_certificate(difference_cube(g, rep, 3), seeds, time_budget)
+    """Certificate of the difference 3-cube of rep, seeded with
+    ``_difference_cube_seeds`` (which the canonicalizer verifies)."""
+    return build_seeded_cube_certificate(
+        difference_cube(g, rep, 3), _difference_cube_seeds(g, rep), time_budget
+    )
 
 
 def difference_cube_reference(
@@ -461,8 +608,10 @@ def classify_group_cubes(
     cubes); when omitted, this group's own difference cubes are used.
 
     ``time_budget`` (seconds) bounds the difference-set enumeration, the
-    design search and the cube labellings together; ResourceLimitError is
-    raised when it runs out.
+    design search and the cube labellings together, and is checked after
+    the difference-set classes (and their cubes' labellings) and after
+    naming the developments; ResourceLimitError is raised when it runs
+    out.
     """
     _check_order(g, params)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
@@ -470,27 +619,38 @@ def classify_group_cubes(
     def remaining() -> float | None:
         return deadline - time.monotonic() if deadline is not None else None
 
+    def check_budget(stage: str) -> None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise ResourceLimitError(f"classification time budget exceeded while {stage}")
+
     catalog = reference_catalog()
     all_sets = enumerate_difference_sets(g, params.k, params.lam, time_budget=remaining())
     tds = len(all_sets)
     classes = difference_sets_up_to_equivalence(g, params.k, params.lam, all_sets)
     nds = len(classes)
     own_dc_certs = {_difference_cube_certificate(g, rep, remaining()) for rep in classes}
+    check_budget("classing the difference sets and labelling their cubes")
     if reference is None:
         reference = own_dc_certs
     dev_names = set()
     for rep in classes:
         name = design_class(development(rep), catalog).name
         dev_names.add(name if name is not None else "?")
+    check_budget("naming the developments")
     ndc = len(own_dc_certs)
-    reps, design_count = _design_orbit_representatives(g, params, all_sets, remaining())
+    reps, design_count, stabilisers = _design_orbit_representatives(
+        g, params, all_sets, remaining()
+    )
     candidates = [tuple(d.elements) for d in all_sets]
     seeds = _group_cube_seeds(g, 3)
     diff_certs: set[bytes] = set()
     nondiff_certs: set[bytes] = set()
-    for rep in reps:
-        cube = group_cube(g, [candidates[i] for i in rep], 3)
-        cert = build_seeded_cube_certificate(cube, seeds, remaining())
+    for rep, stabiliser in zip(reps, stabilisers):
+        blocks = [candidates[i] for i in rep]
+        cube = group_cube(g, blocks, 3)
+        cert = build_seeded_cube_certificate(
+            cube, seeds + _stabiliser_seeds(g, blocks, stabiliser), remaining()
+        )
         if cert in reference:
             diff_certs.add(cert)
         else:

@@ -59,7 +59,7 @@ PINNED = {
     "fano cube uncolored": ("bb28e73860ecc6721739f1ebea50374bb3b2aa67b4186d21ee24a1cd995bdd14", 17, 6, 882),
     "C3 uncolored": ("48b0a53fb8292f11b4a9587b2457da0426891e9107b98983632e3086a98b34bf", 261, 8, 882),
     "Z2^4 difference cube seeded": (
-        "10d4067e91d9952c46b6c91d9fc06dd1a287578ec97b45bf766f6ec0382333dc", 37, 9, 1105920
+        "10d4067e91d9952c46b6c91d9fc06dd1a287578ec97b45bf766f6ec0382333dc", 32, 8, 1105920
     ),
 }
 

@@ -31,7 +31,7 @@ from symcube.equivalence import (
     to_transversal,
     validate_transversal,
 )
-from symcube.errors import NotACubeError, ResourceLimitError
+from symcube.errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
 from symcube.groups import DifferenceSet, difference_sets_up_to_equivalence, make_cyclic
 from symcube.datafiles import data_dir, frobenius_21
 from symcube.fileio import load_design
@@ -311,6 +311,34 @@ class TestLabellingCache:
         cert = build_seeded_cube_certificate(c)
         assert cube_certificate(c, "uncolored") == cert
         assert len(calls) == 2
+
+    def test_unverified_seeds_leave_no_keys(self):
+        # keys read off the orbits of a non-automorphism would be wrong:
+        # canon rejects the seed, and the cube keeps no keys
+        c = named_cube("D2")
+        keys = equivalence._slice_pair_keys(c.bits)
+        i, j = next((i, j) for i in range(16) for j in range(i) if (keys[i] != keys[j]).any())
+        bogus = list(range(48))
+        bogus[i], bogus[j] = j, i
+        with pytest.raises(ConstructionBugError, match="not an automorphism"):
+            build_seeded_cube_certificate(c, [bogus])
+        assert c._pair_keys is None
+        assert cube_certificate(c) == cube_certificate(Cube(c.bits, c.params))
+        assert c._pair_keys.tobytes() == keys.tobytes()
+
+    @pytest.mark.parametrize("seed", [[0] * 48, [0, 1], list(range(47)) + [48]])
+    def test_malformed_seeds_are_rejected(self, seed):
+        # the keys are then computed without orbits, and canon rejects the seed
+        c = named_cube("D2")
+        with pytest.raises(InvalidInputError, match="permute"):
+            build_seeded_cube_certificate(c, [seed])
+        assert c._pair_keys is None
+
+    def test_verified_seeds_leave_the_full_keys(self):
+        g = elementary_16()
+        c = named_cube("D2")
+        build_seeded_cube_certificate(c, _group_cube_seeds(g, 3))
+        assert c._pair_keys.tobytes() == equivalence._slice_pair_keys(c.bits).tobytes()
 
     def test_one_slice_pair_key_per_cube(self, monkeypatch):
         keyed = []

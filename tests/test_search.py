@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from symcube import equivalence, groups, search
-from symcube.catalog import elementary_16, reference_catalog
+from symcube.catalog import elementary_16, reference_catalog, switched_16_designs
 from symcube.cli import main
 from symcube.cubes import (
+    Cube,
     ParatopyElement,
     apply_paratopy,
     difference_cube,
@@ -29,6 +30,7 @@ from symcube.errors import (
 from symcube.fileio import load_design, load_orbit_input, save_orbit_input
 from symcube.equivalence import (
     TransversalRep,
+    _translation_autotopies,
     paratopy_to_point_perm,
     theoretical_autotopies,
     to_transversal,
@@ -42,7 +44,15 @@ from symcube.groups import (
     is_difference_set,
     make_cyclic,
 )
-from symcube.perms import PermGroup, compose, identity, induced_permutations, inverse, orbit_minima
+from symcube.perms import (
+    PermGroup,
+    compose,
+    identity,
+    induced_permutations,
+    inverse,
+    orbit_ids,
+    orbit_minima,
+)
 from symcube.search import (
     OrbitCubeInput,
     classify_group_cubes,
@@ -184,8 +194,8 @@ class TestRootedDesignOrbits:
         g = make_group()
         params = DesignParams(*params)
         cands = enumerate_difference_sets(g, params.k, params.lam)
-        rooted = search._design_orbit_representatives(g, params, cands)
-        assert rooted == full_enumeration_minima(g, params, cands)
+        reps, count, _ = search._design_orbit_representatives(g, params, cands)
+        assert (reps, count) == full_enumeration_minima(g, params, cands)
 
     @pytest.mark.parametrize(
         "make_group,params,n_designs,n_reps,n_reps_without_inversion",
@@ -200,7 +210,7 @@ class TestRootedDesignOrbits:
         g = make_group()
         params = DesignParams(*params)
         cands = enumerate_difference_sets(g, params.k, params.lam)
-        reps, count = search._design_orbit_representatives(g, params, cands)
+        reps, count, _ = search._design_orbit_representatives(g, params, cands)
         assert (count, len(reps)) == (n_designs, n_reps)
         maps = search._design_moves(g)
         assert maps[-1] == tuple(g.inv(x) for x in range(g.order))
@@ -235,7 +245,7 @@ class TestRootedDesignOrbits:
         g = make_group()
         params = DesignParams(*params)
         cands = enumerate_difference_sets(g, params.k, params.lam)
-        reps, count = search._design_orbit_representatives(g, params, cands)
+        reps, count, stabilisers = search._design_orbit_representatives(g, params, cands)
         gens = search._design_moves(g)
         elements, queue = {tuple(range(g.order))}, [tuple(range(g.order))]
         while queue:
@@ -249,9 +259,11 @@ class TestRootedDesignOrbits:
             assert len(elements) == group_order
         moves = np.stack(induced_permutations([d.elements for d in cands], sorted(elements)))
         total = 0
-        for rep in reps:
+        for rep, generators in zip(reps, stabilisers):
             images = np.sort(moves[:, list(rep)], axis=1)
             stabiliser = int((images == np.array(rep)).all(axis=1).sum())
+            # the generators taken from the move graph give the whole stabiliser
+            assert PermGroup(generators, g.order).order() == stabiliser
             assert len(elements) % stabiliser == 0
             total += len(elements) // stabiliser
         assert total == count
@@ -347,12 +359,167 @@ class TestRootedDesignOrbits:
         search._design_orbit_representatives(g, params, cands)  # fill the caches
         tracemalloc.start()
         try:
-            reps, count = search._design_orbit_representatives(g, params, cands)
+            reps, count, _ = search._design_orbit_representatives(g, params, cands)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (len(reps), count) == (10, 54208)
         assert peak < 3_000_000
+
+
+def brute_force_stabiliser(g, blocks):
+    """Stab_M(D) element by element: the moves x -> psi(x^e) c (psi in
+    Aut(G), c in G, e = +-1) that map the block set of D onto itself."""
+    v = g.order
+    auts = groups.automorphism_group(g)
+    table = np.array(g.table)
+    inv = np.array([g.inv(x) for x in range(v)])
+    bit = 1 << np.arange(v, dtype=np.int64)
+    rows = np.array(blocks)
+    want = np.sort(bit[rows].sum(axis=1))
+    found = set()
+    # over an abelian group the inversion is an automorphism
+    for pre in (np.arange(v),) if g.is_abelian() else (np.arange(v), inv):
+        for c in range(v):
+            maps = table[auts[:, pre], c]
+            fixed = (np.sort(bit[maps[:, rows]].sum(axis=2), axis=1) == want).all(axis=1)
+            found.update(map(tuple, maps[fixed].tolist()))
+    return sorted(found)
+
+
+def classification_seeds(g, blocks, stabiliser):
+    """The seeds ``classify_group_cubes`` gives the cube of ``blocks``."""
+    return search._group_cube_seeds(g, 3) + search._stabiliser_seeds(g, blocks, stabiliser)
+
+
+def assert_seeded_keys_are_the_keys(cube, seeds):
+    """The keys read off the seed orbits equal the unseeded keys byte for
+    byte, and a seeded certificate (canon verifies the seeds) caches them."""
+    orbits = orbit_ids(np.array(seeds), 3 * cube.v)
+    assert len(np.unique(orbits)) < 3 * cube.v  # the seeds merge points
+    plain = equivalence._slice_pair_keys(cube.bits)
+    seeded = equivalence._slice_pair_keys(cube.bits, orbits)
+    assert seeded.dtype == plain.dtype and seeded.shape == plain.shape
+    assert seeded.tobytes() == plain.tobytes()
+    fresh = Cube(cube.bits, cube.params)
+    cert = search.build_seeded_cube_certificate(fresh, seeds)
+    assert fresh._pair_keys.tobytes() == plain.tobytes()
+    assert cert == equivalence.cube_certificate(Cube(cube.bits, cube.params))
+
+
+class TestConstructionSeeds:
+    """The seeds each construction proves: canon verifies them, the
+    certificates stay the same, and the slice-pair keys computed on their
+    orbits are the full keys."""
+
+    @pytest.mark.parametrize(
+        "make_group,params,orbits",
+        [
+            pytest.param(lambda: load_group_16(14), (16, 6, 2), 1, id="Z2^4"),
+            pytest.param(lambda: load_group_16(2), (16, 6, 2), 1, id="Z4xZ4"),
+            pytest.param(frobenius_21, (21, 5, 1), 3, id="F21"),
+        ],
+    )
+    def test_difference_cube_keys(self, make_group, params, orbits):
+        g = make_group()
+        for rep in difference_sets_up_to_equivalence(g, params[1], params[2]):
+            seeds = search._difference_cube_seeds(g, rep)
+            # over an abelian group the axis permutations join the three axes
+            assert len(np.unique(orbit_ids(np.array(seeds), 3 * g.order))) == orbits
+            assert_seeded_keys_are_the_keys(difference_cube(g, rep, 3), seeds)
+
+    @pytest.mark.parametrize("name", ["D1", "D2", "D3", "C3"])
+    def test_group_cube_keys(self, name):
+        if name == "C3":
+            g = frobenius_21()
+            blocks = load_design(data_dir() / "designs" / "f21_nondev.design").columns_as_sets()
+        else:
+            g = elementary_16()
+            blocks = switched_16_designs()[int(name[1]) - 1].columns_as_sets()
+        blocks = [tuple(sorted(b)) for b in blocks]
+        stabiliser = brute_force_stabiliser(g, blocks)
+        generators = groups.automorphism_generators(g, stabiliser)
+        seeds = classification_seeds(g, blocks, generators)
+        assert_seeded_keys_are_the_keys(group_cube(g, blocks, 3), seeds)
+
+    def test_stabiliser_seeds_with_the_inversion_swap_axes(self):
+        # F21 is not abelian: a move h = R_c psi inv that fixes the design
+        # gives an autoparatopy swapping axes 2 and 3
+        g = frobenius_21()
+        blocks = [
+            tuple(sorted(b))
+            for b in load_design(data_dir() / "designs" / "f21_nondev.design").columns_as_sets()
+        ]
+        stabiliser = brute_force_stabiliser(g, blocks)
+        seeds = search._stabiliser_seeds(g, blocks, stabiliser)
+        swaps = [p for p in seeds if p[21] >= 42]
+        assert len(stabiliser) == 42 and len(swaps) == 21
+        assert all(p[x] >= 42 and 21 <= p[x + 21] < 42 for p in swaps for x in range(21, 42))
+        cube = group_cube(g, blocks, 3)
+        certificate = equivalence.cube_certificate(Cube(cube.bits, cube.params))
+        assert search.build_seeded_cube_certificate(cube, swaps) == certificate
+
+    def test_stabiliser_seed_of_a_move_off_the_design_raises(self):
+        g = elementary_16()
+        blocks = [tuple(sorted(b)) for b in switched_16_designs()[1].columns_as_sets()]
+        swap = (0, 2, 1) + tuple(range(3, 16))  # a point map that moves a block off the design
+        with pytest.raises(ConstructionBugError, match="does not fix its design"):
+            search._stabiliser_seeds(g, blocks, [swap])
+
+
+@pytest.mark.parametrize(
+    "make_group,params",
+    [
+        pytest.param(lambda: load_group_16(5), (16, 6, 2), id="id16:5"),
+        pytest.param(lambda: load_group_16(6), (16, 6, 2), id="id16:6"),
+        pytest.param(lambda: load_group_16(14), (16, 6, 2), id="id16:14"),
+        pytest.param(frobenius_21, (21, 5, 1), id="F21"),
+        pytest.param(lambda: make_cyclic(21), (21, 5, 1), id="Z21"),
+    ],
+)
+def test_stabilisers_count_the_designs(make_group, params):
+    """Each stabiliser generator fixes its design, and the orbits
+    |M| / |Stab_M(D)| of the representatives add up to the design count."""
+    g, params = make_group(), DesignParams(*params)
+    cands = enumerate_difference_sets(g, params.k, params.lam)
+    reps, count, stabilisers = search._design_orbit_representatives(g, params, cands)
+    group_order = PermGroup(search._design_moves(g), g.order).order()
+    total = 0
+    for rep, generators in zip(reps, stabilisers):
+        design = sorted(cands[i].elements for i in rep)
+        for h in generators:
+            assert sorted(tuple(sorted(h[x] for x in b)) for b in design) == design
+        stabiliser_order = PermGroup(generators, g.order).order()
+        assert group_order % stabiliser_order == 0
+        total += group_order // stabiliser_order
+    assert total == count
+
+
+@pytest.mark.parametrize(
+    "make_group,params",
+    [
+        pytest.param(lambda: load_group_16(14), (16, 6, 2), id="id16:14"),
+        pytest.param(frobenius_21, (21, 5, 1), id="F21"),
+    ],
+)
+def test_stabiliser_seeds_keep_the_certificates(make_group, params):
+    """Each representative's certificate is the same with the translation
+    seeds alone as with the classification's seeds."""
+    g, params = make_group(), DesignParams(*params)
+    cands = enumerate_difference_sets(g, params.k, params.lam)
+    reps, _, stabilisers = search._design_orbit_representatives(g, params, cands)
+    translations = [
+        paratopy_to_point_perm(w, 3, g.order) for w in _translation_autotopies(g, 3, start=1)
+    ]
+    for rep, generators in zip(reps, stabilisers):
+        blocks = [cands[i].elements for i in rep]
+        cube = group_cube(g, blocks, 3)
+        seeded = search.build_seeded_cube_certificate(
+            cube, classification_seeds(g, blocks, generators)
+        )
+        assert seeded == search.build_seeded_cube_certificate(
+            Cube(cube.bits, cube.params), translations
+        )
 
 
 class TestClassification:
@@ -399,6 +566,28 @@ class TestClassification:
             classify_group_cubes(make_cyclic(7), DesignParams(7, 3, 1), time_budget=1e-6)
         assert main(["search", "classify", "cyclic:7", "7,3,1", "--time-budget", "1e-6"]) == 2
         assert "time budget" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "stage,message",
+        [
+            ("difference_sets_up_to_equivalence", "time budget"),
+            ("design_class", "naming the developments"),
+        ],
+    )
+    def test_budget_is_checked_after_each_stage(self, monkeypatch, stage, message):
+        # a stage that overruns the budget stops the classification before
+        # the design search
+        slow = getattr(search, stage)
+
+        def overrunning(*args):
+            time.sleep(0.3)
+            return slow(*args)
+
+        monkeypatch.setattr(search, stage, overrunning)
+        monkeypatch.setattr(search, "_design_orbit_representatives", None)
+        with pytest.raises(ResourceLimitError, match=message):
+            classify_group_cubes(make_cyclic(7), DesignParams(7, 3, 1), time_budget=0.2)
 
 
 # Z31 has (31,15,7) difference sets (the quadratic residues), but a full
@@ -712,7 +901,7 @@ def test_orbit_representative_certificates_ignore_labels(make_group, params):
     gets the certificate that the classification counts for it."""
     g, params = make_group(), DesignParams(*params)
     all_sets = enumerate_difference_sets(g, params.k, params.lam)
-    reps, _ = search._design_orbit_representatives(g, params, all_sets)
+    reps, _, _ = search._design_orbit_representatives(g, params, all_sets)
     candidates = [d.elements for d in all_sets]
     seeds = search._group_cube_seeds(g, 3)
     rng = random.Random(g.name)

@@ -14,7 +14,6 @@ from .designs import (
     complement,
     design_class,
     development,
-    dual,
     mann_product,
     menon_params,
     switch_blocks,
@@ -39,17 +38,13 @@ from .cubes import (
     Cube,
     ParatopyElement,
     SliceInvariant,
-    SliceSpec,
     apply_paratopy,
     difference_cube,
     group_cube,
     hadamard_certificate,
     hadamard_slice_checks,
     is_totally_symmetric,
-    latin_square_to_cube,
-    random_paratopy,
     slice_invariant,
-    slice_matrix,
     to_hadamard,
     verify_cube,
     weak_slice_invariant,

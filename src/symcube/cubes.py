@@ -34,21 +34,18 @@ from .perms import Perm, compose as perm_compose, identity as id_perm, inverse a
 
 __all__ = [
     "Cube",
-    "SliceSpec",
     "ParatopyElement",
     "SliceInvariant",
-    "slice_matrix",
     "verify_cube",
     "difference_cube",
     "group_cube",
     "apply_paratopy",
-    "random_paratopy",
     "is_totally_symmetric",
     "slice_invariant",
     "weak_slice_invariant",
-    "latin_square_to_cube",
     "to_hadamard",
     "hadamard_slice_checks",
+    "hadamard_certificate",
 ]
 
 MAX_CELLS = 1 << 28
@@ -99,22 +96,6 @@ class Cube:
 
 
 @dataclass(frozen=True)
-class SliceSpec:
-    """Axis pair (x, y) plus fixed values for the remaining axes, in
-    increasing axis order.  All indices 0-based."""
-
-    x: int
-    y: int
-    fixed: tuple[int, ...]
-
-    def validate(self, n: int, v: int) -> None:
-        if not (0 <= self.x < n and 0 <= self.y < n) or self.x == self.y:
-            raise InvalidInputError(f"slice axes must be distinct and in 0..{n-1}")
-        if len(self.fixed) != n - 2 or any(not 0 <= f < v for f in self.fixed):
-            raise InvalidInputError("fixed coordinates out of range")
-
-
-@dataclass(frozen=True)
 class ParatopyElement:
     """A paratopy: value permutations per axis plus an axis permutation.
 
@@ -147,12 +128,6 @@ class ParatopyElement:
         zeta = tuple(gamma[delta[t]] for t in range(len(delta)))
         eps = tuple(perm_compose(beta[t], alpha[delta[t]]) for t in range(len(delta)))
         return ParatopyElement(eps, zeta)
-
-
-def slice_matrix(c: Cube, spec: SliceSpec) -> IncidenceMatrix:
-    """The (x, y)-slice: M[i][j] = C(..., i at x, ..., j at y, ...)."""
-    spec.validate(c.n, c.v)
-    return IncidenceMatrix(_slice_view(c.bits, spec.x, spec.y)[spec.fixed].copy(), c.params)
 
 
 def _slice_view(bits: np.ndarray, x: int, y: int) -> np.ndarray:
@@ -252,12 +227,6 @@ def apply_paratopy(c: Cube, p: ParatopyElement) -> Cube:
     return Cube(conjugated[np.ix_(*gathers)], c.params)
 
 
-def random_paratopy(rng, n: int, v: int) -> ParatopyElement:
-    perms = tuple(tuple(rng.sample(range(v), v)) for _ in range(n))
-    gamma = tuple(rng.sample(range(n), n))
-    return ParatopyElement(perms, gamma)
-
-
 def is_totally_symmetric(c: Cube) -> bool:
     """True iff every conjugation fixes the cube (adjacent transpositions
     suffice since they generate the symmetric group)."""
@@ -344,22 +313,6 @@ def slice_invariant(c: Cube) -> SliceInvariant:
 def weak_slice_invariant(c: Cube) -> SliceInvariant:
     """Same shape as slice_invariant with automorphism orders as entries."""
     return _class_invariant(c, attrgetter("aut_order"))
-
-
-def latin_square_to_cube(square: Sequence[Sequence[int]]) -> Cube:
-    """C(i1, i2, i3) = [square[i1][i2] == i3]; symbols are 0..v-1."""
-    arr = np.asarray(square, dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidInputError("not-a-Latin-square: must be square")
-    v = arr.shape[0]
-    symbols = set(range(v))
-    for i in range(v):
-        if set(arr[i].tolist()) != symbols or set(arr[:, i].tolist()) != symbols:
-            raise InvalidInputError("not-a-Latin-square: repeated symbol in a line")
-    bits = np.zeros((v, v, v), dtype=np.uint8)
-    i1, i2 = np.meshgrid(np.arange(v), np.arange(v), indexing="ij")
-    bits[i1, i2, arr] = 1
-    return Cube(bits, DesignParams(v, 1, 0))
 
 
 def _menon_u(params: DesignParams) -> int | None:

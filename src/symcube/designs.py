@@ -24,7 +24,6 @@ __all__ = [
     "IncidenceMatrix",
     "DesignClass",
     "verify_design",
-    "dual",
     "complement",
     "development",
     "design_class",
@@ -139,10 +138,6 @@ def verify_design(a: IncidenceMatrix, p: DesignParams) -> bool:
     if not np.array_equal(m @ m.T, target):
         return False
     return bool((m.sum(axis=0) == p.k).all() and (m.sum(axis=1) == p.k).all())
-
-
-def dual(a: IncidenceMatrix) -> IncidenceMatrix:
-    return IncidenceMatrix(a.bits.T.copy(), a.params)
 
 
 def complement(a: IncidenceMatrix) -> IncidenceMatrix:

@@ -59,7 +59,7 @@ from .cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, verif
 from .designs import DesignParams
 from .errors import ConstructionBugError, InvalidInputError, NotACubeError
 from .groups import DifferenceSet, FiniteGroup, automorphism_generators, multipliers as _multipliers
-from .perms import PermGroup, identity as id_perm, inverse as perm_inverse, orbit_ids, void_rows
+from .perms import identity as id_perm, inverse as perm_inverse, orbit_ids, void_rows
 
 __all__ = [
     "TransversalRep",
@@ -74,7 +74,6 @@ __all__ = [
     "autotopy_report",
     "autoparatopy_report",
     "theoretical_autotopies",
-    "isotopy_group_order",
     "validate_transversal",
 ]
 
@@ -482,11 +481,3 @@ def theoretical_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[Par
         if apply_paratopy(cube, w) != cube:
             raise ConstructionBugError("theoretical autotopy does not fix the cube")
     return out
-
-
-def isotopy_group_order(elements: Sequence[ParatopyElement], n: int, v: int) -> int:
-    """Order of the group generated by pure isotopies, via their action on
-    the n*v class-offset points."""
-    if any(tuple(e.axis_perm) != tuple(range(n)) for e in elements):
-        raise InvalidInputError("only pure isotopies act on points classwise")
-    return PermGroup([paratopy_to_point_perm(e, n, v) for e in elements], n * v).order()

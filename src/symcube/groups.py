@@ -516,10 +516,12 @@ def _difference_set_rows(g: FiniteGroup, rows: np.ndarray, lam: int) -> np.ndarr
 # most (prefix, element) pairs expanded at once; a larger level is split
 # into runs of prefixes, searched in order, which bounds memory
 _BATCH_PAIRS = 1 << 16
+# most (prefix, element) pairs tried in one enumeration
+_MAX_NODES = 50_000_000
 
 
 def enumerate_difference_sets(
-    g: FiniteGroup, k: int, lam: int, max_nodes: int = 50_000_000, time_budget: float | None = None
+    g: FiniteGroup, k: int, lam: int, time_budget: float | None = None
 ) -> list[DifferenceSet]:
     """All (v,k,lam) difference sets, in lexicographic order of element tuples.
 
@@ -530,7 +532,7 @@ def enumerate_difference_sets(
     depth-first subset search; a batch larger than ``_BATCH_PAIRS`` pairs is
     split into runs that are searched to the end one after another, which
     keeps that order.  A row is pruned once some non-identity element occurs
-    more than ``lam`` times as a difference.  ``max_nodes`` bounds the
+    more than ``lam`` times as a difference.  ``_MAX_NODES`` bounds the
     (prefix, element) pairs tried, the nodes of that depth-first search;
     ``time_budget`` (seconds) bounds the wall clock, read between batches.
     Either raises ResourceLimitError when exceeded.
@@ -563,7 +565,7 @@ def enumerate_difference_sets(
             batches += [(prefixes[half:], counts[half:]), (prefixes[:half], counts[:half])]
             continue
         nodes += total
-        if nodes > max_nodes:
+        if nodes > _MAX_NODES:
             raise ResourceLimitError("enumeration budget exceeded")
         # as in the design search, the first 4096 nodes do not read the clock
         if deadline is not None and nodes > 4096 and time.monotonic() > deadline:

@@ -43,13 +43,16 @@ of a design orbit; counting the pairs (D, b) with b in D and O then gives
 the number of designs as the sum over the orbits O of |O| times the sum of
 1/|D and O| over S_m.
 
-The moves act on candidate indices.  The generators' candidate
-permutations are computed once, by ``induced_permutations``; each inverse
-transporter t_b^-1 and each sifted Schreier generator is composed from them
-along the BFS tree, and their point maps serve only the order check in
-Schreier-Sims.  The rerooting and stabiliser edges are looked up in S_m in
-chunks of a fixed number of moves (``_EDGE_CHUNK``), so the temporaries do
-not grow with S_m.
+Stab_M(m) and each Stab_M(D) come from one Schreier walk (``_schreier_walk``;
+Kaski & Ostergard, ch. 4), which sifts Schreier generators along a BFS tree
+until their group has order |M| / |orbit|.  On the candidates it walks all
+of O, so every t_b exists; on S_m it stops at the order.  The moves act on
+candidate indices: the generators' candidate permutations are computed once,
+by ``induced_permutations``, each t_b^-1 and each generator of Stab_M(m) is
+composed from them along the tree, and the point maps serve only the order
+check.  The rerooting and stabiliser edges are looked up in S_m in chunks
+of a fixed number of moves (``_EDGE_CHUNK``), so the temporaries do not
+grow with S_m.
 
 Every cube labelled here is seeded with the automorphisms its construction
 proves (transversal point permutations).  Canon verifies each seed and
@@ -65,16 +68,15 @@ seeds come from three sources:
   autotopies G^2 x| Mult(D).  When G is abelian, every axis permutation is
   one too, since g_i1 g_i2 g_i3 is then symmetric in the axes.  These are
   added here, not to ``equivalence._difference_cube_autotopies``, whose
-  isotopies ``theoretical_autotopies`` and ``isotopy_group_order`` report.
+  isotopies ``theoretical_autotopies`` reports.
 * The group cube of a design-orbit representative D
-  (``_stabiliser_seeds``): one seed per generator h of Stab_M(D).  The
-  generators are Schreier generators of D's component in the move graph,
-  sifted until |Stab_M(D)| = |M| / |orbit of D| (``_stabiliser_generators``).
-  Each design move is h = R_c psi or h = R_c psi inv, with c = h(e), psi in
-  Aut(G) and inv the inversion; a left translation x -> a x is R_a after
-  the inner automorphism x -> a x a^-1.  Let h map the block B_i onto
-  B_sigma(i).  Then xy lies in B_i iff h(xy) = psi(x) psi(y) c lies in
-  B_sigma(i), so (i, x, y) -> (sigma(i), psi(x), psi(y) c) fixes the cube.
+  (``_stabiliser_seeds``): one seed per generator h of Stab_M(D), from the
+  Schreier walk on D's component in the move graph.  Each design move is
+  h = R_c psi or h = R_c psi inv, with c = h(e), psi in Aut(G) and inv the
+  inversion; a left translation x -> a x is R_a after the inner
+  automorphism x -> a x a^-1.  Let h map the block B_i onto B_sigma(i).
+  Then xy lies in B_i iff h(xy) = psi(x) psi(y) c lies in B_sigma(i), so
+  (i, x, y) -> (sigma(i), psi(x), psi(y) c) fixes the cube.
   With the inversion, h(xy) = psi(y^-1) psi(x^-1) c, so the seed is
   (i, x, y) -> (sigma(i), psi(y^-1), psi(x^-1) c), which swaps axes 2 and 3.
 """
@@ -255,98 +257,84 @@ class _RootMoves(NamedTuple):
     stab_maps: list[Perm]
 
 
-def _rerooting_and_stabiliser(
-    m: int, maps: Sequence[Perm], moves: np.ndarray, group_order: int
-) -> _RootMoves:
-    """For each candidate b in the M-orbit of the candidate m, the inverse
-    of a transporter m -> b, found by BFS over the point maps ``maps``
-    (which act on the candidates as the rows of ``moves``); and generators
-    of Stab_M(m), sifted from the Schreier generators until the order is
-    |M| / |orbit|.  The candidate permutations are composed from ``moves``
-    along the BFS tree; the point maps serve the order check."""
-    n, dtype, degree = moves.shape[1], moves.dtype, len(maps[0])
-    row = {m: 0}  # candidate b -> its row in the orbit
-    orbit = [m]
-    tree: list[tuple[int, int]] = []  # the row of orbit[r]'s parent, and the map to it
-    for b in orbit:
-        for j, move in enumerate(moves):
-            c = int(move[b])
-            if c not in row:
-                row[c] = len(orbit)
-                orbit.append(c)
-                tree.append((row[b], j))
-    inv_moves = np.argsort(moves, axis=1).astype(dtype)
-    forward = [identity(degree)]
-    back = np.empty((len(orbit), n), dtype=dtype)
-    back[0] = np.arange(n)
-    for r, (q, j) in enumerate(tree, 1):
-        forward.append(compose(maps[j], forward[q]))
-        back[r] = back[q][inv_moves[j]]  # t_c^-1 = t_b^-1 p^-1
-    back_maps = [inverse(t) for t in forward]
-    stab = PermGroup((), degree)
-    stab_maps: list[Perm] = []
-    stab_rows: list[np.ndarray] = []
-    for b, (p, move) in itertools.product(orbit, zip(maps, moves)):
-        if stab.order() * len(orbit) == group_order:
+def _schreier_walk(
+    start: int,
+    order: int,
+    moves_from: Callable[[int], Iterable[tuple[int, Perm]]],
+    degree: int,
+    span: int = 1,
+) -> tuple[dict[int, tuple[int, int, Perm]], list[Perm], list[tuple[int, int]]]:
+    """Sifted generators, of the given order, of the stabiliser in M of the
+    node ``start`` of an action graph, and the BFS tree they came from.
+
+    ``moves_from(E)`` gives the edges out of the node E in a fixed order,
+    as (F, g): the point map g moves E onto F.  Every h in the stabiliser
+    is the product of the edge labels along a closed walk at ``start``, so
+    the Schreier generators u_F^-1 g u_E of the edges, u_E being the tree
+    path ``start`` -> E, generate it.  They are sifted in BFS order, and
+    the walk stops as soon as their group has ``order`` and the tree has
+    ``span`` nodes.  Returns the tree, node -> (parent, edge number, u_node)
+    in BFS order, the sifted generators, and the edge (E, edge number) of
+    each."""
+    tree = {start: (start, -1, identity(degree))}
+    queue = [start]
+    group = PermGroup((), degree)
+    gens: list[Perm] = []
+    edges: list[tuple[int, int]] = []
+    full = order == 1  # the group has the order
+    for e in queue:
+        if full and len(tree) >= span:
             break
-        c = int(move[b])
-        schreier = compose(back_maps[row[c]], compose(p, forward[row[b]]))
-        if schreier not in stab:
-            stab.add_generator(schreier)
-            stab_maps.append(schreier)
-            # t_c^-1 p t_b, with t_b the inverse of the row of t_b^-1
-            stab_rows.append(back[row[c]][move[np.argsort(back[row[b]])]])
-    if stab.order() * len(orbit) != group_order:
+        path = tree[e][2]
+        for j, (f, move) in enumerate(moves_from(e)):
+            if f not in tree:
+                tree[f] = (e, j, compose(move, path))
+                queue.append(f)
+            elif not full:
+                h = compose(inverse(tree[f][2]), compose(move, path))
+                if h not in group:
+                    group.add_generator(h)
+                    gens.append(h)
+                    edges.append((e, j))
+                    full = group.order() == order
+                    if full and len(tree) >= span:
+                        break
+    if not full or len(tree) < span:
         raise ConstructionBugError(
-            f"stabiliser order {stab.order()} is not |M|/|orbit| = {group_order}/{len(orbit)}"
+            f"stabiliser order {group.order()} is not |M|/|orbit| = {order}, "
+            f"or the orbit has fewer than {span} members"
         )
-    stab_perms = np.array(stab_rows, dtype=dtype).reshape(-1, n)
-    return _RootMoves(np.array(orbit), back, stab_perms, back_maps, stab_maps)
+    return tree, gens, edges
+
+
+def _rerooting_and_stabiliser(
+    m: int, span: int, maps: Sequence[Perm], moves: np.ndarray, group_order: int
+) -> _RootMoves:
+    """For each candidate b in the M-orbit of the candidate m, which has
+    ``span`` members, the inverse of a transporter m -> b; and generators
+    of Stab_M(m).  Both come from a Schreier walk over the point maps
+    ``maps``, which act on the candidates as the rows of ``moves``; the
+    candidate permutations are composed from ``moves`` along its tree."""
+    n, dtype = moves.shape[1], moves.dtype
+    tree, gens, edges = _schreier_walk(
+        m, group_order // span, lambda b: zip(moves[:, b].tolist(), maps), len(maps[0]), span
+    )
+    row = {b: r for r, b in enumerate(tree)}  # candidate b -> its row in the orbit
+    inv_moves = np.argsort(moves, axis=1).astype(dtype)
+    back = np.empty((len(tree), n), dtype=dtype)
+    back[0] = np.arange(n)
+    for r, (q, j, _) in enumerate(itertools.islice(tree.values(), 1, None), 1):
+        back[r] = back[row[q]][inv_moves[j]]  # t_c^-1 = t_b^-1 p^-1
+    # t_c^-1 p t_b, with t_b the inverse of the row of t_b^-1
+    stab = [back[row[int(moves[j, b])]][moves[j][np.argsort(back[row[b]])]] for b, j in edges]
+    back_maps = [inverse(path) for _, _, path in tree.values()]
+    stab_rows = np.array(stab, dtype=dtype).reshape(-1, n)
+    return _RootMoves(np.array(list(tree)), back, stab_rows, back_maps, gens)
 
 
 # rerooting or stabiliser moves looked up per ``RowIndex.find`` call in
 # ``_orbits_within_root``: bounds its temporaries on large roots
 _EDGE_CHUNK = 2048
-
-
-def _stabiliser_generators(
-    start: int,
-    order: int,
-    moves_from: Callable[[int], Iterable[tuple[int, Perm]]],
-    degree: int,
-) -> list[Perm]:
-    """Sifted generators of the stabiliser in M, of the given order, of
-    the design ``start`` of S_m: Schreier generators of its component in
-    the move graph, taken along a BFS tree until they reach that order.
-
-    ``moves_from(E)`` gives each edge out of the design E as (F, g): the
-    point map g moves E onto F.  Every h in Stab_M(D) is the product of
-    the edge labels along a closed walk at D (the rerooting argument of the
-    module docstring, applied to h D = D), so the Schreier generators
-    u_F^-1 g u_E of the edges, u_E being the tree path D -> E, generate
-    it."""
-    group = PermGroup((), degree)
-    gens: list[Perm] = []
-    if order == 1:
-        return gens
-    path = {start: identity(degree)}
-    queue = [start]
-    for e in queue:
-        for f, move in moves_from(e):
-            g = compose(move, path[e])
-            if f not in path:
-                path[f] = g
-                queue.append(f)
-                continue
-            h = compose(inverse(path[f]), g)
-            if h not in group:
-                group.add_generator(h)
-                gens.append(h)
-                if group.order() == order:
-                    return gens
-    raise ConstructionBugError(
-        f"stabiliser order {group.order()} of a design is not |M|/|orbit| = {order}"
-    )
 
 
 def _orbits_within_root(
@@ -362,7 +350,7 @@ def _orbits_within_root(
     stabiliser in M (point maps).  ``designs`` is S_m as sorted rows of
     indices into the candidates, in increasing order; ``orbit_min`` labels
     each candidate by the least index of its M-orbit."""
-    root = _rerooting_and_stabiliser(m, maps, moves, group_order)
+    root = _rerooting_and_stabiliser(m, int((orbit_min == m).sum()), maps, moves, group_order)
     slot = np.full(len(orbit_min), -1, dtype=np.int32)
     slot[root.orbit] = np.arange(len(root.orbit))
     index = RowIndex(designs)
@@ -411,7 +399,7 @@ def _orbits_within_root(
             yield int(dst[len(reroot_src) + k * n + e]), move
 
     stabilisers = [
-        _stabiliser_generators(int(r), group_order // int(size), moves_from, len(maps[0]))
+        _schreier_walk(int(r), group_order // int(size), moves_from, len(maps[0]))[1]
         for r, size in zip(reps, orbit_sizes)
     ]
     return [tuple(d) for d in designs[reps].tolist()], int(orbit_sizes.sum()), stabilisers

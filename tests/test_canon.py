@@ -6,7 +6,7 @@ import pytest
 
 from symcube.canon import _Search, _Structure, canonicalize, design_canonical
 from symcube.catalog import elementary_16, switched_16_designs
-from symcube.cubes import ParatopyElement, apply_paratopy, difference_cube, random_paratopy
+from symcube.cubes import ParatopyElement, apply_paratopy, difference_cube
 from symcube.designs import block_quadruple, development
 from symcube.equivalence import (
     _transversal_blocks,
@@ -19,7 +19,7 @@ from symcube.groups import DifferenceSet, make_cyclic
 from symcube.perms import void_rows
 from symcube.search import _group_cube_seeds
 
-from named_cubes import fano_cube, named_cube
+from named_cubes import fano_cube, named_cube, random_paratopy
 
 
 def _cube_result(c, colored, seeds=()):

@@ -8,10 +8,10 @@ import random
 import numpy as np
 import pytest
 
-from named_cubes import named_cube
+from named_cubes import named_cube, random_paratopy
 from symcube import canon, catalog, designs
 from symcube.catalog import COMPLETE_PARAMS, Catalog, reference_catalog, switched_16_designs
-from symcube.cubes import _parallel_classes, apply_paratopy, random_paratopy
+from symcube.cubes import _parallel_classes, apply_paratopy
 from symcube.designs import DesignParams, IncidenceMatrix, block_quadruple, design_class
 from symcube.errors import ConstructionBugError
 from symcube.groups import make_cyclic

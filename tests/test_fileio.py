@@ -8,11 +8,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from symcube import fileio
 from symcube.cli import main
 from symcube.catalog import switched_16_designs
-from symcube.cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, random_paratopy
+from symcube.cubes import Cube, ParatopyElement, apply_paratopy, difference_cube
 from symcube.datafiles import data_dir
 from symcube.equivalence import from_transversal, to_transversal
 from symcube.errors import InvalidInputError, ResourceLimitError
 from symcube.groups import MAX_GROUP_ORDER, DifferenceSet, make_cyclic
+
+from named_cubes import random_paratopy
 
 LOADERS = {
     "group": fileio.load_group,

@@ -562,12 +562,16 @@ def test_enumeration_matches_depth_first_search(monkeypatch, make_group, k, lam)
 )
 def test_node_budget_matches_depth_first_search(monkeypatch, batch_pairs, max_nodes, passes):
     monkeypatch.setattr(groups, "_BATCH_PAIRS", batch_pairs)
-    for enumerate_sets in (enumerate_difference_sets, dfs_difference_sets):
+    monkeypatch.setattr(groups, "_MAX_NODES", max_nodes)
+    for search in (
+        lambda: enumerate_difference_sets(z2_4(), 6, 2),
+        lambda: dfs_difference_sets(z2_4(), 6, 2, max_nodes=max_nodes),
+    ):
         if passes:
-            enumerate_sets(z2_4(), 6, 2, max_nodes=max_nodes)
+            search()
         else:
             with pytest.raises(ResourceLimitError):
-                enumerate_sets(z2_4(), 6, 2, max_nodes=max_nodes)
+                search()
 
 
 def test_time_budget_bounds_the_enumeration():

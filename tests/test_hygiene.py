@@ -132,3 +132,16 @@ def test_benchmark_traces_only_names_the_package_has():
     perm_group = importlib.import_module("symcube.perms").PermGroup
     missing += [f"PermGroup.{name}" for name in perm_methods if not hasattr(perm_group, name)]
     assert not missing, "the benchmark traces missing names: " + ", ".join(missing)
+
+
+def test_package_exports_only_public_names():
+    """Every name ``symcube/__init__.py`` re-exports is in the ``__all__``
+    of the module it comes from."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            source = ast.parse((SRC / f"{node.module}.py").read_text())
+            exported = _exported_names(source)
+            missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
+    assert not missing, "re-exported but not in __all__: " + ", ".join(missing)

@@ -13,7 +13,7 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from symcube.cli import main
-from symcube.cubes import ParatopyElement, apply_paratopy, latin_square_to_cube, random_paratopy
+from symcube.cubes import ParatopyElement, apply_paratopy
 from symcube.datafiles import frobenius_21, load_group_16
 from symcube.equivalence import (
     are_isotopic,
@@ -31,7 +31,7 @@ from symcube.groups import (
 )
 from symcube.perms import PermGroup
 
-from named_cubes import fano_cube, named_cube
+from named_cubes import fano_cube, latin_square_to_cube, named_cube, random_paratopy
 
 GROUPS = {f"id16:{gid}": lambda gid=gid: load_group_16(gid) for gid in range(1, 15)}
 GROUPS.update({"Z7": lambda: make_cyclic(7), "Z13": lambda: make_cyclic(13), "F21": frobenius_21})

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -15,7 +16,6 @@ from symcube.cubes import (
     apply_paratopy,
     difference_cube,
     group_cube,
-    random_paratopy,
     slice_invariant,
     verify_cube,
 )
@@ -61,6 +61,8 @@ from symcube.search import (
     is_group_cube,
     orbit_cube,
 )
+
+from named_cubes import random_paratopy
 
 
 def naive_pair_coverage_search(g, params, candidates):
@@ -316,14 +318,49 @@ class TestRootedDesignOrbits:
         moves = np.stack(induced_permutations([d.elements for d in cands], maps))
         order = PermGroup(maps, g.order).order()
 
-        root = search._rerooting_and_stabiliser(0, maps, moves, order)
+        root = search._rerooting_and_stabiliser(0, len(cands), maps, moves, order)
         assert sorted(root.orbit.tolist()) == list(range(len(cands)))  # one orbit
         # the inverse transporters take b to m, the generators fix m
         assert root.back[np.arange(len(root.orbit)), root.orbit].tolist() == [0] * len(cands)
         assert root.stab[:, 0].tolist() == [0] * len(root.stab_maps)
         assert PermGroup(root.stab_maps, g.order).order() * len(cands) == order
         with pytest.raises(ConstructionBugError, match="stabiliser order"):
-            search._rerooting_and_stabiliser(0, maps, moves, 2 * order)
+            search._rerooting_and_stabiliser(0, len(cands) // 2, maps, moves, order)
+
+        # the right order, but an orbit one member short of the span
+        def moves_from(b):
+            return zip(moves[:, b].tolist(), maps)
+
+        with pytest.raises(ConstructionBugError, match="fewer than"):
+            search._schreier_walk(0, order // len(cands), moves_from, g.order, len(cands) + 1)
+
+    def test_walk_stops_at_the_stabiliser_order(self):
+        # with span 1 the walk returns as soon as its group has the order:
+        # the last generator sifted completes it, and no edge after it is
+        # taken; with the whole orbit as span it walks on to every node
+        g = frobenius_21()
+        cands = enumerate_difference_sets(g, 5, 1)
+        maps = search._design_moves(g)
+        moves = np.stack(induced_permutations([d.elements for d in cands], maps))
+        stab_order = PermGroup(maps, g.order).order() // len(cands)
+        taken = []
+
+        def moves_from(b):
+            for f, move in zip(moves[:, b].tolist(), maps):
+                taken.append((b, f))
+                yield f, move
+
+        tree, gens, edges = search._schreier_walk(0, stab_order, moves_from, g.order)
+        assert PermGroup(gens, g.order).order() == stab_order
+        assert PermGroup(gens[:-1], g.order).order() < stab_order
+        last = edges[-1]
+        assert taken[-1] == (last[0], int(moves[last[1], last[0]]))
+        assert len(tree) < len(cands)
+        whole = search._schreier_walk(0, stab_order, moves_from, g.order, len(cands))
+        assert list(whole[0])[: len(tree)] == list(tree) and len(whole[0]) == len(cands)
+        assert whole[1:] == (gens, edges)
+        for h in gens:  # each u_F^-1 g u_E fixes the start
+            assert tuple(sorted(h[x] for x in cands[0].elements)) == cands[0].elements
 
     @pytest.mark.parametrize(
         "make_group,params",
@@ -343,8 +380,11 @@ class TestRootedDesignOrbits:
         moves = np.stack(induced_permutations(rows, maps)).astype(np.uint16)
         order = PermGroup(maps, g.order).order()
         minima = orbit_minima(rows, maps)
+        minimum = orbit_ids(moves, len(rows))
         for m in minima.tolist():
-            root = search._rerooting_and_stabiliser(m, maps, moves, order)
+            span = int((minimum == m).sum())
+            root = search._rerooting_and_stabiliser(m, span, maps, moves, order)
+            assert len(root.orbit) == span
             assert root.back.dtype == root.stab.dtype == np.uint16
             assert len(root.back_maps) == len(root.back) and len(root.stab_maps) == len(root.stab)
             expected = induced_permutations(rows, root.back_maps + root.stab_maps)
@@ -493,6 +533,33 @@ def test_stabilisers_count_the_designs(make_group, params):
         assert group_order % stabiliser_order == 0
         total += group_order // stabiliser_order
     assert total == count
+
+
+@pytest.mark.parametrize(
+    "make_group,params,digest",
+    [
+        pytest.param(
+            frobenius_21,
+            (21, 5, 1),
+            "9d2aeb70884f9af8f55189c473b13446302488ce376e3ab226f95a4d317a19f1",
+            id="F21",
+        ),
+        pytest.param(
+            lambda: load_group_16(14),
+            (16, 6, 2),
+            "6f6c4993a2a5ab42a8eacf71af61da3ef0c23bb4402ca23629d7ccaebec56794",
+            id="id16:14",
+        ),
+    ],
+)
+def test_orbit_representatives_are_pinned(make_group, params, digest):
+    """The representatives, the design count and every sifted stabiliser
+    generator, in order: the seeds of each labelling are these generators,
+    so a change here can move canon's node counts."""
+    g, params = make_group(), DesignParams(*params)
+    cands = enumerate_difference_sets(g, params.k, params.lam)
+    out = search._design_orbit_representatives(g, params, cands)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from .designs import (
     DesignParams,
     IncidenceMatrix,
     block_quadruple,
-    complement,
     design_class,
     development,
     mann_product,

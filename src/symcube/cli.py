@@ -33,6 +33,7 @@ from .designs import (
     verify_design,
 )
 from .equivalence import (
+    _verified,
     are_isotopic,
     are_paratopic,
     autoparatopy_report,
@@ -221,7 +222,7 @@ def cmd_cube_verify(args) -> int:
 
 
 def cmd_cube_invariant(args) -> int:
-    c = fileio.load_cube(args.path)
+    c = _verified(fileio.load_cube(args.path))
     cat = reference_catalog()
     inv = slice_invariant(c)
     print(f"slice_invariant {inv.rendered(cat.names())}")
@@ -243,8 +244,8 @@ def cmd_cube_hadamard(args) -> int:
 
 
 def cmd_equiv_pair(args, mode: str) -> int:
-    c1 = fileio.load_cube(args.cube1)
-    c2 = fileio.load_cube(args.cube2)
+    c1 = _verified(fileio.load_cube(args.cube1))
+    c2 = _verified(fileio.load_cube(args.cube2))
     same = are_paratopic(c1, c2) if mode == "uncolored" else are_isotopic(c1, c2)
     print("equivalent" if same else "inequivalent")
     if same and args.witness:
@@ -257,7 +258,7 @@ def cmd_equiv_pair(args, mode: str) -> int:
 
 
 def cmd_equiv_report(args, mode: str) -> int:
-    c = fileio.load_cube(args.path)
+    c = _verified(fileio.load_cube(args.path))
     rep = autotopy_report(c) if mode == "colored" else autoparatopy_report(c)
     kind = "autotopy" if mode == "colored" else "autoparatopy"
     print(f"{kind}_order {rep.order}")

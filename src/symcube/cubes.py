@@ -181,11 +181,10 @@ def difference_cube(g: FiniteGroup, d: DifferenceSet, n: int) -> Cube:
     translates g_i^{-1} D."""
     if n < 2:
         raise InvalidInputError("cube dimension must be at least 2")
-    table = np.array(g.table, dtype=np.int64)
     indicator = np.zeros(g.order, dtype=np.uint8)
     indicator[list(d.elements)] = 1
-    # row i of indicator[table] is [g_i g_x in D], the indicator of g_i^{-1} D
-    return Cube(_group_cube_bits(table, indicator[table], n), DesignParams(*d.params))
+    # row i of indicator[g.table] is [g_i g_x in D], the indicator of g_i^{-1} D
+    return Cube(_group_cube_bits(g.table, indicator[g.table], n), DesignParams(*d.params))
 
 
 def group_cube(g: FiniteGroup, blocks: Sequence[Iterable[int]], n: int) -> Cube:
@@ -215,8 +214,7 @@ def group_cube(g: FiniteGroup, blocks: Sequence[Iterable[int]], n: int) -> Cube:
     params = DesignParams(v, k, lam)
     if not verify_design(IncidenceMatrix(mat), params):
         raise InvalidInputError("invalid-input: blocks do not form a symmetric design")
-    table = np.array(g.table, dtype=np.int64)
-    return Cube(_group_cube_bits(table, np.ascontiguousarray(mat.T), n), params)
+    return Cube(_group_cube_bits(g.table, np.ascontiguousarray(mat.T), n), params)
 
 
 def apply_paratopy(c: Cube, p: ParatopyElement) -> Cube:

@@ -24,7 +24,6 @@ __all__ = [
     "IncidenceMatrix",
     "DesignClass",
     "verify_design",
-    "complement",
     "development",
     "design_class",
     "switch_blocks",
@@ -45,10 +44,6 @@ class DesignParams:
             raise InvalidInputError(f"k must lie in 0..v, got {self}")
         if self.lam * (self.v - 1) != self.k * (self.k - 1):
             raise InvalidInputError(f"lambda(v-1) != k(k-1) for {self}")
-
-    def complement(self) -> "DesignParams":
-        v, k, lam = self.v, self.k, self.lam
-        return DesignParams(v, v - k, v - 2 * k + lam)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.v, self.k, self.lam)
@@ -140,20 +135,12 @@ def verify_design(a: IncidenceMatrix, p: DesignParams) -> bool:
     return bool((m.sum(axis=0) == p.k).all() and (m.sum(axis=1) == p.k).all())
 
 
-def complement(a: IncidenceMatrix) -> IncidenceMatrix:
-    params = a.params.complement() if a.params is not None else None
-    return IncidenceMatrix(1 - a.bits, params)
-
-
 def development(d: DifferenceSet) -> IncidenceMatrix:
     """Incidence matrix of dev D: entry (i, j) = [g_i in g_j D]."""
     g = d.group
-    v = g.order
-    bits = np.zeros((v, v), dtype=np.uint8)
-    for j in range(v):
-        row = g.table[j]
-        for x in d.elements:
-            bits[row[x], j] = 1
+    bits = np.zeros((g.order, g.order), dtype=np.uint8)
+    # column j holds the points g_j x, x in D
+    bits[g.table[:, list(d.elements)], np.arange(g.order)[:, None]] = 1
     return IncidenceMatrix(bits, DesignParams(*d.params))
 
 
@@ -220,7 +207,7 @@ def mann_product(d_prev, d_base):
     g_prev, g_base = d_prev.group, d_base.group
     if g_base.order != 4 or d_base.k != 1:
         raise InvalidInputError("base set must be a (4,1,0) singleton in the Klein group")
-    if any(g_base.element_order(x) > 2 for x in range(4)):
+    if (g_base.element_orders > 2).any():
         raise InvalidInputError("base group must be the Klein four-group")
     product = make_direct_product(g_prev, g_base)
     prev = set(d_prev.elements)

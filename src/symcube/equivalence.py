@@ -442,9 +442,8 @@ def _translation_autotopies(g: FiniteGroup, n: int, start: int) -> list[Paratopy
     ident = id_perm(v)
     out: list[ParatopyElement] = []
     for a in g.generating_sequence():
-        ia = g.inv(a)
-        right_mult_inv = tuple(g.table[x][ia] for x in range(v))  # i -> index of g_i a^{-1}
-        left_mult = tuple(g.table[a])  # i -> index of a g_i
+        right_mult_inv = tuple(g.table[:, g.inverses[a]].tolist())  # i -> index of g_i a^{-1}
+        left_mult = tuple(g.table[a].tolist())  # i -> index of a g_i
         for pos in range(start, n - 1):
             perms = [ident] * n
             perms[pos] = right_mult_inv
@@ -461,8 +460,8 @@ def _difference_cube_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> lis
     # when phi(D) = aD and psi(D) = bD), so generators of Mult(D) suffice
     translate = {m.images: m.translate for m in _multipliers(d)}
     for phi in automorphism_generators(g, list(translate)):
-        ia = g.inv(translate[phi])
-        first = tuple(g.table[ia][phi[i]] for i in range(g.order))  # i -> a^{-1} phi(g_i)
+        ia = g.inverses[translate[phi]]
+        first = tuple(g.table[ia][list(phi)].tolist())  # i -> a^{-1} phi(g_i)
         perms = (first,) + tuple(phi for _ in range(n - 1))
         out.append(ParatopyElement(perms, id_perm(n)))
     return out

@@ -17,7 +17,13 @@ import numpy as np
 from .cubes import MAX_CELLS, Cube
 from .designs import DesignParams, IncidenceMatrix
 from .errors import InvalidInputError
-from .groups import DifferenceSet, FiniteGroup, _check_group_order, make_from_permutation_generators
+from .groups import (
+    DifferenceSet,
+    FiniteGroup,
+    _check_group_order,
+    _permutation_closure,
+    make_from_permutation_generators,
+)
 from .perms import format_cycles, parse_cycles
 from .search import OrbitCubeInput
 
@@ -124,18 +130,20 @@ def load_group(path: str | Path) -> FiniteGroup:
 
 def save_group(g: FiniteGroup, path: str | Path, as_table: bool = True) -> None:
     name = g.name or f"G{g.order}"
-    lines = [f"group {name} order {g.order}"]
-    if g.labels is not None:
-        lines.append("labels " + ",".join(g.labels))
+    labels = g.labels
     if as_table:
-        lines.append("table")
-        for row in g.table:
-            lines.append(" ".join(str(x) for x in row))
+        body = ["table"] + [" ".join(map(str, row)) for row in g.table.tolist()]
     else:
-        lines.append(f"permgens {g.order}")
-        for a in g.generating_sequence():
-            lines.append(format_cycles(g.table[a]))
-    Path(path).write_text("\n".join(lines) + "\n")
+        gens = [tuple(g.table[a].tolist()) for a in g.generating_sequence()]
+        body = [f"permgens {g.order}"] + [format_cycles(p) for p in gens]
+        if labels is not None:
+            # a load numbers the elements as the closure of these left
+            # translations lists them, and the translation by g_w sends 0 to w
+            labels = [labels[p[0]] for p in _permutation_closure(gens, g.order)]
+    lines = [f"group {name} order {g.order}"]
+    if labels is not None:
+        lines.append("labels " + ",".join(labels))
+    Path(path).write_text("\n".join(lines + body) + "\n")
 
 
 @_input_errors

@@ -1,13 +1,16 @@
 """Finite groups as Cayley tables, their automorphisms, and difference sets.
 
-Elements are indices ``0..v-1`` with 0 always the identity.  Tables are
-immutable tuples; ``table[i][j]`` is the index of the product of elements
-``i`` and ``j``.  A map between groups is its image row: ``phi[i]`` is the
-image of element ``i``.  Aut(G) is one read-only |Aut| x v array per group
-table, enumerated once per process and cached (``automorphism_group``); its
-generators, the multipliers of a difference set and the orbit moves of the
-difference-set classes are all derived from that array.  The generators of
-Aut(G) are chosen once per group table too, and cached next to the array.
+Elements are indices ``0..v-1`` with 0 always the identity.  A group is
+its Cayley table, one read-only v x v int64 array: ``table[i, j]`` is the
+index of the product of elements ``i`` and ``j``.  Beside it lie the
+read-only rows ``inverses`` and ``element_orders``; every other module
+reads these arrays and builds none of its own.  A map between groups is
+its image row: ``phi[i]`` is the image of element ``i``.  Aut(G) is one
+read-only |Aut| x v array per group table, enumerated once per process and
+cached (``automorphism_group``); its generators, the multipliers of a
+difference set and the orbit moves of the difference-set classes are all
+derived from that array.  The generators of Aut(G) are chosen once per
+group table too, and cached next to the array.
 
 Aut(G), isomorphisms and difference sets come from level-wise searches over
 numpy batches of partial solutions (tuples of generator images, sorted
@@ -52,109 +55,87 @@ __all__ = [
 class FiniteGroup:
     """A group of order v given by its full multiplication table.
 
-    The constructor validates the four Cayley-table axioms (identity,
-    Latin-square rows/columns, associativity, inverses) unless
-    ``validate=False`` is passed by a caller that has already proved them.
+    ``table`` is a read-only v x v int64 array, ``table[i, j]`` the index of
+    the product of elements i and j, and ``inverses`` the read-only int64
+    row of the inverse of each element; the read-only ``element_orders``
+    holds the order of each element.  Equal tables give equal, equally
+    hashed groups, so the caches of Aut(G) are keyed by the table.
+
+    The constructor validates the Cayley-table axioms (identity, Latin-square
+    rows and columns, associativity) unless ``validate=False`` is passed by
+    a caller that has already proved them.
     """
 
-    __slots__ = ("order", "table", "identity", "labels", "name", "_inv", "_elt_orders")
+    __slots__ = ("order", "table", "inverses", "element_orders", "labels", "name")
 
     def __init__(
         self,
-        table: Sequence[Sequence[int]],
+        table: Sequence[Sequence[int]] | np.ndarray,
         labels: Sequence[str] | None = None,
         name: str | None = None,
         validate: bool = True,
     ):
         self.order = len(table)
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
-        self.identity = 0
         self.labels = tuple(labels) if labels is not None else None
         self.name = name
-        self._inv: tuple[int, ...] | None = None
-        self._elt_orders: tuple[int, ...] | None = None
         if validate:
-            self._validate()
+            table = self._validate(table)
+        t = self.table = _read_only(np.array(table, np.int64))
+        self.inverses = _read_only((t == 0).argmax(axis=1))
+        # the powers x^n of every x at once, until each has reached 0
+        orders = np.zeros(self.order, np.int64)
+        power, n = np.arange(self.order), 1
+        while not orders.all() and n <= self.order:
+            orders[(power == 0) & (orders == 0)] = n
+            power, n = t[power, np.arange(self.order)], n + 1
+        self.element_orders = _read_only(orders)
 
-    def _validate(self) -> None:
+    def _validate(self, table) -> np.ndarray:
+        """The table as an integer array, or InvalidInputError naming the
+        first axiom it violates."""
         v = self.order
         if v == 0:
             raise InvalidInputError("invalid-order: group must have at least one element")
-        t = self.table
-        full = set(range(v))
+        try:
+            t = np.array(table)
+        except ValueError:  # ragged rows
+            raise InvalidInputError("table is not square") from None
+        if t.shape != (v, v) or t.dtype.kind not in "iu":
+            raise InvalidInputError("table is not square")
+        full = np.arange(v)
+        if not ((t[0] == full).all() and (t[:, 0] == full).all()):
+            raise InvalidInputError("element 0 is not a two-sided identity")
+        rows = (np.sort(t, axis=1) != full).any(axis=1)
+        if rows.any():
+            raise InvalidInputError(f"row {np.argmax(rows)} is not a permutation")
+        cols = (np.sort(t, axis=0) != full[:, None]).any(axis=0)
+        if cols.any():
+            raise InvalidInputError(f"column {np.argmax(cols)} is not a permutation")
         for i in range(v):
-            if len(t[i]) != v:
-                raise InvalidInputError("table is not square")
-            if t[0][i] != i or t[i][0] != i:
-                raise InvalidInputError("element 0 is not a two-sided identity")
-            if set(t[i]) != full:
-                raise InvalidInputError(f"row {i} is not a permutation")
-        for j in range(v):
-            if {t[i][j] for i in range(v)} != full:
-                raise InvalidInputError(f"column {j} is not a permutation")
-        for i in range(v):
-            row_i = t[i]
-            for j in range(v):
-                row_ij = t[row_i[j]]
-                row_j = t[j]
-                for k in range(v):
-                    if row_ij[k] != row_i[row_j[k]]:
-                        raise InvalidInputError(
-                            f"associativity fails at ({i},{j},{k})"
-                        )
-        if any(t[self.inv(i)][i] != 0 for i in range(v)):  # pragma: no cover
-            raise InvalidInputError("missing inverse")
+            # entry (j, k) of t[t[i]] is (ij)k, of t[i][t] is i(jk)
+            bad = t[t[i]] != t[i][t]
+            if bad.any():
+                j, k = np.argwhere(bad)[0]
+                raise InvalidInputError(f"associativity fails at ({i},{j},{k})")
         if self.labels is not None and len(self.labels) != v:
             raise InvalidInputError("label count must equal group order")
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def inv(self, a: int) -> int:
-        if self._inv is None:
-            # inverse of i is the j with i*j = identity
-            self._inv = tuple(self.table[i].index(0) for i in range(self.order))
-        return self._inv[a]
-
-    def element_order(self, a: int) -> int:
-        if self._elt_orders is None:
-            orders = []
-            for x in range(self.order):
-                n, y = 1, x
-                while y != 0:
-                    y = self.table[y][x]
-                    n += 1
-                orders.append(n)
-            self._elt_orders = tuple(orders)
-        return self._elt_orders[a]
+        return t
 
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(
-            t[i][j] == t[j][i] for i in range(self.order) for j in range(i + 1, self.order)
-        )
-
-    def closure(self, elements: Iterable[int]) -> set[int]:
-        seen = {0}
-        queue = [0]
-        gens = list(elements)
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = self.table[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
+        return bool((self.table == self.table.T).all())
 
     def generating_sequence(self) -> list[int]:
         """Greedy minimal generating sequence: repeatedly adjoin the
-        lowest-index element outside the current closure."""
+        lowest-index element outside the subgroup generated so far."""
         gens: list[int] = []
-        closed = {0}
-        while len(closed) < self.order:
-            g = min(x for x in range(self.order) if x not in closed)
-            gens.append(g)
-            closed = self.closure(gens)
+        closed = np.zeros(self.order, bool)
+        closed[0] = True
+        while not closed.all():
+            gens.append(int(np.argmin(closed)))
+            size = 0
+            while size != closed.sum():  # close under right multiplication
+                size = closed.sum()
+                closed[self.table[closed][:, gens]] = True
         return gens
 
     def __repr__(self) -> str:
@@ -162,10 +143,15 @@ class FiniteGroup:
         return f"FiniteGroup({name}, order={self.order})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteGroup) and self.table == other.table
+        return isinstance(other, FiniteGroup) and self.table.tobytes() == other.table.tobytes()
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        return hash(self.table.tobytes())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -210,8 +196,8 @@ class Multiplier:
 
 # -- constructors --------------------------------------------------------------
 
-# the largest order the constructors build: a Cayley table holds v^2 Python
-# ints, tens of megabytes at v = 1000 and gigabytes at v = 10^4
+# the largest order the constructors build: a Cayley table holds v^2 int64
+# entries, 8 MB at v = 1024 and 800 MB at v = 10^4
 MAX_GROUP_ORDER = 1024
 
 
@@ -227,8 +213,8 @@ def make_cyclic(v: int) -> FiniteGroup:
     if v < 1:
         raise InvalidInputError("invalid-order: v must be positive")
     _check_group_order(v)
-    table = [[(i + j) % v for j in range(v)] for i in range(v)]
-    return FiniteGroup(table, name=f"Z{v}", validate=False)
+    a = np.arange(v)
+    return FiniteGroup((a[:, None] + a) % v, name=f"Z{v}", validate=False)
 
 
 def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -236,11 +222,8 @@ def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     vh = h.order
     order = g.order * vh
     _check_group_order(order)
-    table = [
-        [g.table[a1][b1] * vh + h.table[a2][b2] for b1 in range(g.order) for b2 in range(vh)]
-        for a1 in range(g.order)
-        for a2 in range(vh)
-    ]
+    # entry (a1, a2, b1, b2): the index of (g_a1 g_b1, h_a2 h_b2)
+    table = (g.table[:, None, :, None] * vh + h.table[None, :, None, :]).reshape(order, order)
     name = f"({g.name})x({h.name})" if g.name and h.name else None
     labels = None
     if g.labels is not None and h.labels is not None:
@@ -262,14 +245,10 @@ def make_metacyclic(m: int, c: int, r: int) -> FiniteGroup:
     if gcd(r, c) != 1:
         raise InvalidInputError("invalid-action: r must be invertible mod c")
 
-    def idx(i: int, j: int) -> int:
-        return (i % m) * c + (j % c)
-
-    table = [
-        [idx(i + k, j * pow(r, k, c) + l) for k in range(m) for l in range(c)]
-        for i in range(m)
-        for j in range(c)
-    ]
+    # entry (i, j, k, l): the index of a^(i+k) b^(j r^k + l)
+    i, j, k, l = np.ix_(range(m), range(c), range(m), range(c))
+    r_k = np.array([pow(r, e, c) for e in range(m)], np.int64)[k]
+    table = (((i + k) % m) * c + (j * r_k + l) % c).reshape(m * c, m * c)
     labels = [_power_word(i, j) for i in range(m) for j in range(c)]
     return FiniteGroup(table, labels=labels, name=f"Z{c}:Z{m}(r={r})", validate=False)
 
@@ -291,7 +270,8 @@ def make_from_permutation_generators(
     gens: Sequence[Perm], name: str | None = None
 ) -> FiniteGroup:
     """Close permutation generators under composition and return the left
-    regular representation of the generated group as a Cayley table;
+    regular representation of the generated group as a Cayley table, its
+    elements numbered as ``_permutation_closure`` lists them;
     ResourceLimitError once the closure exceeds MAX_GROUP_ORDER elements."""
     if not gens:
         return make_cyclic(1)
@@ -299,25 +279,26 @@ def make_from_permutation_generators(
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidInputError("generators must be bijections on a common set")
-    ident = id_perm(degree)
-    elements: dict[Perm, int] = {ident: 0}
-    order_list: list[Perm] = [ident]
-    queue = [ident]
-    while queue:
-        p = queue.pop(0)
+    elements = _permutation_closure(gens, degree)
+    index = {p: i for i, p in enumerate(elements)}
+    table = [[index[tuple(p[x] for x in q)] for q in elements] for p in elements]
+    return FiniteGroup(table, name=name, validate=False)
+
+
+def _permutation_closure(gens: Sequence[Perm], degree: int) -> list[Perm]:
+    """The elements of the group generated by the permutations ``gens`` of
+    range(degree), in the order of a BFS from the identity along p -> g p;
+    ResourceLimitError once there are more than MAX_GROUP_ORDER."""
+    elements = [id_perm(degree)]
+    seen = set(elements)
+    for p in elements:  # the list grows behind the loop: a FIFO queue
         for g in gens:
             q = tuple(g[x] for x in p)
-            if q not in elements:
+            if q not in seen:
                 _check_group_order(len(elements) + 1)
-                elements[q] = len(order_list)
-                order_list.append(q)
-                queue.append(q)
-    n = len(order_list)
-    table = [[0] * n for _ in range(n)]
-    for i, p in enumerate(order_list):
-        for j, q in enumerate(order_list):
-            table[i][j] = elements[tuple(p[x] for x in q)]
-    return FiniteGroup(table, name=name, validate=False)
+                seen.add(q)
+                elements.append(q)
+    return elements
 
 
 # -- isomorphisms ----------------------------------------------------------------
@@ -352,15 +333,14 @@ def _isomorphism_search(
     none = np.zeros((0, v), dtype)
     if v != target.order:
         return none
-    src_orders = [source.element_order(x) for x in range(v)]
-    tgt_orders = np.array([target.element_order(x) for x in range(v)])
-    if sorted(src_orders) != sorted(tgt_orders.tolist()):
+    src_orders, tgt_orders = source.element_orders, target.element_orders
+    if not np.array_equal(np.sort(src_orders), np.sort(tgt_orders)):
         return none
     # the target table flattened and scaled: a map holds v * (image of x)
     # per row, so the image of x*g is one gather, scaled[map + image of g],
     # at an index below v^2
     wide = np.min_scalar_type(v * v - 1)
-    scaled = (np.array(target.table, wide) * v).ravel()
+    scaled = (target.table.astype(wide) * v).ravel()
     gens = source.generating_sequence()
     if not gens:
         return np.zeros((1, v), dtype)  # the trivial group
@@ -379,7 +359,7 @@ def _isomorphism_search(
         found[0] = True
         for x in members:  # BFS over <gens[:level]>
             for j, g in enumerate(gens[:level]):
-                y = source.table[x][g]
+                y = source.table[x, g]
                 image = scaled[maps[x] + images[j]]
                 if found[y]:
                     ok &= maps[y] == image  # a non-tree edge
@@ -423,8 +403,7 @@ def automorphism_group(g: FiniteGroup) -> np.ndarray:
     auts = _AUT_CACHE.get(g)
     if auts is None:
         auts = _isomorphism_search(g, g, find_all=True).astype(np.int32)
-        auts.flags.writeable = False
-        _AUT_CACHE[g] = auts
+        auts = _AUT_CACHE[g] = _read_only(auts)
     return auts
 
 
@@ -496,8 +475,8 @@ def _difference_set_rows(g: FiniteGroup, rows: np.ndarray, lam: int) -> np.ndarr
     rows = rows.astype(np.intp)
     ordered = np.sort(rows, axis=1)
     ok = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    table = np.array(g.table, np.intp).ravel()
-    inv = np.array([g.inv(x) for x in range(v)], np.intp)[rows]
+    table = g.table.ravel()
+    inv = g.inverses[rows]
     offsets = np.arange(m)[:, None, None] * v
 
     def exact(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -543,8 +522,7 @@ def enumerate_difference_sets(
     if lam * (v - 1) != k * (k - 1):
         return []
     dtype = np.min_scalar_type(v)
-    table = np.array(g.table, dtype)
-    inv = np.array([g.inv(x) for x in range(v)], dtype)
+    table, inv = g.table, g.inverses
     # a count is at most k: each element of a set is the right end of at
     # most one difference equal to a given d
     batches = [(np.zeros((1, 0), dtype), np.zeros((1, v), np.min_scalar_type(k)))]
@@ -617,7 +595,7 @@ def difference_sets_up_to_equivalence(
         return []
     sets = sorted(all_sets, key=lambda ds: ds.elements)
     moves = automorphism_generators(g)
-    moves += [g.table[a] for a in g.generating_sequence()]  # left translations
+    moves += [tuple(g.table[a].tolist()) for a in g.generating_sequence()]  # left translations
     minima = orbit_minima([ds.elements for ds in sets], moves)
     if minima is None:
         raise ConstructionBugError("difference-set orbit left the enumerated set")
@@ -631,7 +609,7 @@ def multipliers(d: DifferenceSet) -> list[Multiplier]:
     auts = automorphism_group(d.group)
     elements = list(d.elements)
     images = void_rows(np.sort(auts[:, elements], axis=1))
-    translates = void_rows(np.sort(np.asarray(d.group.table)[:, elements], axis=1))
+    translates = void_rows(np.sort(d.group.table[:, elements], axis=1))
     order = np.argsort(translates, kind="stable")
     translates = translates[order]
     pos = np.maximum(np.searchsorted(translates, images, side="right") - 1, 0)

@@ -239,9 +239,9 @@ def _design_moves(g: FiniteGroup) -> list[Perm]:
     """
     maps = automorphism_generators(g)
     for a in g.generating_sequence():
-        maps.append(tuple(g.table[a]))  # left translation
-        maps.append(tuple(g.table[x][a] for x in range(g.order)))  # right translation
-    maps.append(tuple(g.inv(x) for x in range(g.order)))
+        maps.append(tuple(g.table[a].tolist()))  # left translation
+        maps.append(tuple(g.table[:, a].tolist()))  # right translation
+    maps.append(tuple(g.inverses.tolist()))
     return maps
 
 
@@ -488,13 +488,12 @@ def _stabiliser_seeds(
     block set: h = R_c psi, or h = R_c psi inv when it involves the
     inversion (see the module docstring)."""
     v = g.order
-    table = np.array(g.table)
-    inv = np.array([g.inv(x) for x in range(v)])
+    table, inv = g.table, g.inverses
     block_of = {frozenset(b): i for i, b in enumerate(blocks)}
     seeds = []
     for h in stabiliser:
         h = np.array(h)
-        c = h[g.identity]
+        c = h[0]
         psi = table[h, inv[c]]  # x -> h(x) c^-1
         inverted = not (psi[table] == table[psi[:, None], psi]).all()
         if inverted:

@@ -129,8 +129,7 @@ class TestConstructions:
         # blocks g_i^{-1} D, indexed by i
         blocks = []
         for i in range(7):
-            inv = z7.inv(i)
-            blocks.append(frozenset(z7.table[inv][x] for x in d.elements))
+            blocks.append(frozenset(z7.table[z7.inverses[i]][list(d.elements)].tolist()))
         gc = group_cube(z7, blocks, 3)
         dc = difference_cube(z7, d, 3)
         assert gc == dc

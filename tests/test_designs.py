@@ -11,7 +11,6 @@ from symcube.designs import (
     DesignParams,
     IncidenceMatrix,
     block_quadruple,
-    complement,
     design_class,
     development,
     mann_product,
@@ -35,10 +34,6 @@ def test_params_validation():
         DesignParams(7, 3, 2)
     with pytest.raises(InvalidInputError):
         DesignParams(4, 5, 1)
-
-
-def test_params_complement():
-    assert DesignParams(16, 6, 2).complement() == DesignParams(16, 10, 6)
 
 
 def test_verify_fano(fano):
@@ -67,18 +62,8 @@ def test_dual_preserves_design(fano):
     assert verify_design(IncidenceMatrix(fano.bits.T.copy()), DesignParams(7, 3, 1))
 
 
-def test_complement(fano):
-    comp = complement(fano)
-    assert comp.params == DesignParams(7, 4, 2)
-    assert verify_design(comp, comp.params)
-    assert complement(comp) == fano
-    zero = IncidenceMatrix(np.zeros((4, 4), dtype=np.uint8), DesignParams(4, 0, 0))
-    assert (complement(zero).bits == 1).all()
-
-
 def test_menon_complement_pair():
     assert menon_params(2) == DesignParams(16, 6, 2)
-    assert menon_params(2).complement() == DesignParams(16, 10, 6)
 
 
 def test_switch_twice_is_identity():

@@ -2,11 +2,12 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symcube import fileio
-from symcube.cli import main
+from symcube.cli import main, resolve_group
 from symcube.catalog import switched_16_designs
 from symcube.cubes import Cube, ParatopyElement, apply_paratopy, difference_cube
 from symcube.datafiles import data_dir
@@ -231,11 +232,49 @@ def test_declared_degree_allocates_nothing(tmp_path, kind, content, message):
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize("spec", ["metacyclic:3,7,2", "z9z3", "metacyclic:2,8,3", "metacyclic:4,4,3"])
+def test_permgens_file_keeps_each_label_on_its_element(tmp_path, capsys, spec):
+    """A load numbers the elements of a permgens file in its own order; the
+    map that keeps each label must still be an isomorphism."""
+    path = tmp_path / "g.group"
+    assert main(["group", "make", spec, "--permgens", "--out", str(path)]) == 0
+    g, h = resolve_group(spec), fileio.load_group(path)
+    phi = np.array([h.labels.index(label) for label in g.labels])
+    assert sorted(phi.tolist()) == list(range(g.order))
+    assert (h.table[phi[:, None], phi[None, :]] == phi[g.table]).all()
+
+
+NOT_A_CUBE = "cube n=3 v=2 k=1 lambda=0\n11\n00\n\n01\n10\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["equiv", "paratopic", "{0}", "{0}"],
+        ["equiv", "isotopic", "{0}", "{0}"],
+        ["equiv", "autotopy", "{0}"],
+        ["equiv", "autoparatopy", "{0}"],
+        ["cube", "invariant", "{0}"],
+    ],
+    ids=lambda c: " ".join(c[:2]),
+)
+def test_cube_commands_reject_a_file_whose_slices_are_not_designs(tmp_path, capsys, command):
+    path = tmp_path / "bad.cube"
+    path.write_text(NOT_A_CUBE)
+    assert main([word.format(path) for word in command]) == 2
+    captured = capsys.readouterr()
+    assert "error: a slice violates the design equation" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    # verification alone still loads the file and reports it invalid
+    assert main(["cube", "verify", str(path)]) == 1
+    assert capsys.readouterr().out == "invalid\n"
+
+
 def test_trailing_fixed_points_do_not_change_the_group(tmp_path):
     small, large = tmp_path / "small.group", tmp_path / "large.group"
     small.write_text("group G order 6\npermgens 3\n(1,2,3)\n(1,2)\n")
     large.write_text("group G order 6\npermgens 9\n(1,2,3)\n(1,2)\n()\n")
-    assert fileio.load_group(small).table == fileio.load_group(large).table
+    assert fileio.load_group(small) == fileio.load_group(large)
 
 
 # a header of one of the formats with small or malformed fields, then lines

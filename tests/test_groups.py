@@ -7,7 +7,7 @@ import pytest
 
 from symcube import groups
 from symcube.cli import main
-from symcube.datafiles import frobenius_21, load_group_16
+from symcube.datafiles import frobenius_21, load_group_16, nonabelian_27
 from symcube.designs import DesignParams, development, verify_design
 from symcube.errors import ConstructionBugError, InvalidInputError, ResourceLimitError
 from symcube.groups import (
@@ -39,8 +39,9 @@ def z2_4():
 def is_isomorphism(source, target, images):
     """Whether the image row is a bijective homomorphism source -> target."""
     v = source.order
+    s, t = source.table.tolist(), target.table.tolist()
     return sorted(images) == list(range(target.order)) and all(
-        images[source.table[i][j]] == target.table[images[i]][images[j]]
+        images[s[i][j]] == t[images[i]][images[j]]
         for i in range(v)
         for j in range(v)
     )
@@ -49,7 +50,7 @@ def is_isomorphism(source, target, images):
 class TestConstructors:
     def test_trivial_group(self):
         g = make_cyclic(1)
-        assert g.table == ((0,),)
+        assert g.table.tolist() == [[0]]
 
     def test_cyclic_arithmetic(self):
         z7 = make_cyclic(7)
@@ -57,7 +58,7 @@ class TestConstructors:
 
     def test_cyclic_generator_order(self):
         z21 = make_cyclic(21)
-        assert z21.element_order(1) == 21
+        assert z21.element_orders[1] == 21
 
     def test_invalid_order(self):
         with pytest.raises(InvalidInputError):
@@ -65,7 +66,7 @@ class TestConstructors:
 
     def test_klein_group_exponent(self):
         k4 = klein()
-        assert all(k4.element_order(x) <= 2 for x in range(1, 4))
+        assert (k4.element_orders <= 2).all()
 
     def test_z2_4_order_and_xor(self):
         g = z2_4()
@@ -92,7 +93,7 @@ class TestConstructors:
     def test_metacyclic_27(self):
         g = make_metacyclic(3, 9, 4)
         assert g.order == 27 and not g.is_abelian()
-        assert max(g.element_order(x) for x in range(27)) == 9
+        assert g.element_orders.max() == 9
 
     def test_metacyclic_invalid_action(self):
         with pytest.raises(InvalidInputError):
@@ -131,7 +132,7 @@ class TestValidation:
         rng = random.Random(3)
         rejected = 0
         for _ in range(40):
-            table = [list(row) for row in z5.table]
+            table = z5.table.tolist()
             i, j = rng.randrange(5), rng.randrange(5)
             delta = rng.randrange(1, 5)
             table[i][j] = (table[i][j] + delta) % 5
@@ -152,6 +153,74 @@ class TestValidation:
         ]
         with pytest.raises(InvalidInputError):
             FiniteGroup(table)
+
+
+ARRAY_GROUPS = [
+    pytest.param(lambda gid=gid: load_group_16(gid), id=f"id16:{gid}") for gid in range(1, 15)
+] + [
+    pytest.param(frobenius_21, id="F21"),
+    pytest.param(nonabelian_27, id="Z9:Z3"),
+]
+
+
+class TestArrays:
+    @pytest.mark.parametrize("make_group", ARRAY_GROUPS)
+    def test_inverses_and_orders_match_brute_force(self, make_group):
+        g = make_group()
+        t = g.table.tolist()
+        inverses = [next(y for y in range(g.order) if t[x][y] == 0) for x in range(g.order)]
+        orders = []
+        for x in range(g.order):
+            n, y = 1, x
+            while y != 0:
+                n, y = n + 1, t[y][x]
+            orders.append(n)
+        assert g.inverses.tolist() == inverses and g.element_orders.tolist() == orders
+
+    def test_arrays_are_read_only_int64(self):
+        g = frobenius_21()
+        for name in ("table", "inverses", "element_orders"):
+            a = getattr(g, name)
+            assert a.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+    @pytest.mark.parametrize(
+        "make_group", [frobenius_21, nonabelian_27, lambda: load_group_16(9), klein]
+    )
+    def test_unvalidated_table_gives_an_equal_group(self, make_group):
+        g = make_group()
+        for table in (g.table, g.table.tolist()):
+            h = FiniteGroup(table, validate=False)
+            assert h == g and hash(h) == hash(g) and h == FiniteGroup(table)
+        assert g != make_cyclic(g.order)
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ([], "invalid-order"),
+            ([[0, 1], [1]], "table is not square"),
+            ([[0, 1], [1, 0], [0, 1]], "table is not square"),
+            ([[0, 1], [1, 0.5]], "table is not square"),
+            ([[0.0, 1.0], [1.0, 0.0]], "table is not square"),
+            ([["0", "1"], ["1", "0"]], "table is not square"),
+            ([[1, 0], [0, 1]], "element 0 is not a two-sided identity"),
+            ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
+            ([[0, 1], [1, 2]], "row 1 is not a permutation"),
+            ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 is not a permutation"),
+            (
+                [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+                r"associativity fails at \(1,1,2\)",
+            ),
+        ],
+    )
+    def test_each_axiom_has_its_own_message(self, table, message):
+        with pytest.raises(InvalidInputError, match=message):
+            FiniteGroup(table)
+
+    def test_label_count_is_checked(self):
+        with pytest.raises(InvalidInputError, match="label count"):
+            FiniteGroup([[0, 1], [1, 0]], labels=["1"])
 
 
 class TestAutomorphisms:
@@ -242,9 +311,10 @@ class TestDifferenceSets:
         all_sets = enumerate_difference_sets(g, 6, 2)
         auts = automorphism_group(g)
         reps = set()
+        t = g.table.tolist()
         for d in all_sets:
             orbit = {
-                tuple(sorted(g.table[a][phi[x]] for x in d.elements))
+                tuple(sorted(t[a][phi[x]] for x in d.elements))
                 for phi in auts
                 for a in range(g.order)
             }
@@ -358,11 +428,12 @@ def dfs_extend_homomorphism(source, target, gens, gen_images, require_full=False
             return None
     queue = [0] + list(gens)
     seen = {0} | set(gens)
+    s, t = source.table.tolist(), target.table.tolist()
     while queue:
         x = queue.pop()
         for g, ig in zip(gens, gen_images):
-            y = source.table[x][g]
-            iy = target.table[img[x]][ig]
+            y = s[x][g]
+            iy = t[img[x]][ig]
             if img[y] == -1:
                 if used[iy]:
                     return None
@@ -381,8 +452,8 @@ def dfs_extend_homomorphism(source, target, gens, gen_images, require_full=False
 def dfs_isomorphism_search(source, target, find_all):
     if source.order != target.order:
         return []
-    src_orders = [source.element_order(x) for x in range(source.order)]
-    tgt_orders = [target.element_order(x) for x in range(target.order)]
+    src_orders = source.element_orders.tolist()
+    tgt_orders = target.element_orders.tolist()
     if sorted(src_orders) != sorted(tgt_orders):
         return []
     gens = source.generating_sequence()
@@ -417,7 +488,7 @@ def dfs_difference_sets(g, k, lam, max_nodes=50_000_000):
     v = g.order
     if lam * (v - 1) != k * (k - 1):
         return []
-    inv = [g.inv(x) for x in range(v)]
+    table, inv = g.table.tolist(), g.inverses.tolist()
     counts = [0] * v
     chosen = []
     out = []
@@ -426,8 +497,8 @@ def dfs_difference_sets(g, k, lam, max_nodes=50_000_000):
     def add_diffs(x, sign):
         ok = True
         for y in chosen:
-            a = g.table[inv[y]][x]
-            b = g.table[inv[x]][y]
+            a = table[inv[y]][x]
+            b = table[inv[x]][y]
             counts[a] += sign
             counts[b] += sign
             if counts[a] > lam or counts[b] > lam:
@@ -460,8 +531,8 @@ def relabelled(g, seed):
     inv = [0] * g.order
     for i, p in enumerate(perm):
         inv[p] = i
-    n = g.order
-    return FiniteGroup([[perm[g.table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)])
+    n, t = g.order, g.table.tolist()
+    return FiniteGroup([[perm[t[inv[a]][inv[b]]] for b in range(n)] for a in range(n)])
 
 
 AUT_ORACLE_CASES = [
@@ -514,7 +585,7 @@ def test_find_isomorphism_rejects_groups_with_equal_element_orders():
     z4xz4, z4_z4 = load_group_16(2), load_group_16(4)  # Z4 x Z4 and Z4 x| Z4
 
     def census(g):
-        return sorted(g.element_order(x) for x in range(g.order))
+        return sorted(g.element_orders.tolist())
 
     # equal censuses, so the search itself must tell the groups apart
     assert census(z4xz4) == census(z4_z4)
@@ -606,7 +677,7 @@ def loop_is_difference_set(g, subset, lam):
         return False
     counts = [0] * g.order
     for d1, d2 in itertools.permutations(subset, 2):
-        counts[g.table[g.inv(d1)][d2]] += 1
+        counts[g.table[g.inverses[d1], d2]] += 1
     return all(c == lam for c in counts[1:])
 
 
@@ -655,7 +726,7 @@ def test_extending_the_generators_changes_no_later_result():
     g = frobenius_21()
     gens = automorphism_generators(g)
     expected = list(gens)
-    gens.append(tuple(g.table[1]))
+    gens.append(tuple(g.table[1].tolist()))
     assert automorphism_generators(g) == expected
 
 

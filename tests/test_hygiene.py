@@ -145,3 +145,29 @@ def test_package_exports_only_public_names():
             exported = _exported_names(source)
             missing += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert not missing, "re-exported but not in __all__: " + ", ".join(missing)
+
+
+def _table_copies(tree: ast.Module) -> list[int]:
+    """Lines that pass a ``.table`` attribute to ``np.array`` or ``np.asarray``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("array", "asarray")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+        and node.args
+        and isinstance(node.args[0], ast.Attribute)
+        and node.args[0].attr == "table"
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "groups.py"], ids=lambda p: p.name
+)
+def test_only_the_group_module_builds_table_arrays(path):
+    """A group's Cayley table is already a read-only array; every module but
+    ``groups`` reads it as it is."""
+    lines = _table_copies(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name} copies a group table into a new array at lines {lines}"

@@ -55,7 +55,7 @@ def test_aut_order_agrees_with_sympy(name):
 def test_aut_rows_are_distinct_automorphisms(name):
     g = GROUPS[name]()
     auts = automorphism_group(g)
-    table = np.asarray(g.table)
+    table = g.table
     assert len(np.unique(auts, axis=0)) == len(auts)
     assert (np.sort(auts, axis=1) == np.arange(g.order)).all()
     for rows in np.array_split(auts, -(-len(auts) // 1024)):

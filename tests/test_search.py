@@ -215,7 +215,7 @@ class TestRootedDesignOrbits:
         reps, count, _ = search._design_orbit_representatives(g, params, cands)
         assert (count, len(reps)) == (n_designs, n_reps)
         maps = search._design_moves(g)
-        assert maps[-1] == tuple(g.inv(x) for x in range(g.order))
+        assert maps[-1] == tuple(row.index(0) for row in g.table.tolist())
         moves = induced_permutations([d.elements for d in cands], maps)
         sols = []
         find_ds_block_designs(g, params, cands, collect=sols.append)
@@ -412,8 +412,7 @@ def brute_force_stabiliser(g, blocks):
     Aut(G), c in G, e = +-1) that map the block set of D onto itself."""
     v = g.order
     auts = groups.automorphism_group(g)
-    table = np.array(g.table)
-    inv = np.array([g.inv(x) for x in range(v)])
+    table, inv = g.table, g.inverses
     bit = 1 << np.arange(v, dtype=np.int64)
     rows = np.array(blocks)
     want = np.sort(bit[rows].sum(axis=1))

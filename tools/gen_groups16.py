@@ -15,6 +15,8 @@ Run from the repository root:  python3 tools/gen_groups16.py
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from symcube.groups import (
@@ -98,7 +100,7 @@ def semidirect_by_involution(base: FiniteGroup, phi) -> FiniteGroup:
         return phi[y] if e else y
 
     table = [
-        [idx(base.table[x][act(e, y)], e ^ d) for d in range(2) for y in range(nb)]
+        [idx(base.table[x, act(e, y)], e ^ d) for d in range(2) for y in range(nb)]
         for e in range(2)
         for x in range(nb)
     ]
@@ -149,10 +151,8 @@ def ds_counts(g: FiniteGroup):
 
 
 def order_census(g: FiniteGroup):
-    census = {}
-    for x in range(g.order):
-        census[g.element_order(x)] = census.get(g.element_order(x), 0) + 1
-    return tuple(sorted(census.items()))
+    orders, counts = np.unique(g.element_orders, return_counts=True)
+    return tuple(zip(orders.tolist(), counts.tolist()))
 
 
 def assign_ids(reps):
@@ -197,7 +197,7 @@ def assign_ids(reps):
 
 
 def regular_generators(g: FiniteGroup):
-    return [g.table[a] for a in g.generating_sequence()]
+    return [g.table[a].tolist() for a in g.generating_sequence()]
 
 
 def main():

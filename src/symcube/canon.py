@@ -459,7 +459,7 @@ def canonicalize(
     struct_ = _Structure(n_points, blocks, point_colors)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     search = _Search(struct_, deadline)
-    if known_automorphisms:
+    if len(known_automorphisms):
         search.seed_automorphisms(known_automorphisms)
     return search.run()
 

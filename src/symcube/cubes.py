@@ -30,7 +30,7 @@ from .catalog import reference_catalog
 from .designs import DesignParams, IncidenceMatrix, design_class, verify_design
 from .errors import ConstructionBugError, InvalidInputError
 from .groups import DifferenceSet, FiniteGroup, _difference_set_rows
-from .perms import Perm, compose as perm_compose, identity as id_perm, inverse as perm_inverse
+from .perms import Perm, inverse as perm_inverse
 
 __all__ = [
     "Cube",
@@ -110,24 +110,10 @@ class ParatopyElement:
         n = len(self.axis_perm)
         if len(self.perms) != n:
             raise InvalidInputError("need one value permutation per axis")
-
-    @classmethod
-    def identity(cls, n: int, v: int) -> "ParatopyElement":
-        return cls(tuple(id_perm(v) for _ in range(n)), id_perm(n))
-
-    def inverse(self) -> "ParatopyElement":
-        gamma_inv = perm_inverse(self.axis_perm)
-        perms = tuple(perm_inverse(self.perms[gamma_inv[t]]) for t in range(len(self.perms)))
-        return ParatopyElement(perms, gamma_inv)
-
-    def compose(self, other: "ParatopyElement") -> "ParatopyElement":
-        """self after other, so apply(c, self.compose(other)) equals
-        apply(apply(c, other), self)."""
-        beta, delta = self.perms, self.axis_perm
-        alpha, gamma = other.perms, other.axis_perm
-        zeta = tuple(gamma[delta[t]] for t in range(len(delta)))
-        eps = tuple(perm_compose(beta[t], alpha[delta[t]]) for t in range(len(delta)))
-        return ParatopyElement(eps, zeta)
+        v = len(self.perms[0]) if n else 0
+        for q, size in [(self.axis_perm, n)] + [(q, v) for q in self.perms]:
+            if sorted(q) != list(range(size)):
+                raise InvalidInputError(f"{q} is not a permutation of range({size})")
 
 
 def _slice_view(bits: np.ndarray, x: int, y: int) -> np.ndarray:

@@ -16,6 +16,10 @@ header (n, v, k, lambda, colored flag).  A certificate is those bytes:
 compare them.  The witness and automorphism reports read the labelling and
 generators of the same result.  For n = 2 the uncolored certificate decides
 isomorphism up to duality, as ``designs.design_class`` does for the design.
+Symmetries travel as transversal point permutations (rows of point images);
+only ``_witness_from_point_map`` decodes one into the ``ParatopyElement``
+that the witness, the reports and ``theoretical_autotopies`` return, each
+verified on the cube.
 
 For a 3-cube the labelling starts from a vertex invariant, not from one
 cell (or one per axis), as nauty does on regular graphs, where refinement
@@ -59,7 +63,7 @@ from .cubes import Cube, ParatopyElement, apply_paratopy, difference_cube, verif
 from .designs import DesignParams
 from .errors import ConstructionBugError, InvalidInputError, NotACubeError
 from .groups import DifferenceSet, FiniteGroup, automorphism_generators, multipliers as _multipliers
-from .perms import identity as id_perm, inverse as perm_inverse, orbit_ids, void_rows
+from .perms import inverse as perm_inverse, orbit_ids, void_rows
 
 __all__ = [
     "TransversalRep",
@@ -309,10 +313,11 @@ def _canonicalize(
     returned by every later unseeded call in the same mode, whatever its
     ``time_budget``.  Seeded calls neither read nor fill it.
     """
-    if not seeds and mode in c._labellings:
+    seeded = len(seeds) > 0
+    if not seeded and mode in c._labellings:
         return c._labellings[mode]
     keys = None
-    if seeds and c._pair_keys is None and c.n == 3 and c.v >= 2:
+    if seeded and c._pair_keys is None and c.n == 3 and c.v >= 2:
         keys = _slice_pair_keys(c.bits, _seed_orbits(seeds, 3 * c.v))
     res = canonicalize(
         c.n * c.v,
@@ -323,7 +328,7 @@ def _canonicalize(
     )
     if keys is not None:
         c._pair_keys = keys  # canon has verified the seeds they were read from
-    if not seeds:
+    if not seeded:
         c._labellings[mode] = res
     return res
 
@@ -367,14 +372,6 @@ def are_isotopic(c1: Cube, c2: Cube) -> bool:
     return cube_certificate(c1, "colored") == cube_certificate(c2, "colored")
 
 
-def paratopy_to_point_perm(w: ParatopyElement, n: int, v: int) -> tuple[int, ...]:
-    """The permutation of the n*v transversal points induced by a paratopy:
-    point (t, x) maps to (gamma^{-1}(t), alpha_{gamma^{-1}(t)}(x))."""
-    gamma_inv = np.asarray(perm_inverse(w.axis_perm))
-    perms = np.asarray(w.perms, dtype=np.int64).reshape(n, v)
-    return tuple((gamma_inv[:, None] * v + perms[gamma_inv]).ravel().tolist())
-
-
 def _witness_from_point_map(n: int, v: int, point_map: np.ndarray) -> ParatopyElement:
     """Translate a class-respecting point bijection into a paratopy."""
     classes, values = np.divmod(np.asarray(point_map).reshape(n, v), v)
@@ -407,14 +404,21 @@ def paratopy_witness(c1: Cube, c2: Cube, mode: str = "uncolored") -> ParatopyEle
     return w
 
 
+def _fixing_paratopies(c: Cube, point_maps, what: str) -> list[ParatopyElement]:
+    """The paratopies of c's transversal point permutations ``point_maps``,
+    each verified to fix c (else ConstructionBugError naming ``what``)."""
+    out = []
+    for point_map in point_maps:
+        w = _witness_from_point_map(c.n, c.v, np.asarray(point_map))
+        if apply_paratopy(c, w) != c:
+            raise ConstructionBugError(f"{what} does not fix the cube")
+        out.append(w)
+    return out
+
+
 def _report(c: Cube, mode: str) -> AutomorphismReport:
     res = _canonicalize(c, mode)
-    gens = []
-    for g in res.aut_point_gens:
-        w = _witness_from_point_map(c.n, c.v, np.asarray(g))
-        if apply_paratopy(c, w) != c:
-            raise ConstructionBugError("automorphism generator does not fix the cube")
-        gens.append(w)
+    gens = _fixing_paratopies(c, res.aut_point_gens, "automorphism generator")
     return AutomorphismReport(tuple(gens), res.aut_order)
 
 
@@ -433,50 +437,42 @@ def autoparatopy_report(c: Cube) -> AutomorphismReport:
 # -- the theoretical autotopy subgroup of difference cubes ---------------------
 
 
-def _translation_autotopies(g: FiniteGroup, n: int, start: int) -> list[ParatopyElement]:
-    """The embedded copies of G on adjacent axes: for each generator a and
-    each axis pos >= start, x -> x a^{-1} on axis pos and x -> a x on axis
-    pos + 1.  They fix every product g_{i_pos} g_{i_(pos+1)}, so with
-    start=0 they fix a difference cube and with start=1 any group cube."""
-    v = g.order
-    ident = id_perm(v)
-    out: list[ParatopyElement] = []
-    for a in g.generating_sequence():
-        right_mult_inv = tuple(g.table[:, g.inverses[a]].tolist())  # i -> index of g_i a^{-1}
-        left_mult = tuple(g.table[a].tolist())  # i -> index of a g_i
-        for pos in range(start, n - 1):
-            perms = [ident] * n
-            perms[pos] = right_mult_inv
-            perms[pos + 1] = left_mult
-            out.append(ParatopyElement(tuple(perms), id_perm(n)))
-    return out
+def _isotopy_rows(alphas: np.ndarray) -> np.ndarray:
+    """Transversal point permutations, row m mapping (t, x) to (t, alphas[m, t, x])."""
+    m, n, v = alphas.shape
+    return (alphas + v * np.arange(n)[:, None]).reshape(m, n * v)
 
 
-def _difference_cube_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[ParatopyElement]:
-    """Generators of G^(n-1) x| Mult(D), unverified."""
-    out = _translation_autotopies(g, n, start=0)
+def _translation_autotopies(g: FiniteGroup, n: int, start: int) -> np.ndarray:
+    """The embedded copies of G on adjacent axes, as transversal point
+    permutations: for each generator a and each axis pos >= start,
+    x -> x a^{-1} on axis pos and x -> a x on axis pos + 1.  They fix every
+    product g_{i_pos} g_{i_(pos+1)}, so with start=0 they fix a difference
+    cube and with start=1 any group cube."""
+    gens = np.asarray(g.generating_sequence(), dtype=np.int64)
+    pos = np.arange(start, n - 1)
+    alphas = np.tile(np.arange(g.order), (len(gens), len(pos), n, 1))
+    alphas[:, pos - start, pos] = g.table[:, g.inverses[gens]].T[:, None]  # i -> g_i a^{-1}
+    alphas[:, pos - start, pos + 1] = g.table[gens][:, None]  # i -> a g_i
+    return _isotopy_rows(alphas.reshape(-1, n, g.order))
 
+
+def _difference_cube_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> np.ndarray:
+    """Generators of G^(n-1) x| Mult(D), unverified, as point-permutation rows."""
     # phi -> w(phi) below respects products (phi psi maps D onto phi(b) a D
     # when phi(D) = aD and psi(D) = bD), so generators of Mult(D) suffice
     translate = {m.images: m.translate for m in _multipliers(d)}
-    for phi in automorphism_generators(g, list(translate)):
-        ia = g.inverses[translate[phi]]
-        first = tuple(g.table[ia][list(phi)].tolist())  # i -> a^{-1} phi(g_i)
-        perms = (first,) + tuple(phi for _ in range(n - 1))
-        out.append(ParatopyElement(perms, id_perm(n)))
-    return out
+    phis = automorphism_generators(g, list(translate))
+    phi = np.asarray(phis, dtype=np.int64).reshape(-1, 1, g.order)
+    ia = g.inverses[[translate[p] for p in phis]]
+    alphas = np.repeat(phi, n, axis=1)
+    alphas[:, 0] = g.table[ia[:, None], phi[:, 0]]  # i -> a^{-1} phi(g_i)
+    return np.concatenate([_translation_autotopies(g, n, start=0), _isotopy_rows(alphas)])
 
 
 def theoretical_autotopies(g: FiniteGroup, d: DifferenceSet, n: int) -> list[ParatopyElement]:
     """Generators of the autotopy subgroup G^(n-1) x| Mult(D) of the
-    difference cube, as explicit paratopies, each verified here to fix the
-    cube.  The seeded difference-cube certificates of ``search`` take the
-    same generators unverified (with the axis permutations when g is
-    abelian); canon's ``seed_automorphisms`` verifies them there and raises
-    ``ConstructionBugError`` for a non-automorphism."""
-    cube = difference_cube(g, d, n)
-    out = _difference_cube_autotopies(g, d, n)
-    for w in out:
-        if apply_paratopy(cube, w) != cube:
-            raise ConstructionBugError("theoretical autotopy does not fix the cube")
-    return out
+    difference cube, decoded from ``_difference_cube_autotopies`` and each
+    verified here to fix the cube; ``search`` seeds canon with those rows."""
+    rows = _difference_cube_autotopies(g, d, n)
+    return _fixing_paratopies(difference_cube(g, d, n), rows, "theoretical autotopy")

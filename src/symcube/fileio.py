@@ -139,7 +139,7 @@ def save_group(g: FiniteGroup, path: str | Path, as_table: bool = True) -> None:
         if labels is not None:
             # a load numbers the elements as the closure of these left
             # translations lists them, and the translation by g_w sends 0 to w
-            labels = [labels[p[0]] for p in _permutation_closure(gens, g.order)]
+            labels = [labels[p[0]] for p in _permutation_closure(gens, g.order)[0]]
     lines = [f"group {name} order {g.order}"]
     if labels is not None:
         lines.append("labels " + ",".join(labels))

@@ -279,26 +279,33 @@ def make_from_permutation_generators(
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidInputError("generators must be bijections on a common set")
-    elements = _permutation_closure(gens, degree)
-    index = {p: i for i, p in enumerate(elements)}
-    table = [[index[tuple(p[x] for x in q)] for q in elements] for p in elements]
+    elements, left, tree = _permutation_closure(gens, degree)
+    table = np.empty((len(elements), len(elements)), dtype=np.int64)
+    table[0] = np.arange(len(elements))
+    for i, (s, p) in enumerate(tree, start=1):
+        table[i] = left[s, table[p]]  # e_i e_j = gens[s] (e_p e_j)
     return FiniteGroup(table, name=name, validate=False)
 
 
-def _permutation_closure(gens: Sequence[Perm], degree: int) -> list[Perm]:
+def _permutation_closure(gens: Sequence[Perm], degree: int) -> tuple[list[Perm], np.ndarray, list]:
     """The elements of the group generated by the permutations ``gens`` of
-    range(degree), in the order of a BFS from the identity along p -> g p;
+    range(degree), in the order of a BFS from the identity along p -> g p,
+    and the BFS's edges: ``left[s, j]`` is the index of gens[s] e_j, and
+    element i > 0 was found as gens[s] e_p for (s, p) = ``tree[i - 1]``;
     ResourceLimitError once there are more than MAX_GROUP_ORDER."""
     elements = [id_perm(degree)]
-    seen = set(elements)
-    for p in elements:  # the list grows behind the loop: a FIFO queue
-        for g in gens:
-            q = tuple(g[x] for x in p)
-            if q not in seen:
+    index = {elements[0]: 0}
+    left, tree = [[] for _ in gens], []
+    for p, e in enumerate(elements):  # the list grows behind the loop: a FIFO queue
+        for s, g in enumerate(gens):
+            q = tuple(g[x] for x in e)
+            if q not in index:
                 _check_group_order(len(elements) + 1)
-                seen.add(q)
+                index[q] = len(elements)
                 elements.append(q)
-    return elements
+                tree.append((s, p))
+            left[s].append(index[q])
+    return elements, np.array(left, dtype=np.int64).reshape(len(gens), -1), tree
 
 
 # -- isomorphisms ----------------------------------------------------------------

@@ -55,20 +55,19 @@ of a fixed number of moves (``_EDGE_CHUNK``), so the temporaries do not
 grow with S_m.
 
 Every cube labelled here is seeded with the automorphisms its construction
-proves (transversal point permutations).  Canon verifies each seed and
-prunes its tree with them, and the slice-pair keys are computed only on
-the points their orbits leave (``equivalence._slice_pair_keys``).  The
-seeds come from three sources:
+proves, each built once as an int64 row of transversal point images.  Canon
+verifies each seed and prunes its tree with them, and the slice-pair keys
+are computed only on the points their orbits leave
+(``equivalence._slice_pair_keys``).  The seeds come from three sources:
 
 * Any group cube over G (``_group_cube_seeds``): the copies of G on axes 2
   and 3 (x -> x a^-1 on axis 2 and y -> a y on axis 3 keep every product
   xy).  When G is abelian, the swap of axes 2 and 3 is one too, since xy =
   yx.
-* A difference cube (``_difference_cube_seeds``): its theoretical
-  autotopies G^2 x| Mult(D).  When G is abelian, every axis permutation is
-  one too, since g_i1 g_i2 g_i3 is then symmetric in the axes.  These are
-  added here, not to ``equivalence._difference_cube_autotopies``, whose
-  isotopies ``theoretical_autotopies`` reports.
+* A difference cube (``_difference_cube_seeds``): the rows of
+  ``equivalence._difference_cube_autotopies`` (G^2 x| Mult(D)), which
+  ``theoretical_autotopies`` decodes.  When G is abelian, the swaps of
+  adjacent axes join them, since g_i1 g_i2 g_i3 is then symmetric in them.
 * The group cube of a design-orbit representative D
   (``_stabiliser_seeds``): one seed per generator h of Stab_M(D), from the
   Schreier walk on D's component in the move graph.  Each design move is
@@ -101,7 +100,6 @@ from .equivalence import (
     _translation_autotopies,
     _verified,
     cube_certificate,
-    paratopy_to_point_perm,
 )
 from .errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
 from .groups import (
@@ -459,59 +457,50 @@ def _design_orbit_representatives(
 # -- seeded certificates -----------------------------------------------------------
 
 
-def _axis_swaps(n: int, v: int, axes: Iterable[int]) -> list[tuple[int, ...]]:
-    """Transversal point permutations of an n-cube of order v, one for
+def _axis_swaps(n: int, v: int, axes: Sequence[int]) -> np.ndarray:
+    """Transversal point permutations of an n-cube of order v, one row for
     each axis a given, that swap axes a and a + 1 and keep the values."""
-    out = []
-    for a in axes:
-        perm = np.arange(n * v)
-        perm[a * v : (a + 2) * v] = np.roll(perm[a * v : (a + 2) * v], v)
-        out.append(tuple(perm.tolist()))
+    out = np.tile(np.arange(n * v), (len(axes), 1))
+    for row, a in zip(out, axes):
+        row[a * v : (a + 2) * v] = np.roll(row[a * v : (a + 2) * v], v)
     return out
 
 
-def _group_cube_seeds(g: FiniteGroup, n: int) -> list[tuple[int, ...]]:
+def _group_cube_seeds(g: FiniteGroup, n: int) -> np.ndarray:
     """Point permutations of the transversal representation fixing any
-    group cube over g: the embedded copies of G on axes 2..n, and when g is
-    abelian the swaps of adjacent axes among them."""
-    seeds = [paratopy_to_point_perm(w, n, g.order) for w in _translation_autotopies(g, n, start=1)]
+    group cube over g, one row each: the embedded copies of G on axes
+    2..n, and when g is abelian the swaps of adjacent axes among them."""
+    seeds = _translation_autotopies(g, n, start=1)
     if g.is_abelian():
-        seeds += _axis_swaps(n, g.order, range(1, n - 1))
+        seeds = np.concatenate([seeds, _axis_swaps(n, g.order, range(1, n - 1))])
     return seeds
 
 
 def _stabiliser_seeds(
-    g: FiniteGroup, blocks: Sequence[tuple[int, ...]], stabiliser: Iterable[Perm]
-) -> list[tuple[int, ...]]:
+    g: FiniteGroup, blocks: Sequence[tuple[int, ...]], stabiliser: Sequence[Perm]
+) -> np.ndarray:
     """Point permutations of the transversal representation fixing the
-    group 3-cube of ``blocks``, one for each design move h that fixes the
-    block set: h = R_c psi, or h = R_c psi inv when it involves the
+    group 3-cube of ``blocks``, one row for each design move h that fixes
+    the block set: h = R_c psi, or h = R_c psi inv when it involves the
     inversion (see the module docstring)."""
     v = g.order
     table, inv = g.table, g.inverses
-    block_of = {frozenset(b): i for i, b in enumerate(blocks)}
-    seeds = []
-    for h in stabiliser:
-        h = np.array(h)
-        c = h[0]
-        psi = table[h, inv[c]]  # x -> h(x) c^-1
-        inverted = not (psi[table] == table[psi[:, None], psi]).all()
-        if inverted:
-            psi = psi[inv]  # x -> h(x^-1) c^-1
-        try:
-            sigma = [block_of[frozenset(h[list(b)].tolist())] for b in blocks]
-        except KeyError:
-            raise ConstructionBugError("a stabiliser generator does not fix its design") from None
-        if inverted:  # (i, x, y) -> (sigma(i), psi(y^-1), psi(x^-1) c)
-            second, third = 2 * v + table[psi[inv], c], v + psi[inv]
-        else:  # (i, x, y) -> (sigma(i), psi(x), psi(y) c)
-            second, third = v + psi, 2 * v + table[psi, c]
-        seeds.append(tuple(np.concatenate([sigma, second, third]).tolist()))
-    return seeds
+    moves = np.asarray(stabiliser, dtype=np.int64).reshape(-1, v)
+    sigma = induced_permutations(blocks, moves)  # h maps B_i onto B_sigma(i)
+    if sigma is None:
+        raise ConstructionBugError("a stabiliser generator does not fix its design")
+    c = moves[:, :1]
+    psi = table[moves, inv[c]]  # x -> h(x) c^-1
+    # (i, x, y) -> (sigma(i), psi(x), psi(y) c), or, when psi is no automorphism
+    # (h involves the inversion), (i, x, y) -> (sigma(i), psi(y), psi(x) c)
+    second, third = v + psi, 2 * v + table[psi, c]
+    inverted = (psi[:, table] != table[psi[:, :, None], psi[:, None]]).any(axis=(1, 2))
+    second[inverted], third[inverted] = third[inverted], second[inverted]
+    return np.concatenate([np.asarray(sigma, dtype=np.int64).reshape(-1, v), second, third], 1)
 
 
 def build_seeded_cube_certificate(
-    c: Cube, seeds: Sequence[tuple[int, ...]] = (), time_budget: float | None = None
+    c: Cube, seeds: np.ndarray | Sequence[Sequence[int]] = (), time_budget: float | None = None
 ) -> bytes:
     """Uncolored cube certificate, seeding the canonicalizer with known
     automorphisms (given as transversal point permutations); raises
@@ -519,14 +508,14 @@ def build_seeded_cube_certificate(
     return _certificate(c, "uncolored", seeds, time_budget)
 
 
-def _difference_cube_seeds(g: FiniteGroup, rep: DifferenceSet) -> list[tuple[int, ...]]:
+def _difference_cube_seeds(g: FiniteGroup, rep: DifferenceSet) -> np.ndarray:
     """Point permutations of the transversal representation fixing the
-    difference 3-cube of rep: its theoretical autotopies, unverified, and
-    when g is abelian the axis permutations (g_i1 g_i2 g_i3 is then
-    symmetric in the axes)."""
-    seeds = [paratopy_to_point_perm(w, 3, g.order) for w in _difference_cube_autotopies(g, rep, 3)]
+    difference 3-cube of rep, one row each: its theoretical autotopies,
+    unverified, and when g is abelian the axis permutations
+    (g_i1 g_i2 g_i3 is then symmetric in the axes)."""
+    seeds = _difference_cube_autotopies(g, rep, 3)
     if g.is_abelian():
-        seeds += _axis_swaps(3, g.order, (0, 1))
+        seeds = np.concatenate([seeds, _axis_swaps(3, g.order, (0, 1))])
     return seeds
 
 
@@ -636,7 +625,7 @@ def classify_group_cubes(
         blocks = [candidates[i] for i in rep]
         cube = group_cube(g, blocks, 3)
         cert = build_seeded_cube_certificate(
-            cube, seeds + _stabiliser_seeds(g, blocks, stabiliser), remaining()
+            cube, np.concatenate([seeds, _stabiliser_seeds(g, blocks, stabiliser)]), remaining()
         )
         if cert in reference:
             diff_certs.add(cert)
@@ -680,6 +669,8 @@ class OrbitCubeInput:
         for p in self.generators:
             if len(p) != n_pts:
                 raise InvalidInputError("generator degree must be 3v")
+            if sorted(p) != list(range(n_pts)):
+                raise InvalidInputError("generators must be permutations of range(3v)")
             for t in range(3):
                 lo, hi = t * self.v, (t + 1) * self.v
                 if any(not lo <= p[x] < hi for x in range(lo, hi)):

@@ -2,8 +2,9 @@
 cube, the group cubes D1, D2 and D3 of the three (16,6,2) designs over
 Z2^4, the difference cubes C1 (F21) and C2 (Z21) of (21,5,1), C3, the
 group cube of the non-developable (21,5,1) design over F21, and example52,
-the (16,6,2) orbit cube of Example 5.2; the Latin-square cubes; and random
-paratopies to move any of them with."""
+the (16,6,2) orbit cube of Example 5.2; the Latin-square cubes; random
+paratopies to move any of them with; and the paratopy algebra (identity,
+inverse, composition, transversal point permutation) that only tests use."""
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from symcube.designs import DesignParams
 from symcube.errors import InvalidInputError
 from symcube.fileio import load_design, load_orbit_input
 from symcube.groups import DifferenceSet, difference_sets_up_to_equivalence, make_cyclic
+from symcube.perms import compose, identity, inverse
 from symcube.search import orbit_cube
 
 
@@ -59,3 +61,30 @@ def random_paratopy(rng, n, v):
     perms = tuple(tuple(rng.sample(range(v), v)) for _ in range(n))
     gamma = tuple(rng.sample(range(n), n))
     return ParatopyElement(perms, gamma)
+
+
+def identity_paratopy(n, v):
+    return ParatopyElement(tuple(identity(v) for _ in range(n)), identity(n))
+
+
+def inverse_paratopy(p):
+    gamma_inv = inverse(p.axis_perm)
+    perms = tuple(inverse(p.perms[gamma_inv[t]]) for t in range(len(p.perms)))
+    return ParatopyElement(perms, gamma_inv)
+
+
+def compose_paratopies(q, p):
+    """q after p: applying it equals applying p, then q."""
+    beta, delta = q.perms, q.axis_perm
+    alpha, gamma = p.perms, p.axis_perm
+    zeta = tuple(gamma[delta[t]] for t in range(len(delta)))
+    eps = tuple(compose(beta[t], alpha[delta[t]]) for t in range(len(delta)))
+    return ParatopyElement(eps, zeta)
+
+
+def point_perm(w, n, v):
+    """The permutation of the n*v transversal points induced by a paratopy:
+    point (t, x) maps to (gamma^{-1}(t), alpha_{gamma^{-1}(t)}(x))."""
+    gamma_inv = np.asarray(inverse(w.axis_perm))
+    perms = np.asarray(w.perms, dtype=np.int64).reshape(n, v)
+    return tuple((gamma_inv[:, None] * v + perms[gamma_inv]).ravel().tolist())

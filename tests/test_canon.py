@@ -11,7 +11,6 @@ from symcube.designs import block_quadruple, development
 from symcube.equivalence import (
     _transversal_blocks,
     cube_certificate,
-    paratopy_to_point_perm,
     to_transversal,
 )
 from symcube.errors import ConstructionBugError, InvalidInputError, ResourceLimitError
@@ -19,7 +18,7 @@ from symcube.groups import DifferenceSet, make_cyclic
 from symcube.perms import void_rows
 from symcube.search import _group_cube_seeds
 
-from named_cubes import fano_cube, named_cube, random_paratopy
+from named_cubes import fano_cube, named_cube, point_perm, random_paratopy
 
 
 def _cube_result(c, colored, seeds=()):
@@ -355,9 +354,7 @@ class TestSeeds:
         ident = tuple(range(7))
         # the difference cube of an abelian group is totally symmetric, so
         # swapping the first two axes is an autoparatopy but no autotopy
-        self.axis_swap = paratopy_to_point_perm(
-            ParatopyElement((ident, ident, ident), (1, 0, 2)), 3, 7
-        )
+        self.axis_swap = point_perm(ParatopyElement((ident, ident, ident), (1, 0, 2)), 3, 7)
 
     def test_seeded_certificate_equals_unseeded(self):
         plain = canonicalize(self.t.n_points, self.t.blocks)
@@ -387,7 +384,7 @@ class TestSeeds:
         """One bad seed among good ones, with the blocks as an array: the
         sorted block bitsets check every seed at once and still find it."""
         blocks = np.array(self.t.blocks)
-        shift = paratopy_to_point_perm(
+        shift = point_perm(
             ParatopyElement((tuple(range(7)), (1, 2, 3, 4, 5, 6, 0), (6, 0, 1, 2, 3, 4, 5)), (0, 1, 2)),
             3,
             7,

@@ -25,7 +25,13 @@ from symcube.errors import InvalidInputError
 from symcube.datafiles import frobenius_21
 from symcube.groups import DifferenceSet, difference_sets_up_to_equivalence, make_cyclic
 
-from named_cubes import latin_square_to_cube, random_paratopy
+from named_cubes import (
+    compose_paratopies,
+    identity_paratopy,
+    inverse_paratopy,
+    latin_square_to_cube,
+    random_paratopy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +176,7 @@ class TestConstructions:
 
 class TestParatopy:
     def test_identity(self, fano_cube):
-        ident = ParatopyElement.identity(3, 7)
+        ident = identity_paratopy(3, 7)
         assert apply_paratopy(fano_cube, ident) == fano_cube
 
     def test_pure_transposition_on_matrix(self):
@@ -189,12 +195,23 @@ class TestParatopy:
             q = random_paratopy(rng, 3, 7)
             cp = apply_paratopy(fano_cube, p)
             assert verify_cube(cp)
-            assert apply_paratopy(cp, q) == apply_paratopy(fano_cube, q.compose(p))
-            assert apply_paratopy(cp, p.inverse()) == fano_cube
+            assert apply_paratopy(cp, q) == apply_paratopy(fano_cube, compose_paratopies(q, p))
+            assert apply_paratopy(cp, inverse_paratopy(p)) == fano_cube
 
     def test_dimension_mismatch(self, fano_cube):
         with pytest.raises(InvalidInputError):
-            apply_paratopy(fano_cube, ParatopyElement.identity(3, 8))
+            apply_paratopy(fano_cube, identity_paratopy(3, 8))
+
+    def test_value_map_must_be_a_permutation(self, fano_cube):
+        # (0, 0, 2, ...) used to be applied as the transposition (0 1)
+        ident = tuple(range(7))
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            ParatopyElement(((0, 0, 2, 3, 4, 5, 6), ident, ident), (0, 1, 2))
+
+    def test_axis_map_must_be_a_permutation(self, fano_cube):
+        ident = tuple(range(7))
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            ParatopyElement((ident, ident, ident), (0, 0, 2))
 
 
 class TestSliceInvariant:

@@ -23,7 +23,6 @@ from symcube.equivalence import (
     canonical_certificate,
     cube_certificate,
     from_transversal,
-    paratopy_to_point_perm,
     paratopy_witness,
     theoretical_autotopies,
     to_transversal,
@@ -36,7 +35,13 @@ from symcube.fileio import load_design
 from symcube.perms import PermGroup
 from symcube.search import _group_cube_seeds, build_seeded_cube_certificate
 
-from named_cubes import fano_cube as named_fano_cube, latin_square_to_cube, named_cube, random_paratopy
+from named_cubes import (
+    fano_cube as named_fano_cube,
+    latin_square_to_cube,
+    named_cube,
+    point_perm,
+    random_paratopy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -408,7 +413,7 @@ class TestSlicePairColors:
             if mode == "colored":
                 p = ParatopyElement(p.perms, (0, 1, 2))
             image_colors = equivalence._point_colors(apply_paratopy(c, p), mode)
-            to_image = np.asarray(paratopy_to_point_perm(p, c.n, c.v))
+            to_image = np.asarray(point_perm(p, c.n, c.v))
             assert (image_colors[to_image] == colors).all()
 
     def test_other_dimensions_keep_the_plain_colors(self):
@@ -439,13 +444,13 @@ class TestTheoreticalAutotopies:
         g = make_cyclic(1)
         d = DifferenceSet(g, (0,), (1, 1, 1))
         gens = theoretical_autotopies(g, d, 3)
-        assert PermGroup([paratopy_to_point_perm(w, 3, 1) for w in gens], 3).order() == 1
+        assert PermGroup([point_perm(w, 3, 1) for w in gens], 3).order() == 1
 
     def test_fano_subgroup_order(self, fano_cube):
         z7 = make_cyclic(7)
         d = DifferenceSet(z7, (1, 2, 4), (7, 3, 1))
         gens = theoretical_autotopies(z7, d, 3)
-        order = PermGroup([paratopy_to_point_perm(w, 3, 7) for w in gens], 21).order()
+        order = PermGroup([point_perm(w, 3, 7) for w in gens], 21).order()
         assert order == 147  # 7^2 * 3
         assert autotopy_report(fano_cube).order % order == 0
 
@@ -453,14 +458,14 @@ class TestTheoreticalAutotopies:
         z7 = make_cyclic(7)
         d = DifferenceSet(z7, (1, 2, 4), (7, 3, 1))
         gens = theoretical_autotopies(z7, d, 4)
-        order = PermGroup([paratopy_to_point_perm(w, 4, 7) for w in gens], 28).order()
+        order = PermGroup([point_perm(w, 4, 7) for w in gens], 28).order()
         assert order == 1029  # 7^3 * 3
 
     def test_f21_subgroup_is_full_group(self):
         f21 = frobenius_21()
         d = difference_sets_up_to_equivalence(f21, 5, 1)[0]
         gens = theoretical_autotopies(f21, d, 3)
-        assert PermGroup([paratopy_to_point_perm(w, 3, 21) for w in gens], 63).order() == 1323
+        assert PermGroup([point_perm(w, 3, 21) for w in gens], 63).order() == 1323
 
     def test_group_cube_seeds_fix_f21_nondevelopment_cube_n4(self):
         f21 = frobenius_21()

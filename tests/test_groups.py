@@ -25,7 +25,7 @@ from symcube.groups import (
     make_metacyclic,
     multipliers,
 )
-from symcube.perms import PermGroup
+from symcube.perms import PermGroup, compose
 
 
 def klein():
@@ -34,6 +34,11 @@ def klein():
 
 def z2_4():
     return make_direct_product(klein(), klein())
+
+
+def left_translations(g):
+    """The permutations x -> a x of g's generating sequence."""
+    return [tuple(g.table[a].tolist()) for a in g.generating_sequence()]
 
 
 def is_isomorphism(source, target, images):
@@ -104,6 +109,26 @@ class TestConstructors:
         assert z2.order == 2
         dihedral = make_from_permutation_generators([(1, 2, 3, 0), (2, 1, 0, 3)])
         assert dihedral.order == 8 and not dihedral.is_abelian()
+
+    @pytest.mark.parametrize(
+        "make_gens",
+        [
+            pytest.param(lambda: [(1, 2, 3, 0), (2, 1, 0, 3)], id="D4-on-4-points"),
+            pytest.param(lambda: [(1, 2, 0, 4, 5, 3), (3, 4, 5, 0, 1, 2)], id="Z6-on-6-points"),
+        ]
+        + [
+            pytest.param(lambda gid=gid: left_translations(load_group_16(gid)), id=f"id16:{gid}")
+            for gid in (1, 6, 9, 14)
+        ],
+    )
+    def test_permutation_table_is_the_composition_table(self, make_gens):
+        """Each row is filled from its BFS parent's; entry (i, j) must be the
+        index of e_i e_j, recomputed here one composition at a time."""
+        gens = make_gens()
+        elements = groups._permutation_closure(gens, len(gens[0]))[0]
+        index = {p: i for i, p in enumerate(elements)}
+        table = make_from_permutation_generators(gens).table.tolist()
+        assert table == [[index[compose(p, q)] for q in elements] for p in elements]
 
     @pytest.mark.parametrize(
         "build",

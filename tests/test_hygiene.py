@@ -171,3 +171,31 @@ def test_only_the_group_module_builds_table_arrays(path):
     ``groups`` reads it as it is."""
     lines = _table_copies(ast.parse(path.read_text(), filename=str(path)))
     assert not lines, f"{path.name} copies a group table into a new array at lines {lines}"
+
+
+def _paratopy_constructions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(innermost function, line) of each call of ``ParatopyElement``."""
+    out = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "ParatopyElement"
+                ):
+                    out.append((func.name, node.lineno))
+    return out
+
+
+def test_paratopies_are_built_by_one_decoder():
+    """Symmetries travel as transversal point permutations; only
+    ``equivalence._witness_from_point_map`` turns one into a
+    ``ParatopyElement``, where the public API returns it."""
+    found = [
+        f"{path.name}:{line} {func}()"
+        for path in MODULES
+        for func, line in _paratopy_constructions(ast.parse(path.read_text(), filename=str(path)))
+        if (path.name, func) != ("equivalence.py", "_witness_from_point_map")
+    ]
+    assert not found, "ParatopyElement built outside the decoder: " + "; ".join(found)

@@ -19,7 +19,6 @@ from symcube.equivalence import (
     are_isotopic,
     are_paratopic,
     autotopy_report,
-    paratopy_to_point_perm,
     to_transversal,
 )
 from symcube.groups import (
@@ -31,7 +30,7 @@ from symcube.groups import (
 )
 from symcube.perms import PermGroup
 
-from named_cubes import fano_cube, latin_square_to_cube, named_cube, random_paratopy
+from named_cubes import fano_cube, latin_square_to_cube, named_cube, point_perm, random_paratopy
 
 GROUPS = {f"id16:{gid}": lambda gid=gid: load_group_16(gid) for gid in range(1, 15)}
 GROUPS.update({"Z7": lambda: make_cyclic(7), "Z13": lambda: make_cyclic(13), "F21": frobenius_21})
@@ -117,7 +116,7 @@ AUTOTOPY_ORDERS = {
 def test_autotopy_order_agrees_with_sympy(name):
     c = named_cube(name)
     report = autotopy_report(c)
-    gens = [paratopy_to_point_perm(w, c.n, c.v) for w in report.generators]
+    gens = [point_perm(w, c.n, c.v) for w in report.generators]
     assert report.order == sympy_order(gens, c.n * c.v) == AUTOTOPY_ORDERS[name]
 
 

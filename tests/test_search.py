@@ -12,7 +12,6 @@ from symcube.catalog import elementary_16, reference_catalog, switched_16_design
 from symcube.cli import main
 from symcube.cubes import (
     Cube,
-    ParatopyElement,
     apply_paratopy,
     difference_cube,
     group_cube,
@@ -31,7 +30,6 @@ from symcube.fileio import load_design, load_orbit_input, save_orbit_input
 from symcube.equivalence import (
     TransversalRep,
     _translation_autotopies,
-    paratopy_to_point_perm,
     theoretical_autotopies,
     to_transversal,
     validate_transversal,
@@ -62,7 +60,7 @@ from symcube.search import (
     orbit_cube,
 )
 
-from named_cubes import random_paratopy
+from named_cubes import point_perm, random_paratopy
 
 
 def naive_pair_coverage_search(g, params, candidates):
@@ -428,7 +426,9 @@ def brute_force_stabiliser(g, blocks):
 
 def classification_seeds(g, blocks, stabiliser):
     """The seeds ``classify_group_cubes`` gives the cube of ``blocks``."""
-    return search._group_cube_seeds(g, 3) + search._stabiliser_seeds(g, blocks, stabiliser)
+    return np.concatenate(
+        [search._group_cube_seeds(g, 3), search._stabiliser_seeds(g, blocks, stabiliser)]
+    )
 
 
 def assert_seeded_keys_are_the_keys(cube, seeds):
@@ -562,6 +562,52 @@ def test_orbit_representatives_are_pinned(make_group, params, digest):
 
 
 @pytest.mark.parametrize(
+    "make_group,params,digest",
+    [
+        pytest.param(
+            frobenius_21,
+            (21, 5, 1),
+            "9c8b60fec82c1ba9e3dd242dff727d25f5c220ee46e5855c3eb0c5137bb41e85",
+            id="F21",
+        ),
+        pytest.param(
+            lambda: load_group_16(12),
+            (16, 6, 2),
+            "c0750473a2dec32fcbc968f23fc201f43801fffc1811e572509863cbfbaf2974",
+            id="id16:12",
+        ),
+        pytest.param(
+            lambda: load_group_16(14),
+            (16, 6, 2),
+            "8393b07494b8e54a65cc24e0da654f521c448107869129c206f5e3d0f69d04c0",
+            id="id16:14",
+        ),
+    ],
+)
+def test_construction_seeds_are_pinned(make_group, params, digest):
+    """The seed rows, in order, of the group cubes (n = 3, 4), of each
+    difference-set class's difference cube and of each design-orbit
+    representative's stabiliser: canon prunes its tree with them, so a
+    change here can move its node counts."""
+    g, params = make_group(), DesignParams(*params)
+    h = hashlib.sha256()
+
+    def add(seeds, n):
+        rows = np.asarray(seeds, dtype="<i8").reshape(-1, n * g.order)
+        h.update(repr(rows.shape).encode() + rows.tobytes())
+
+    add(search._group_cube_seeds(g, 3), 3)
+    add(search._group_cube_seeds(g, 4), 4)
+    for rep in difference_sets_up_to_equivalence(g, params.k, params.lam):
+        add(search._difference_cube_seeds(g, rep), 3)
+    cands = enumerate_difference_sets(g, params.k, params.lam)
+    reps, _, stabilisers = search._design_orbit_representatives(g, params, cands)
+    for rep, generators in zip(reps, stabilisers):
+        add(search._stabiliser_seeds(g, [cands[i].elements for i in rep], generators), 3)
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "make_group,params",
     [
         pytest.param(lambda: load_group_16(14), (16, 6, 2), id="id16:14"),
@@ -574,9 +620,7 @@ def test_stabiliser_seeds_keep_the_certificates(make_group, params):
     g, params = make_group(), DesignParams(*params)
     cands = enumerate_difference_sets(g, params.k, params.lam)
     reps, _, stabilisers = search._design_orbit_representatives(g, params, cands)
-    translations = [
-        paratopy_to_point_perm(w, 3, g.order) for w in _translation_autotopies(g, 3, start=1)
-    ]
+    translations = _translation_autotopies(g, 3, start=1)
     for rep, generators in zip(reps, stabilisers):
         blocks = [cands[i].elements for i in rep]
         cube = group_cube(g, blocks, 3)
@@ -763,9 +807,8 @@ class TestWorkDoneOnce:
         assert len(builds) == 1
 
     def test_difference_cube_seeds_are_verified(self, monkeypatch):
-        swap = (1, 0, 2, 3, 4, 5, 6)
-        ident = tuple(range(7))
-        bogus = [ParatopyElement((swap, ident, ident), (0, 1, 2))]
+        # transposes the values 0 and 1 of the first axis only
+        bogus = np.array([[1, 0] + list(range(2, 21))])
         monkeypatch.setattr(search, "_difference_cube_autotopies", lambda g, d, n: bogus)
         with pytest.raises(ConstructionBugError, match="not an automorphism"):
             difference_cube_reference([make_cyclic(7)], DesignParams(7, 3, 1))
@@ -807,7 +850,7 @@ def tuple_orbit_cube(inp):
 def difference_cube_orbit_input(g, d):
     """The difference 3-cube of d as an orbit input: its theoretical
     autotopies as point maps and one base block per orbit of its blocks."""
-    gens = tuple(paratopy_to_point_perm(w, 3, g.order) for w in theoretical_autotopies(g, d, 3))
+    gens = tuple(point_perm(w, 3, g.order) for w in theoretical_autotopies(g, d, 3))
     base, covered = [], set()
     for block in to_transversal(difference_cube(g, d, 3)).blocks:
         if block not in covered:
@@ -892,6 +935,13 @@ class TestOrbitCube:
         bad = tuple(range(1, 48)) + (0,)
         with pytest.raises(InvalidInputError):
             OrbitCubeInput(16, (bad,), bundled.base_blocks)
+
+    def test_generator_must_be_a_permutation(self):
+        # (0, 0, 2, 3, 4, 5) keeps the classes but is no bijection; it used
+        # to reach PermGroup and die there with RecursionError
+        latin = ((0, 2, 4), (0, 3, 5), (1, 2, 5), (1, 3, 4))
+        with pytest.raises(InvalidInputError, match="permutations"):
+            OrbitCubeInput(2, ((0, 0, 2, 3, 4, 5),), latin)
 
     def test_partial_orbit_rejected(self, bundled):
         with pytest.raises(NotACubeError):

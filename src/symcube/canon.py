@@ -41,8 +41,9 @@ host).  The tree is pruned four ways:
   and first paths' traces at its depth (``_Search._bound``), and refinement
   stops once the trace is sure to lose that comparison; only the root
   refines without a bound,
-* orbits of the known automorphisms that fix the node's individualized
-  points (the partition ``perms.orbit_ids``), among the children of a node,
+* sibling orbits: a child is skipped when an explored sibling lies in its
+  orbit (``perms.orbit_ids``) under the known automorphisms that fix the
+  node's individualized points, recomputed whenever one is found,
 * backjumping: a leaf whose certificate equals a reference leaf yields an
   automorphism mapping its individualized points onto the reference's, so
   the search unwinds to the deepest node the two paths share.
@@ -96,9 +97,7 @@ class CanonResult:
     @cached_property
     def aut_order(self) -> int:
         """Order of the group the generators generate (Schreier-Sims)."""
-        if not self.aut_point_gens:
-            return 1
-        return PermGroup(self.aut_point_gens, len(self.aut_point_gens[0])).order()
+        return PermGroup(self.aut_point_gens, len(self.point_labeling)).order()
 
 
 # splitmix64's finalizer (Steele, Lea & Flood, OOPSLA 2014) after adding a
@@ -121,6 +120,20 @@ def _mix(x: np.ndarray, salt: np.uint64) -> np.ndarray:
     return z
 
 
+def _as_int64(values, message: str) -> np.ndarray:
+    """``values`` as an int64 array; raises InvalidInputError(message)
+    unless the cast keeps every value (it would truncate 0.7 to 0)."""
+    try:
+        given = np.asarray(values)
+        with np.errstate(invalid="ignore"):
+            arr = given.astype(np.int64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(message) from None
+    if arr is not given and (arr != given).any():
+        raise InvalidInputError(message)
+    return arr
+
+
 class _Structure:
     def __init__(
         self,
@@ -129,10 +142,7 @@ class _Structure:
         point_colors: np.ndarray | Sequence[int],
     ):
         self.n_points = n_points
-        try:
-            arr = np.asarray(blocks, dtype=np.int64)
-        except (TypeError, ValueError):
-            raise InvalidInputError("blocks must be integer rows of uniform size") from None
+        arr = _as_int64(blocks, "blocks must be integer rows of uniform size")
         if n_points == 0 or arr.ndim == 0 or len(arr) == 0:
             raise InvalidInputError("structure needs at least one point and one block")
         if arr.ndim != 2:
@@ -160,7 +170,7 @@ class _Structure:
         self.point_degree = int(degs[0])
         order = np.argsort(arr.ravel(), kind="stable")
         self.P = (order // self.block_size).reshape(n_points, self.point_degree)
-        pc = np.asarray(point_colors, dtype=np.int64)
+        pc = _as_int64(point_colors, "point colors must be integers")
         if pc.shape != (n_points,):
             raise InvalidInputError("one initial color per point required")
         _, dense = np.unique(pc, return_inverse=True)
@@ -179,10 +189,9 @@ class _Search:
     def __init__(self, struct: _Structure, deadline: float | None = None):
         self.s = struct
         self.deadline = deadline
-        self.best_key: tuple | None = None  # (invariant path tuple, cert bytes)
-        self.best_labeling: np.ndarray | None = None
-        self.first_key: tuple | None = None
-        self.first_labeling: np.ndarray | None = None
+        # the first and the best leaf, each ((invariant path, leaf words), labelling)
+        self.first: tuple[tuple, np.ndarray] | None = None
+        self.best: tuple[tuple, np.ndarray] | None = None
         # the known automorphisms, one point permutation per row
         self.aut = np.empty((0, struct.n_points), dtype=np.int64)
         self.node_count = 0
@@ -251,7 +260,7 @@ class _Search:
         s = self.s
         return s.sets.sort(s.sets.of(colors[s.block_columns])).astype("<u8", copy=False).tobytes()
 
-    def handle_leaf(self, colors: np.ndarray, path: list[bytes], fixed: list[int]) -> int | None:
+    def handle_leaf(self, colors: np.ndarray, path: tuple, fixed: list[int]) -> int | None:
         """Record the leaf; returns a backjump depth if it yielded an
         automorphism that maps the current branch onto an explored sibling.
 
@@ -264,40 +273,30 @@ class _Search:
         explored leaves intact without circular reasoning.
         """
         self.leaf_count += 1
-        cert = self.leaf_certificate(colors)
-        key = (tuple(path), cert)
+        key = (path, self.leaf_certificate(colors))
         unwind: int | None = None
-        for ref_key, ref_lab in (
-            (self.first_key, self.first_labeling),
-            (self.best_key, self.best_labeling),
-        ):
-            if ref_key is not None and key == ref_key and ref_lab is not None:
-                g = self.record_automorphism(colors, ref_lab)
+        for ref in (self.first, self.best):
+            if ref is not None and key == ref[0]:
+                g = self.record_automorphism(colors, ref[1])
                 if g is not None:
                     h = 0
                     while h < len(fixed) and g[fixed[h]] == fixed[h]:
                         h += 1
                     if h < len(fixed):
-                        ginv = np.empty_like(g)
-                        ginv[g] = np.arange(len(g))
-                        image = min(int(g[fixed[h]]), int(ginv[fixed[h]]))
+                        image = min(int(g[fixed[h]]), int(np.argsort(g)[fixed[h]]))
                         if image < fixed[h]:
-                            unwind = h if unwind is None else min(unwind, h)
+                            unwind = h
                 break
-        if self.first_key is None:
-            self.first_key = key
-            self.first_labeling = colors.copy()
-        if self.best_key is None or key < self.best_key:
-            self.best_key = key
-            self.best_labeling = colors.copy()
+        if self.first is None:
+            self.first = (key, colors.copy())
+        if self.best is None or key < self.best[0]:
+            self.best = (key, colors.copy())
         return unwind
 
     def record_automorphism(self, lab1: np.ndarray, lab2: np.ndarray) -> np.ndarray | None:
         """Equal certificates mean inv(lab2) . lab1 is an automorphism;
         returns it (even if already known), or None for the identity."""
-        inv2 = np.empty_like(lab2)
-        inv2[lab2] = np.arange(len(lab2))
-        g = inv2[lab1]
+        g = np.argsort(lab2)[lab1]
         if (g == np.arange(len(g))).all():
             return None
         if (self.aut == g).all(axis=1).any():
@@ -321,12 +320,10 @@ class _Search:
         child pruned.  An entry is the empty tuple when the paths part above
         the child: every trace is then greater than the best path's, or
         differs from the first path's, whatever it is."""
-        if self.best_key is None:
+        if self.best is None:
             return None
         depth = len(prefix)
-        best, first = self.best_key[0], self.first_key[0]  # set by the same leaf
-        if prefix < best[:depth]:
-            return None
+        best, first = self.best[0][0], self.first[0][0]  # first is set before best
         best_entry = best[depth] if len(best) > depth and prefix == best[:depth] else ()
         first_entry = first[depth] if len(first) > depth and prefix == first[:depth] else ()
         return best_entry, first_entry
@@ -337,69 +334,53 @@ class _Search:
         sizes = np.bincount(colors, minlength=n_cells)
         return np.flatnonzero(colors == np.argmax(sizes))
 
-    def _fixing_gens(self, fixed: np.ndarray) -> np.ndarray:
-        """The known automorphisms that fix every point in ``fixed``, one
-        per row."""
-        return self.aut[(self.aut[:, fixed] == fixed).all(axis=1)]
-
-    def search(self, state, path: list[bytes], fixed: list[int]) -> None:
+    def search(self, state, path: tuple, fixed: list[int]) -> None:
         self.node_count += 1
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise ResourceLimitError("canonical labelling time budget exceeded")
         colors, n_cells, trace = state
         depth = len(path)
-        path = path + [trace]
-        prefix = tuple(path)
+        path += (trace,)
         # a node survives if it can still lead to the canonical leaf (invariant
         # prefix not worse than the best path) or if it tracks the first path,
         # whose equal-invariant leaves are where automorphisms are discovered;
         # prefixes are compared in full, as a position-wise comparison would be
         # meaningless on paths that already diverged higher up
-        same_as_first = self.first_key is None or prefix == self.first_key[0][: depth + 1]
-        if self.best_key is not None:
-            ref_prefix = self.best_key[0][: depth + 1]
-            if prefix < ref_prefix:
+        same_as_first = self.first is None or path == self.first[0][0][: depth + 1]
+        if self.best is not None:
+            ref_prefix = self.best[0][0][: depth + 1]
+            if path < ref_prefix:
                 # strictly better subtree: stored best cannot be canonical
-                self.best_key = None
-                self.best_labeling = None
-            elif prefix > ref_prefix and not same_as_first:
+                self.best = None
+            elif path > ref_prefix and not same_as_first:
                 return
         if n_cells == self.s.n_points:
             self.unwind_to = self.handle_leaf(colors, path, fixed)
             return
-        # orbits of the known automorphisms fixing the individualized
-        # points, for the sibling pruning below
-        fixed_arr = np.asarray(fixed, dtype=np.int64)
-        gen_count = len(self.aut)
-        usable = self._fixing_gens(fixed_arr)
-        orbits = orbit_ids(usable, self.s.n_points)
         cell = self._choose_cell(colors, n_cells)
-        explored: list[int] = []
-        explored_orbits: set[int] = set()
+        known = -1
         for v in cell.tolist():
-            if gen_count != len(self.aut):
-                # automorphisms are only appended, so the fixing ones grow
-                # exactly when a new one fixes the individualized points
-                gen_count = len(self.aut)
-                fixing = self._fixing_gens(fixed_arr)
-                if len(fixing) != len(usable):
-                    usable = fixing
-                    orbits = orbit_ids(usable, self.s.n_points)
-                    explored_orbits = {int(orbits[x]) for x in explored}
-            if int(orbits[v]) in explored_orbits:
+            if known != len(self.aut):
+                # orbits of the known automorphisms fixing the individualized
+                # points, labelled by their least point
+                known = len(self.aut)
+                fixing = self.aut[(self.aut[:, fixed] == fixed).all(axis=1)]
+                orbits = orbit_ids(fixing, self.s.n_points)
+            # skip v when an explored sibling is in its orbit, that is when
+            # the orbit's least point is not v: those automorphisms keep the
+            # node's coloring, so that point is in the cell and came first,
+            # and it was explored or skipped for an explored sibling
+            if orbits[v] != v:
                 continue
-            child_state = self._child_state(colors, v, n_cells, self._bound(prefix))
+            child_state = self._child_state(colors, v, n_cells, self._bound(path))
             if child_state is None:
                 self.node_count += 1  # aborted: a node pruned on entry
             else:
                 self.search(child_state, path, fixed + [v])
-            explored.append(v)
-            explored_orbits.add(int(orbits[v]))
             if self.unwind_to is not None:
                 if self.unwind_to < depth:
                     return  # propagate the backjump
                 self.unwind_to = None  # this node is the backjump target
-        return
 
     # -- public ---------------------------------------------------------------
 
@@ -409,10 +390,7 @@ class _Search:
         verifies that each maps the blocks onto the blocks."""
         s = self.s
         points = np.arange(s.n_points)
-        try:
-            maps = np.asarray(point_gens, dtype=np.int64)
-        except (TypeError, ValueError):
-            raise InvalidInputError("seed must permute the points") from None
+        maps = _as_int64(point_gens, "seed must permute the points")
         if maps.ndim != 2 or maps.shape[1] != s.n_points or (np.sort(maps, axis=1) != points).any():
             raise InvalidInputError("seed must permute the points")
         if not (s.init_colors[maps] == s.init_colors).all():
@@ -422,14 +400,15 @@ class _Search:
         self.aut = maps[(maps != points).any(axis=1)]
 
     def run(self) -> CanonResult:
-        self.search(self.refine(self.s.init_colors.copy(), self.s.init_cells), [], [])
-        assert self.best_key is not None and self.best_labeling is not None
+        self.search(self.refine(self.s.init_colors.copy(), self.s.init_cells), (), [])
+        assert self.best is not None
+        (_, words), labeling = self.best
         head = struct.pack(
             "<4I", self.s.n_points, self.s.m, self.s.block_size, self.s.point_degree
         )
         return CanonResult(
-            certificate=head + self.best_key[1],
-            point_labeling=tuple(int(x) for x in self.best_labeling),
+            certificate=head + words,
+            point_labeling=tuple(int(x) for x in labeling),
             aut_point_gens=[tuple(g) for g in self.aut.tolist()],
             leaf_count=self.leaf_count,
             node_count=self.node_count,

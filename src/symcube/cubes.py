@@ -62,15 +62,17 @@ class Cube:
     __slots__ = ("bits", "params", "_labellings", "_pair_keys")
 
     def __init__(self, bits: np.ndarray, params: DesignParams):
-        arr = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8))
-        if arr.ndim < 2:
+        given = np.asarray(bits)
+        if given.ndim < 2:
             raise InvalidInputError("cube dimension must be at least 2")
-        if len(set(arr.shape)) != 1:
+        if len(set(given.shape)) != 1:
             raise InvalidInputError("all axes must have equal length")
-        if arr.size > MAX_CELLS:
+        if given.size > MAX_CELLS:
             raise InvalidInputError("cube exceeds the in-memory cell budget")
-        if not np.isin(arr, (0, 1)).all():
+        # the given values, not their uint8 casts (256 would wrap to 0)
+        if not np.isin(given, (0, 1)).all():
             raise InvalidInputError("entries must be 0 or 1")
+        arr = np.ascontiguousarray(given, dtype=np.uint8)
         arr.setflags(write=False)
         self.bits = arr
         self.params = params

@@ -58,11 +58,13 @@ class IncidenceMatrix:
     __slots__ = ("bits", "params")
 
     def __init__(self, bits: np.ndarray | Sequence[Sequence[int]], params: DesignParams | None = None):
-        arr = np.ascontiguousarray(np.asarray(bits, dtype=np.uint8))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        given = np.asarray(bits)
+        if given.ndim != 2 or given.shape[0] != given.shape[1]:
             raise InvalidInputError("incidence matrix must be square")
-        if not np.isin(arr, (0, 1)).all():
+        # the given values, not their uint8 casts (256 would wrap to 0)
+        if not np.isin(given, (0, 1)).all():
             raise InvalidInputError("entries must be 0 or 1")
+        arr = np.ascontiguousarray(given, dtype=np.uint8)
         arr.setflags(write=False)
         self.bits = arr
         self.params = params

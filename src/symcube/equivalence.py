@@ -393,11 +393,8 @@ def paratopy_witness(c1: Cube, c2: Cube, mode: str = "uncolored") -> ParatopyEle
     res2 = _canonicalize(c2, mode)
     if res1.certificate != res2.certificate:
         return None
-    lab1 = np.asarray(res1.point_labeling)
-    lab2 = np.asarray(res2.point_labeling)
-    inv2 = np.empty_like(lab2)
-    inv2[lab2] = np.arange(len(lab2))
-    point_map = inv2[lab1]  # c1 point -> c2 point
+    lab1, lab2 = np.asarray(res1.point_labeling), np.asarray(res2.point_labeling)
+    point_map = np.argsort(lab2)[lab1]  # c1 point -> c2 point
     w = _witness_from_point_map(c1.n, c1.v, point_map)
     if apply_paratopy(c1, w) != c2:
         raise ConstructionBugError("recovered witness does not map c1 to c2")

@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from symcube import equivalence
 from symcube.canon import _Search, _Structure, canonicalize, design_canonical
 from symcube.catalog import elementary_16, switched_16_designs
 from symcube.cubes import ParatopyElement, apply_paratopy, difference_cube
-from symcube.designs import block_quadruple, development
+from symcube.datafiles import frobenius_21, load_group_16
+from symcube.designs import DesignParams, block_quadruple, development
 from symcube.equivalence import (
     _transversal_blocks,
     cube_certificate,
@@ -16,7 +18,7 @@ from symcube.equivalence import (
 from symcube.errors import ConstructionBugError, InvalidInputError, ResourceLimitError
 from symcube.groups import DifferenceSet, make_cyclic
 from symcube.perms import void_rows
-from symcube.search import _group_cube_seeds
+from symcube.search import _group_cube_seeds, classify_group_cubes
 
 from named_cubes import fano_cube, named_cube, point_perm, random_paratopy
 
@@ -68,6 +70,63 @@ def test_pinned_certificates(name):
     res = _corpus()[name]()
     got = (hashlib.sha256(res.certificate).hexdigest(), res.node_count, res.leaf_count, res.aut_order)
     assert got == PINNED[name]
+
+
+def _results_digest(results) -> str:
+    """sha256 over every field of each result, in order."""
+    h = hashlib.sha256()
+    for res in results:
+        fields = (res.certificate, res.point_labeling, res.aut_point_gens, res.node_count, res.leaf_count)
+        h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+def _seeded_classification_results(make_group, params, monkeypatch):
+    """The seeded labellings that one classification makes, in call order."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        res = canonicalize(*args, **kwargs)
+        if len(kwargs.get("known_automorphisms", ())):
+            results.append(res)
+        return res
+
+    monkeypatch.setattr(equivalence, "canonicalize", recorded)
+    classify_group_cubes(make_group(), DesignParams(*params))
+    return results
+
+
+@pytest.mark.parametrize(
+    "labellings, count, digest",
+    [
+        pytest.param(
+            lambda _: [make() for _, make in sorted(_corpus().items())],
+            8,
+            "ea42f3f2dec25f32cdd8b414f298f7cc90fa0946e76be57dd9d0ee20a0e1f737",
+            id="corpus",
+        ),
+        pytest.param(
+            lambda mp: _seeded_classification_results(frobenius_21, (21, 5, 1), mp),
+            3,
+            "7592c2e28371e6f2e43194eef7bef99ca5b9cd714c1d1eda01b3b4525b2b6dbc",
+            id="F21",
+        ),
+        pytest.param(
+            lambda mp: _seeded_classification_results(lambda: load_group_16(14), (16, 6, 2), mp),
+            11,
+            "719127141a6f665be246cb255a794d0e4b9748b0448089c312ef57f3106b8074",
+            id="id16:14",
+        ),
+    ],
+)
+def test_full_results_are_pinned(labellings, count, digest, monkeypatch):
+    """Every field of every result (certificate, labelling, generators,
+    node and leaf counts) of the corpus and of the seeded labellings of two
+    classifications: a change to the search's bookkeeping that keeps its
+    decisions keeps these bytes."""
+    results = labellings(monkeypatch)
+    assert len(results) == count
+    assert _results_digest(results) == digest
 
 
 ABORT_IMAGES = [f"{name} image {i}" for name in ("D2", "D3", "C3") for i in range(3)]
@@ -299,6 +358,7 @@ def test_array_and_tuple_blocks_give_equal_results(name, colored):
         pytest.param([(0, 1), (1, 2), (2, 3)], id="out-of-range"),
         pytest.param([(0, 1), (1, 2), (2, -1)], id="negative"),
         pytest.param([0, 1, 2], id="not-rows"),
+        pytest.param([(0.7, 1.2, 2.9)], id="fractional"),  # truncates to (0, 1, 2)
         pytest.param([], id="empty"),
     ],
 )
@@ -310,6 +370,15 @@ def test_malformed_blocks_raise_in_both_forms(blocks):
     for form in (blocks, arr):
         with pytest.raises(InvalidInputError):
             canonicalize(3, form)
+
+
+
+def test_point_colors_must_be_integers():
+    """[0.2, 0.9, 1.5] would truncate to the colors 0, 0, 1; integral
+    floats, which the int64 cast keeps, are accepted."""
+    with pytest.raises(InvalidInputError, match="integers"):
+        canonicalize(3, [[0, 1, 2]], [0.2, 0.9, 1.5])
+    assert canonicalize(3, [[0.0, 1.0, 2.0]], [1.0, 1.0, 1.0]) == canonicalize(3, [[0, 1, 2]])
 
 
 class TestMultiWordSets:
@@ -402,3 +471,6 @@ class TestSeeds:
             canonicalize(self.t.n_points, self.t.blocks, known_automorphisms=[[0] * self.t.n_points])
         with pytest.raises(InvalidInputError):
             canonicalize(self.t.n_points, self.t.blocks, known_automorphisms=[[0, 1]])
+        with pytest.raises(InvalidInputError):  # truncates to the identity
+            fractional = [0.2] + list(range(1, self.t.n_points))
+            canonicalize(self.t.n_points, self.t.blocks, known_automorphisms=[fractional])

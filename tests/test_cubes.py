@@ -20,7 +20,7 @@ from symcube.cubes import (
     verify_cube,
     weak_slice_invariant,
 )
-from symcube.designs import DesignParams, verify_design
+from symcube.designs import DesignParams, IncidenceMatrix, verify_design
 from symcube.errors import InvalidInputError
 from symcube.datafiles import frobenius_21
 from symcube.groups import DifferenceSet, difference_sets_up_to_equivalence, make_cyclic
@@ -248,6 +248,24 @@ class TestSliceInvariant:
         c2 = difference_cube(z7, DifferenceSet(z7, (1, 2, 4), (7, 3, 1)), 2)
         with pytest.raises(InvalidInputError):
             slice_invariant(c2)
+
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda bits: Cube(bits, DesignParams(2, 1, 0)), IncidenceMatrix],
+    ids=["Cube", "IncidenceMatrix"],
+)
+@pytest.mark.parametrize("entry", [256, 257, 0.5, 1.7])
+def test_entries_are_checked_before_the_uint8_cast(make, entry):
+    """256 and 257 would wrap to 0 and 1 as uint8, 0.5 and 1.7 truncate to
+    0 and 1: each is rejected, while 0/1 of the same dtype and bool pass."""
+    bits = np.eye(2, dtype=np.asarray(entry).dtype)
+    assert (make(bits).bits == np.eye(2)).all()
+    assert (make(bits.astype(bool)).bits == np.eye(2)).all()
+    bits[0, 1] = entry
+    with pytest.raises(InvalidInputError, match="0 or 1"):
+        make(bits)
 
 
 class TestLatinSquares:

@@ -80,7 +80,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError
+from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError, deadline_of
 from .perms import Bitsets, PermGroup, orbit_ids
 
 __all__ = ["CanonResult", "canonicalize", "design_canonical"]
@@ -436,8 +436,7 @@ def canonicalize(
     if point_colors is None:
         point_colors = np.zeros(n_points, dtype=np.int64)
     struct_ = _Structure(n_points, blocks, point_colors)
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
-    search = _Search(struct_, deadline)
+    search = _Search(struct_, deadline_of(time_budget))
     if len(known_automorphisms):
         search.seed_automorphisms(known_automorphisms)
     return search.run()

@@ -1,11 +1,14 @@
 """Reference catalog of small symmetric designs.
 
 Built on first use from difference sets plus the block-switching recipe;
-nothing here is hand-typed incidence data.  Certificates are the ground
-truth; names are presentation only.  For each parameter set with a unique
-class arising from a difference set the class is named D0; the three
-(16,6,2) classes are D1 (the development), D2 (one switch), D3 (two
-switches).
+nothing here is hand-typed incidence data.  Each entry is a
+``designs.DesignClass``, a matrix under a name, which canon labels on the
+first read of its certificate or automorphism group order; building the
+catalog and naming a design by its 2-rank label nothing.  Certificates
+are the ground truth; names are presentation only.  For each parameter
+set with a unique class arising from a difference set the class is named
+D0; the three (16,6,2) classes are D1 (the development), D2 (one switch),
+D3 (two switches).
 
 Completeness assumption.  For the parameter sets in ``COMPLETE_PARAMS`` the
 catalog holds every design up to isomorphism, by these theorems: the
@@ -23,7 +26,6 @@ catalog holds only one.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +34,6 @@ from .designs import (
     DesignClass,
     DesignParams,
     IncidenceMatrix,
-    design_class,
     development,
     switch_blocks,
     verify_design,
@@ -49,7 +50,6 @@ from .groups import (
 __all__ = [
     "COMPLETE_PARAMS",
     "Catalog",
-    "CatalogEntry",
     "reference_catalog",
     "klein_group",
     "elementary_16",
@@ -60,29 +60,6 @@ __all__ = [
 COMPLETE_PARAMS = frozenset(
     DesignParams(*p) for p in ((7, 3, 1), (11, 5, 2), (13, 4, 1), (21, 5, 1), (16, 6, 2))
 )
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    """A catalogued design class; canon labels it, and its automorphism
-    group order is computed, on first read only."""
-
-    name: str
-    params: DesignParams
-    matrix: IncidenceMatrix
-
-    @cached_property
-    def design(self) -> DesignClass:
-        """Canon's class of ``matrix``."""
-        return design_class(self.matrix)
-
-    @property
-    def certificate(self) -> bytes:
-        return self.design.certificate
-
-    @property
-    def aut_order(self) -> int:
-        return self.design.aut_order
 
 
 def _gf2_rank(bits: np.ndarray) -> int:
@@ -103,12 +80,12 @@ class Catalog:
     """The entries, indexed by parameters and 2-rank when built and by
     certificate on first read, which labels every entry."""
 
-    def __init__(self, entries: list[CatalogEntry]):
+    def __init__(self, entries: list[DesignClass]):
         self.entries = entries
-        self._by_rank: dict[tuple[DesignParams, int], CatalogEntry] = {}
+        self._by_rank: dict[tuple[DesignParams, int], DesignClass] = {}
         for e in entries:
-            if e.params in COMPLETE_PARAMS:
-                key = (e.params, _gf2_rank(e.matrix.bits))
+            if e.matrix.params in COMPLETE_PARAMS:
+                key = (e.matrix.params, _gf2_rank(e.matrix.bits))
                 if key in self._by_rank:
                     raise ConstructionBugError(
                         f"catalog entries {self._by_rank[key].name} and {e.name} share "
@@ -116,7 +93,7 @@ class Catalog:
                     )
                 self._by_rank[key] = e
 
-    def lookup(self, a: IncidenceMatrix) -> CatalogEntry | None:
+    def lookup(self, a: IncidenceMatrix) -> DesignClass | None:
         """The entry of a's class, named by its parameters and 2-rank
         without canon; None unless a verifies as a design whose parameter
         set the catalog holds completely and whose 2-rank it indexes."""
@@ -127,7 +104,7 @@ class Catalog:
         return self._by_rank.get((params, _gf2_rank(a.bits)))
 
     @cached_property
-    def _by_cert(self) -> dict[bytes, CatalogEntry]:
+    def _by_cert(self) -> dict[bytes, DesignClass]:
         return {e.certificate: e for e in self.entries}
 
     def name_for(self, certificate: bytes) -> str | None:
@@ -169,10 +146,10 @@ _LOCK = threading.Lock()
 
 
 def _build() -> Catalog:
-    entries: list[CatalogEntry] = []
+    entries: list[DesignClass] = []
 
     def add(name: str, matrix: IncidenceMatrix):
-        entries.append(CatalogEntry(name, matrix.params, matrix))
+        entries.append(DesignClass(matrix, name))
 
     # unique classes from cyclic difference sets
     add("D0", development(DifferenceSet(make_cyclic(7), (1, 2, 4), (7, 3, 1))))

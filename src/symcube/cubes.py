@@ -27,7 +27,14 @@ import numpy as np
 
 from .canon import canonicalize
 from .catalog import reference_catalog
-from .designs import DesignParams, IncidenceMatrix, design_class, verify_design
+from .designs import (
+    DesignParams,
+    IncidenceMatrix,
+    _design_equation_holds,
+    _read_only_bits,
+    design_class,
+    verify_design,
+)
 from .errors import ConstructionBugError, InvalidInputError
 from .groups import DifferenceSet, FiniteGroup, _difference_set_rows
 from .perms import Perm, inverse as perm_inverse
@@ -69,12 +76,7 @@ class Cube:
             raise InvalidInputError("all axes must have equal length")
         if given.size > MAX_CELLS:
             raise InvalidInputError("cube exceeds the in-memory cell budget")
-        # the given values, not their uint8 casts (256 would wrap to 0)
-        if not np.isin(given, (0, 1)).all():
-            raise InvalidInputError("entries must be 0 or 1")
-        arr = np.ascontiguousarray(given, dtype=np.uint8)
-        arr.setflags(write=False)
-        self.bits = arr
+        self.bits = _read_only_bits(given)
         self.params = params
         self._labellings: dict = {}
         self._pair_keys: np.ndarray | None = None
@@ -126,28 +128,20 @@ def _slice_view(bits: np.ndarray, x: int, y: int) -> np.ndarray:
     return np.moveaxis(bits, (x, y), (n - 2, n - 1))
 
 
-def _slices_satisfy(arr: np.ndarray, gram: np.ndarray, line_sum: int | None) -> bool:
-    """True iff every 2-dimensional slice S of arr (one orientation per
-    unordered axis pair) has S S^t = gram and all row and column sums equal
-    to ``line_sum``, or, if it is None, constant within the slice."""
+def _slices_satisfy(arr: np.ndarray, k: int, lam: int, line_sum: int | None) -> bool:
+    """``designs._design_equation_holds`` on every 2-dimensional slice of
+    arr, one orientation per unordered axis pair."""
     v = arr.shape[0]
-    for x, y in combinations(range(arr.ndim), 2):
-        stack = _slice_view(arr, x, y).reshape(-1, v, v).astype(np.int64)
-        if not (stack @ stack.transpose(0, 2, 1) == gram).all():
-            return False
-        for sums in (stack.sum(axis=1), stack.sum(axis=2)):
-            if not (sums == (sums[:, :1] if line_sum is None else line_sum)).all():
-                return False
-    return True
+    return all(
+        _design_equation_holds(_slice_view(arr, x, y).reshape(-1, v, v), k, lam, line_sum)
+        for x, y in combinations(range(arr.ndim), 2)
+    )
 
 
 def verify_cube(c: Cube) -> bool:
     """Check every slice (one orientation per unordered axis pair)."""
     p = c.params
-    if c.v != p.v:
-        return False
-    gram = (p.k - p.lam) * np.eye(c.v, dtype=np.int64) + p.lam
-    return _slices_satisfy(c.bits, gram, p.k)
+    return c.v == p.v and _slices_satisfy(c.bits, p.k, p.lam, p.k)
 
 
 def _group_cube_bits(table: np.ndarray, member: np.ndarray, n: int) -> np.ndarray:
@@ -340,5 +334,4 @@ def hadamard_certificate(h: np.ndarray) -> bytes:
 def hadamard_slice_checks(h: np.ndarray) -> bool:
     """True iff every 2-dimensional slice H satisfies H H^t = vI (proper) and
     has constant row and column sums (totally regular)."""
-    v = h.shape[0]
-    return _slices_satisfy(h, v * np.eye(v, dtype=np.int64), None)
+    return _slices_satisfy(h, h.shape[0], 0, None)

@@ -1,23 +1,25 @@
 """Symmetric designs as square 0/1 incidence matrices.
 
 Rows are points and columns are blocks.  A matrix A is a (v,k,lambda)
-incidence matrix exactly when A A^t = (k-lambda) I + lambda J; all checks
-here are exact integer identities.
+incidence matrix exactly when A A^t = (k-lambda) I + lambda J and every
+line sum is k.  ``_design_equation_holds`` checks that exactly on a stack
+of matrices: ``verify_design`` is its one-matrix case, and ``cubes`` feeds
+it the slices of a cube.  A ``DesignClass``, a matrix under an optional
+name, is the one record of a design's class up to isomorphism and
+duality; the reference catalog's entries are such records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .canon import CanonResult, design_canonical
 from .errors import ConstructionBugError, InvalidInputError
 from .groups import DifferenceSet, is_difference_set, make_direct_product
-
-if TYPE_CHECKING:
-    from .catalog import CatalogEntry
 
 __all__ = [
     "DesignParams",
@@ -45,9 +47,6 @@ class DesignParams:
         if self.lam * (self.v - 1) != self.k * (self.k - 1):
             raise InvalidInputError(f"lambda(v-1) != k(k-1) for {self}")
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.v, self.k, self.lam)
-
     def __str__(self) -> str:
         return f"({self.v},{self.k},{self.lam})"
 
@@ -61,23 +60,15 @@ class IncidenceMatrix:
         given = np.asarray(bits)
         if given.ndim != 2 or given.shape[0] != given.shape[1]:
             raise InvalidInputError("incidence matrix must be square")
-        # the given values, not their uint8 casts (256 would wrap to 0)
-        if not np.isin(given, (0, 1)).all():
-            raise InvalidInputError("entries must be 0 or 1")
-        arr = np.ascontiguousarray(given, dtype=np.uint8)
-        arr.setflags(write=False)
-        self.bits = arr
+        self.bits = _read_only_bits(given)
         self.params = params
 
     @property
     def v(self) -> int:
         return self.bits.shape[0]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.bits[:, j]))
-
     def columns_as_sets(self) -> list[frozenset[int]]:
-        return [frozenset(self.column(j)) for j in range(self.v)]
+        return [frozenset(np.flatnonzero(col).tolist()) for col in self.bits.T]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IncidenceMatrix) and np.array_equal(self.bits, other.bits)
@@ -90,51 +81,67 @@ class IncidenceMatrix:
         return f"IncidenceMatrix(v={self.v}{tag})"
 
 
-class DesignClass:
-    """Canonical certificate of a design up to isomorphism and duality.
+def _read_only_bits(given: np.ndarray) -> np.ndarray:
+    """``given`` as a read-only contiguous uint8 array; InvalidInputError
+    unless every entry is 0 or 1."""
+    # the given values, not their uint8 casts (256 would wrap to 0)
+    if not np.isin(given, (0, 1)).all():
+        raise InvalidInputError("entries must be 0 or 1")
+    arr = np.ascontiguousarray(given, dtype=np.uint8)
+    arr.setflags(write=False)
+    return arr
 
-    ``certificate`` is the bytes or a catalog entry, whose own
-    ``certificate`` is read on first use only (canon labels the entry on
-    its first read).  ``aut_order`` is an object whose own ``aut_order`` is
-    read on first use only: the design's ``CanonResult`` (Schreier-Sims on
-    first read), or a catalog entry.
+
+class DesignClass:
+    """A design's class up to isomorphism and duality.
+
+    The record of ``matrix`` under an optional ``name``.  On the first read
+    of ``certificate`` or ``aut_order``, canon labels the matrix and its
+    transpose; the certificate is the lesser of the two canonical forms,
+    and |Aut| is that of the matrix's own labelling, computed on its first
+    read only.
     """
 
-    __slots__ = ("_certificate", "name", "_aut")
-
-    def __init__(
-        self,
-        certificate: bytes | CatalogEntry,
-        aut_order: CanonResult | CatalogEntry,
-        name: str | None = None,
-    ):
-        self._certificate = certificate
+    def __init__(self, matrix: IncidenceMatrix, name: str | None = None):
+        self.matrix = matrix
         self.name = name
-        self._aut = aut_order
+
+    @cached_property
+    def _labelled(self) -> tuple[bytes, CanonResult]:
+        """The certificate, and the labelling of the matrix itself."""
+        own = design_canonical(self.matrix.bits)
+        dual = design_canonical(self.matrix.bits.T)
+        return min(own.certificate, dual.certificate), own
 
     @property
     def certificate(self) -> bytes:
-        if not isinstance(self._certificate, bytes):
-            self._certificate = self._certificate.certificate
-        return self._certificate
+        return self._labelled[0]
 
     @property
     def aut_order(self) -> int:
-        return self._aut.aut_order
+        return self._labelled[1].aut_order
 
     def __repr__(self) -> str:
         return f"DesignClass(certificate={self.certificate.hex()[:16]}..., name={self.name!r})"
+
+
+def _design_equation_holds(stack: np.ndarray, k: int, lam: int, line_sum: int | None) -> bool:
+    """True iff every matrix S of the stack (m x v x v) has
+    S S^t = (k-lambda) I + lambda J and all its row and column sums equal
+    ``line_sum``, or, if it is None, one another."""
+    s = stack.astype(np.int64)
+    gram = (k - lam) * np.eye(s.shape[-1], dtype=np.int64) + lam
+    if not (s @ s.transpose(0, 2, 1) == gram).all():
+        return False
+    sums = np.concatenate([s.sum(axis=1), s.sum(axis=2)], axis=1)
+    return bool((sums == (sums[:, :1] if line_sum is None else line_sum)).all())
 
 
 def verify_design(a: IncidenceMatrix, p: DesignParams) -> bool:
     """Exact check of A A^t = (k-lambda) I + lambda J plus row/column sums."""
     if a.v != p.v:
         raise InvalidInputError("dimension mismatch between matrix and parameters")
-    m = a.bits.astype(np.int64)
-    target = (p.k - p.lam) * np.eye(p.v, dtype=np.int64) + p.lam
-    if not np.array_equal(m @ m.T, target):
-        return False
-    return bool((m.sum(axis=0) == p.k).all() and (m.sum(axis=1) == p.k).all())
+    return _design_equation_holds(a.bits[None], p.k, p.lam, p.k)
 
 
 def development(d: DifferenceSet) -> IncidenceMatrix:
@@ -147,31 +154,26 @@ def development(d: DifferenceSet) -> IncidenceMatrix:
 
 
 def design_class(a: IncidenceMatrix, catalog=None) -> DesignClass:
-    """Certificate and automorphism group order up to isomorphism and duality.
+    """The class of ``a`` up to isomorphism and duality.
 
-    The certificate is the lexicographic minimum over the matrix and its
-    transpose of the canonical form of the point/block incidence structure.
-
-    Canon is skipped when a catalog is given and ``catalog.lookup`` names
-    the design: a verified design of a parameter set the catalog holds
-    completely, whose 2-rank selects one entry.  The entry's certificate,
-    automorphism group order and name are returned; they are the values
-    canon would give, and the entry is labelled only when its certificate or
-    group order is first read.  Every other input, and every call without a
-    catalog, is canonicalised.  Either way the automorphism group order is
+    When a catalog is given and ``catalog.lookup`` names the design (a
+    verified design of a parameter set the catalog holds completely, whose
+    2-rank selects one entry), the catalog's own entry is returned without
+    canon: its certificate and automorphism group order are the values
+    canon would give ``a``, and the entry is labelled only when one of them
+    is first read.  Every other input is labelled at once, and named by the
+    catalog if one is given.  Either way the automorphism group order is
     computed on first read only.
     """
     if catalog is not None:
         entry = catalog.lookup(a)
         if entry is not None:
-            return DesignClass(entry, entry, entry.name)
-    res = design_canonical(a.bits)
-    res_t = design_canonical(a.bits.T)
-    cert = min(res.certificate, res_t.certificate)
-    name = None
+            return entry
+    cls = DesignClass(a)
+    certificate = cls.certificate
     if catalog is not None:
-        name = catalog.name_for(cert)
-    return DesignClass(certificate=cert, aut_order=res, name=name)
+        cls.name = catalog.name_for(certificate)
+    return cls
 
 
 def switch_blocks(
@@ -235,7 +237,6 @@ def block_quadruple(a: IncidenceMatrix) -> IncidenceMatrix:
     """
     if a.params is None:
         raise InvalidInputError("input must be tagged with design parameters")
-    v, k, lam = a.params.as_tuple()
     m = _menon_exponent(a.params)
     if m is None:
         raise InvalidInputError(f"input parameters {a.params} are not of Menon type 4^m")

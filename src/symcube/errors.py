@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and time-budget deadlines."""
+
+import math
+import time
 
 
 class SymcubeError(Exception):
@@ -26,3 +29,14 @@ class NotACubeError(SymcubeError):
     def __init__(self, message: str, constraint: str | None = None):
         super().__init__(message)
         self.constraint = constraint
+
+
+def deadline_of(time_budget: float | None) -> float | None:
+    """The ``time.monotonic()`` reading at which ``time_budget`` seconds
+    from now run out (a negative budget has run out already), or None for
+    no budget; InvalidInputError for NaN, which would never run out."""
+    if time_budget is None:
+        return None
+    if math.isnan(time_budget):
+        raise InvalidInputError(f"time budget must be a number of seconds, got {time_budget}")
+    return time.monotonic() + time_budget

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError
+from .errors import ConstructionBugError, InvalidInputError, ResourceLimitError, deadline_of
 from .perms import Perm, PermGroup, identity as id_perm, orbit_minima, void_rows
 
 __all__ = [
@@ -524,8 +524,11 @@ def enumerate_difference_sets(
     Either raises ResourceLimitError when exceeded.
     """
     v = g.order
+    deadline = deadline_of(time_budget)
     if not 0 <= k <= v:
         raise InvalidInputError(f"block size k = {k} must lie between 0 and v = {v}")
+    if lam < 0:
+        raise InvalidInputError(f"lambda = {lam} must not be negative")
     if lam * (v - 1) != k * (k - 1):
         return []
     dtype = np.min_scalar_type(v)
@@ -535,7 +538,6 @@ def enumerate_difference_sets(
     batches = [(np.zeros((1, 0), dtype), np.zeros((1, v), np.min_scalar_type(k)))]
     found = []
     nodes = 0
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
     while batches:
         prefixes, counts = batches.pop()
         level = prefixes.shape[1]

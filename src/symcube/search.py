@@ -101,7 +101,13 @@ from .equivalence import (
     _verified,
     cube_certificate,
 )
-from .errors import ConstructionBugError, InvalidInputError, NotACubeError, ResourceLimitError
+from .errors import (
+    ConstructionBugError,
+    InvalidInputError,
+    NotACubeError,
+    ResourceLimitError,
+    deadline_of,
+)
 from .groups import (
     DifferenceSet,
     FiniteGroup,
@@ -172,7 +178,7 @@ def find_ds_block_designs(
     """
     _check_order(g, params)
     v, k, lam = params.v, params.k, params.lam
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    deadline = deadline_of(time_budget)
     if candidates is None:
         candidates = enumerate_difference_sets(g, k, lam, time_budget=time_budget)
     blocks = [tuple(d.elements) for d in candidates]
@@ -414,7 +420,7 @@ def _design_orbit_representatives(
     increasing order; the number of designs; and, for each least design D,
     sifted generators of Stab_M(D) as point maps.  Searched through the
     candidate-orbit minima as the module docstring describes."""
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    deadline = deadline_of(time_budget)
     rows = np.array([d.elements for d in candidates], dtype=np.int32)
     if not len(rows):
         return [], 0, []
@@ -575,7 +581,8 @@ def classify_group_cubes(
     """Classify the 3-cubes of designs over g with all blocks difference
     sets: counts of difference sets (total and up to equivalence), their
     developments' catalog names, and inequivalent cubes split into
-    difference cubes and the rest.
+    difference cubes and the rest.  The trivial designs, k = 0 and k = v,
+    are rejected.
 
     ``reference`` holds difference-cube certificates (only membership is
     tested, so a set or the dict of ``difference_cube_reference`` will do)
@@ -590,7 +597,9 @@ def classify_group_cubes(
     out.
     """
     _check_order(g, params)
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    if params.k in (0, params.v):
+        raise InvalidInputError(f"design parameters {params} are trivial: k must lie in 1..v-1")
+    deadline = deadline_of(time_budget)
 
     def remaining() -> float | None:
         return deadline - time.monotonic() if deadline is not None else None

@@ -437,6 +437,10 @@ class TestSeeds:
         with pytest.raises(ResourceLimitError, match="labelling"):
             canonicalize(self.t.n_points, self.t.blocks, time_budget=-1.0, known_automorphisms=seeds)
 
+    def test_nan_budget_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="time budget .* nan"):
+            canonicalize(self.t.n_points, self.t.blocks, time_budget=float("nan"))
+
     def test_seed_must_preserve_colors(self):
         with pytest.raises(ConstructionBugError, match="colors"):
             canonicalize(

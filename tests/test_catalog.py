@@ -2,7 +2,6 @@
 set is named by its 2-rank, and must get the certificate and |Aut| that
 canon gives it; every other input must reach canon."""
 
-import dataclasses
 import random
 
 import numpy as np
@@ -11,8 +10,15 @@ import pytest
 from named_cubes import named_cube, random_paratopy
 from symcube import canon, catalog, designs
 from symcube.catalog import COMPLETE_PARAMS, Catalog, reference_catalog, switched_16_designs
-from symcube.cubes import _parallel_classes, apply_paratopy
-from symcube.designs import DesignParams, IncidenceMatrix, block_quadruple, design_class
+from symcube.cubes import Cube, _parallel_classes, apply_paratopy, verify_cube
+from symcube.designs import (
+    DesignClass,
+    DesignParams,
+    IncidenceMatrix,
+    block_quadruple,
+    design_class,
+    verify_design,
+)
 from symcube.errors import ConstructionBugError
 from symcube.groups import make_cyclic
 from symcube.search import classify_group_cubes
@@ -63,10 +69,10 @@ def test_shortcut_matches_canon_on_example52_slices():
 
 def test_shortcut_matches_canon_on_catalog_images():
     rng = np.random.default_rng(8)
-    entries = [e for e in reference_catalog().entries if e.params in COMPLETE_PARAMS]
+    entries = [e for e in reference_catalog().entries if e.matrix.params in COMPLETE_PARAMS]
     assert len(entries) == 7
     for entry in entries:
-        v = entry.params.v
+        v = entry.matrix.params.v
         for i in range(5):
             bits = entry.matrix.bits[rng.permutation(v)][:, rng.permutation(v)]
             _assert_shortcut_matches_canon(IncidenceMatrix(bits.T if i % 2 else bits))
@@ -105,7 +111,7 @@ def test_classification_labels_no_catalog_entry(canon_calls, monkeypatch):
     cls = classify_group_cubes(make_cyclic(7), DesignParams(7, 3, 1))
     assert cls.dev_classes == ["D0"]
     assert canon_calls == []
-    assert not any("design" in vars(e) for e in reference_catalog().entries)
+    assert not any("_labelled" in vars(e) for e in reference_catalog().entries)
 
 
 def test_aut_orders_are_computed_on_first_read(monkeypatch):
@@ -130,7 +136,7 @@ def test_aut_orders_are_computed_on_first_read(monkeypatch):
 
 def test_incomplete_parameters_reach_canon(canon_calls):
     cat = reference_catalog()
-    (d15,) = [e for e in cat.entries if e.params == DesignParams(15, 7, 3)]
+    (d15,) = [e for e in cat.entries if e.matrix.params == DesignParams(15, 7, 3)]
     assert design_class(d15.matrix, cat).name == "D0"
     assert canon_calls == [(15, 15)] * 2
     canon_calls.clear()
@@ -151,6 +157,25 @@ def test_non_design_reaches_canon(canon_calls):
 
 def test_same_rank_entries_raise():
     d1 = next(e for e in reference_catalog().entries if e.name == "D1")
-    twin = dataclasses.replace(d1, name="D1'", matrix=IncidenceMatrix(d1.matrix.bits.T))
+    twin = DesignClass(IncidenceMatrix(d1.matrix.bits.T, d1.matrix.params), "D1'")
     with pytest.raises(ConstructionBugError, match="D1 and D1' share .* 2-rank 6"):
         Catalog([d1, twin])
+
+
+def test_a_named_design_gets_the_catalog_entry_itself():
+    cat = reference_catalog()
+    (entry,) = [e for e in cat.entries if e.name == "D1"]
+    assert design_class(switched_16_designs()[0], cat) is entry
+
+
+def test_design_and_2_cube_checks_agree():
+    """``verify_design`` and ``verify_cube`` share one check of the design
+    equation: every catalog design passes both, and fails both with one
+    entry flipped."""
+    for i, entry in enumerate(reference_catalog().entries):
+        m = entry.matrix
+        assert verify_design(m, m.params) and verify_cube(Cube(m.bits, m.params))
+        flipped = m.bits.copy()
+        flipped[i % m.v, 0] ^= 1
+        assert not verify_design(IncidenceMatrix(flipped), m.params)
+        assert not verify_cube(Cube(flipped, m.params))

@@ -220,7 +220,7 @@ class TestTwoCubes:
         out = []
         for entry in reference_catalog().entries:
             for bits in (entry.matrix.bits, entry.matrix.bits.T):
-                c = Cube(bits, entry.params)
+                c = Cube(bits, entry.matrix.params)
                 out += [c, apply_paratopy(c, random_paratopy(rng, 2, c.v))]
         return out
 

@@ -680,6 +680,25 @@ def test_time_budget_bounds_the_enumeration():
     assert len(enumerate_difference_sets(make_cyclic(7), 3, 1, time_budget=0)) == 14
 
 
+def test_nan_time_budget_is_rejected():
+    with pytest.raises(InvalidInputError, match="time budget .* nan"):
+        enumerate_difference_sets(make_cyclic(7), 3, 1, time_budget=float("nan"))
+
+
+# (1,1,-1) satisfies lambda(v-1) = k(k-1) and would enumerate {0}
+@pytest.mark.parametrize("v,k,lam", [(7, 3, -1), (1, 1, -1)])
+def test_negative_lambda_is_rejected(v, k, lam):
+    with pytest.raises(InvalidInputError, match=f"lambda = {lam} "):
+        enumerate_difference_sets(make_cyclic(v), k, lam)
+
+
+def test_cli_rejects_negative_lambda(capsys):
+    assert main(["ds", "enumerate", "cyclic:7", "3", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "lambda = -1" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 # (7,-2,1) and (2,3,6) satisfy lambda(v-1) = k(k-1)
 @pytest.mark.parametrize("v,k,lam", [(7, -2, 1), (2, 3, 6)])
 def test_block_size_outside_the_group_is_rejected(v, k, lam):

@@ -199,3 +199,20 @@ def test_paratopies_are_built_by_one_decoder():
         if (path.name, func) != ("equivalence.py", "_witness_from_point_map")
     ]
     assert not found, "ParatopyElement built outside the decoder: " + "; ".join(found)
+
+
+def test_designs_import_nothing_from_the_catalog():
+    """The catalog is built from designs, and its entries are
+    ``designs.DesignClass`` records, so ``designs`` needs nothing back from
+    ``catalog``, not even for type checking."""
+    found = []
+    for node in ast.walk(ast.parse((SRC / "designs.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == "catalog" for m in modules):
+            found.append(node.lineno)
+    assert not found, f"designs.py imports from catalog at lines {found}"

@@ -758,6 +758,33 @@ def test_cli_rejects_design_order_other_than_group_order(capsys, argv):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("call", [find_ds_block_designs, classify_group_cubes])
+def test_nan_time_budget_is_rejected(call):
+    with pytest.raises(InvalidInputError, match="time budget .* nan"):
+        call(make_cyclic(7), DesignParams(7, 3, 1), time_budget=float("nan"))
+
+
+@pytest.mark.parametrize("command", ["ds-designs", "classify"])
+def test_cli_rejects_nan_time_budget(capsys, command):
+    assert main(["search", command, "cyclic:7", "7,3,1", "--time-budget", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert "time budget" in captured.err and "nan" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("params", [(7, 0, 0), (7, 7, 7)], ids=["k=0", "k=v"])
+def test_trivial_designs_are_not_classified(capsys, monkeypatch, params):
+    # rejected before any search
+    monkeypatch.setattr(search, "enumerate_difference_sets", None)
+    message = rf"parameters \({params[0]},{params[1]},{params[2]}\) are trivial"
+    with pytest.raises(InvalidInputError, match=message):
+        classify_group_cubes(make_cyclic(7), DesignParams(*params))
+    assert main(["search", "classify", "cyclic:7", ",".join(map(str, params))]) == 2
+    captured = capsys.readouterr()
+    assert f"({params[0]},{params[1]},{params[2]}) are trivial" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestWorkDoneOnce:
     """Aut(G) is enumerated once per group and each difference cube is
     built once per certificate."""
